@@ -144,7 +144,7 @@ def main():
 @click.option("--group", "group_text", required=True, help="Group descriptor, e.g. 'Z x Z/2'.")
 @click.option("--genset", "genset_text", required=True, help="Generator list, e.g. '[(5,1),(3,0)]'.")
 @click.option("--element", "element_text", required=True, help="Target element, e.g. '(0,1)'.")
-@click.option("--cap", type=int, required=True, help="Search radius bound.")
+@click.option("--cap", type=click.IntRange(min=1), required=True, help="Search radius bound.")
 @click.option("--mode", type=click.Choice(["auto", "bfs", "bidirectional"]), default="auto")
 def length(group_text, genset_text, element_text, cap, mode):
     """Exact word length of an element, searched out to --cap."""
@@ -168,7 +168,7 @@ def length(group_text, genset_text, element_text, cap, mode):
 @main.command()
 @click.option("--group", "group_text", required=True)
 @click.option("--genset", "genset_text", required=True)
-@click.option("--cap", type=int, required=True)
+@click.option("--cap", type=click.IntRange(min=2), required=True)
 def girth(group_text, genset_text, cap):
     """Girth of the Cayley graph: shortest simple loop at the identity."""
     try:

@@ -2,7 +2,8 @@
 
 Unboundedness ladders, boundedness certificates, automorphism orbits, FC
 witnesses, prescribed-length constructions and quotient-orbit growth.  Every
-length in a report row comes from the BFS oracle; formula columns are
+length in a report row comes from an exact search (BFS, or its
+meet-in-the-middle form for fixed-cap certificates); formula columns are
 compared against the search, never substituted for it.
 """
 
@@ -54,8 +55,11 @@ def _ext_gcd(a, b):
 def min_coefficients(p, q, u):
     """Minimal |alpha| + |beta| with alpha*p + beta*q == u, for coprime p, q.
 
-    Returns (cost, (alpha, beta)); the general solution is scanned around
-    both balance points of the piecewise-linear cost.
+    Returns (cost, (alpha, beta)) with the smallest minimising t in the
+    general solution (a0 + t*step_a, b0 - t*step_b).  The cost is convex and
+    piecewise linear in t with breakpoints -a0/step_a and b0/step_b, so an
+    integer minimum lies at the floor or ceiling of one of them; both are
+    found exactly with integer division.
     """
     g, x, y = _ext_gcd(p, q)
     if u % g:
@@ -63,9 +67,12 @@ def min_coefficients(p, q, u):
     a0 = x * (u // g)
     b0 = y * (u // g)
     step_a, step_b = q // g, p // g
-    centers = [round(-a0 / step_a), round(b0 / step_b)]
+    candidates = set()
+    for num, den in ((-a0, step_a), (b0, step_b)):
+        candidates.add(num // den)  # floor
+        candidates.add(-(-num // den))  # ceiling
     best = None
-    for t in range(min(centers) - 3, max(centers) + 4):
+    for t in sorted(candidates):
         a = a0 + t * step_a
         b = b0 - t * step_b
         cost = abs(a) + abs(b)
@@ -275,9 +282,16 @@ def aut_orbit_bound_check(G, g, S):
     With M the exact uniform length of g, the orbit must lie in the radius-M
     ball of S and have at most n^M elements (n the alphabet cardinality).
     """
-    M, _ = uniform_length_exact(G, g)
+    G.check(g)
+    return _aut_orbit_bound(G, g, S, uniform_length_table(G), aut_group(G))
+
+
+def _aut_orbit_bound(G, g, S, table, autos):
+    """:func:`aut_orbit_bound_check` given G's uniform-length table and
+    automorphisms, which callers checking many elements build once."""
+    M, _ = table[g]
     orbit = []
-    for A in aut_group(G):
+    for A in autos:
         h = A.apply(g)
         if h not in orbit:
             orbit.append(h)
@@ -483,12 +497,16 @@ def heisenberg_center_certificate(x, y):
         raise NotGeneratingError(
             f"pair does not generate: abelianized determinant {det}")
     com = G.commutator(x, y)
-    assert com[0] == 0 and com[1] == 0, "commutator must be central"
+    if com[0] != 0 or com[1] != 0:
+        raise RuntimeError(f"commutator {com} is not central")
     exponent = com[2]
-    assert abs(exponent) == 1, "generating pair must hit a central generator"
+    if abs(exponent) != 1:
+        raise RuntimeError(
+            f"generating pair hits the central power {exponent}, not a generator")
     S = make_symmetric(G, [x, y])
-    cert = word_length(G, S, (0, 0, 1), cap=4, mode="bfs")
-    assert cert.length is not None and cert.length <= 4
+    cert = word_length(G, S, (0, 0, 1), cap=4, mode="bidirectional")
+    if cert.length is None:
+        raise RuntimeError("central generator not within radius 4")
     return exponent, cert
 
 
@@ -538,16 +556,14 @@ def heisenberg_center_experiment(count=100, seed=0):
     )
 
 
-def bound_witness_zxd8(samples=200, seed=42, radius=10, max_attempts=500):
-    """Sampled generating sets of Z x D8 all place (0, z) within radius 4.
+_ZXD8 = gr.Product(gr.IntVector(1), gr.DihedralFinite(4))
 
-    z is the central rotation of order 2.  Candidate sets are rejection
-    sampled from the pool of elements with translation part bounded by
-    ``radius``; sets whose generation certificate is not a definite yes are
-    discarded and resampled.
-    """
-    G = gr.Product(gr.IntVector(1), gr.DihedralFinite(4))
-    target = ((0,), (2, 0))
+
+def sample_zxd8_genset(rng, radius=10, max_attempts=500):
+    """A generating alphabet of Z x D8, rejection sampled from 2 to 4
+    elements with translation part bounded by ``radius``; sets whose
+    generation certificate is not a definite yes are discarded."""
+    G = _ZXD8
     e = G.identity()
     pool = [
         ((n,), f)
@@ -555,19 +571,28 @@ def bound_witness_zxd8(samples=200, seed=42, radius=10, max_attempts=500):
         for f in G.right.elements()
     ]
     pool = [g for g in pool if g != e]
+    for _ in range(max_attempts):
+        chosen = rng.sample(pool, rng.randint(2, 4))
+        S = make_symmetric(G, chosen)
+        if generates(G, S).is_yes:
+            return S
+    raise NotGeneratingError(
+        f"sampler found no generating set within {max_attempts} attempts")
+
+
+def bound_witness_zxd8(samples=200, seed=42, radius=10, max_attempts=500):
+    """Sampled generating sets of Z x D8 all place (0, z) within radius 4.
+
+    z is the central rotation of order 2; the alphabets come from
+    :func:`sample_zxd8_genset`.
+    """
+    G = _ZXD8
+    target = ((0,), (2, 0))
     rng = random.Random(seed)
     rows = []
     for i in range(samples):
-        for _ in range(max_attempts):
-            chosen = rng.sample(pool, rng.randint(2, 4))
-            S = make_symmetric(G, chosen)
-            res = generates(G, S)
-            if res.is_yes:
-                break
-        else:
-            raise NotGeneratingError(
-                f"sampler found no generating set within {max_attempts} attempts")
-        cert = word_length(G, S, target, cap=4, mode="bfs")
+        S = sample_zxd8_genset(rng, radius, max_attempts)
+        cert = word_length(G, S, target, cap=4, mode="bidirectional")
         rows.append({
             "sample": i,
             "letters": str([gr.element_to_obj(G, g) for g in S.letters]),
@@ -616,8 +641,9 @@ def prescribe_length_free(k, g, l, u, v):
     """Alphabet over F_k giving g word length exactly l + 1.
 
     Letters: g^2 and g^(2l+1) plus u-th and v-th powers of every basis
-    letter.  The returned certificate is a full BFS to radius l + 1; a
-    shorter witness would surface as a certificate length below l + 1.
+    letter.  The returned certificate is the exact meet-in-the-middle search
+    to radius l + 1 (equal to BFS on length); a shorter witness would
+    surface as a certificate length below l + 1.
     """
     G = gr.Free(k)
     G.check(g)
@@ -639,8 +665,9 @@ def prescribe_length_free(k, g, l, u, v):
         sv = S.symbol_of(G.power((i,), v if beta >= 0 else -v))
         witnesses[i] = (su,) * abs(alpha) + (sv,) * abs(beta)
     res = generates(G, S, witnesses=witnesses)
-    assert res.is_yes
-    cert = word_length(G, S, g, cap=l + 1, mode="bfs")
+    if not res.is_yes:
+        raise NotGeneratingError(f"prescribed alphabet: {res.reason}")
+    cert = word_length(G, S, g, cap=l + 1, mode="bidirectional")
     return S, cert
 
 
@@ -666,8 +693,9 @@ def prescribe_length_zd(d, g, l, u, v):
         letters.append(G.power(unit, v))
     S = make_symmetric(G, letters)
     res = generates(G, S)
-    assert res.is_yes
-    cert = word_length(G, S, g, cap=l + 1, mode="bfs")
+    if not res.is_yes:
+        raise NotGeneratingError(f"prescribed alphabet: {res.reason}")
+    cert = word_length(G, S, g, cap=l + 1, mode="bidirectional")
     return S, cert
 
 
@@ -773,8 +801,10 @@ def aut_orbit_experiment():
     rows = []
     for G, _ in cases:
         S = make_symmetric(G, gr.standard_generators(G))
+        table = uniform_length_table(G)
+        autos = aut_group(G)
         for g in G.elements():
-            check = aut_orbit_bound_check(G, g, S)
+            check = _aut_orbit_bound(G, g, S, table, autos)
             rows.append({
                 "group": str(G),
                 "element": str(gr.element_to_obj(G, g)),
@@ -847,7 +877,8 @@ def regenerate_d8_golden(path=None):
 def uniform_length_experiment():
     """D8 table as rows plus a byte-exact comparison with the golden file."""
     rows = []
-    data = json.loads(d8_uniform_table_bytes().decode("utf-8"))
+    table_bytes = d8_uniform_table_bytes()
+    data = json.loads(table_bytes.decode("utf-8"))
     for entry in data["entries"]:
         rows.append({
             "element": str(entry["element"]),
@@ -856,7 +887,7 @@ def uniform_length_experiment():
         })
     golden_ok = (
         D8_GOLDEN_PATH.exists()
-        and D8_GOLDEN_PATH.read_bytes() == d8_uniform_table_bytes()
+        and D8_GOLDEN_PATH.read_bytes() == table_bytes
     )
     return ExperimentReport(
         name="uniform-length",

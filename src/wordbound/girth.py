@@ -73,15 +73,20 @@ class GirthResult:
 
 
 def _validate_witness(G, S, w):
-    assert w, "witness must be nonempty"
-    assert is_cyclically_reduced(S, w), "witness must be cyclically reduced"
+    """Raise RuntimeError unless w is a simple loop at the identity."""
+    if not w:
+        raise RuntimeError("witness must be nonempty")
+    if not is_cyclically_reduced(S, w):
+        raise RuntimeError("witness must be cyclically reduced")
     seen = set()
     v = G.identity()
     for sym in w:
-        assert v not in seen, "witness path revisits a vertex"
+        if v in seen:
+            raise RuntimeError("witness path revisits a vertex")
         seen.add(v)
         v = G.mul(v, S.element(sym))
-    assert v == G.identity(), "witness does not evaluate to the identity"
+    if v != G.identity():
+        raise RuntimeError("witness does not evaluate to the identity")
 
 
 def girth(G, S, cap, mem_limit=None):

@@ -401,13 +401,20 @@ class Product(Group):
 
     family = "product"
 
+    # The factors' checked mul/inv validate the components, so the group
+    # law checks only the pair shape: each component is validated once.
+
+    def _check_pair(self, g):
+        if not (isinstance(g, tuple) and len(g) == 2):
+            raise DomainError(f"{g!r} is not an element of {self}")
+
     def mul(self, g, h):
-        self.check(g)
-        self.check(h)
+        self._check_pair(g)
+        self._check_pair(h)
         return (self.left.mul(g[0], h[0]), self.right.mul(g[1], h[1]))
 
     def inv(self, g):
-        self.check(g)
+        self._check_pair(g)
         return (self.left.inv(g[0]), self.right.inv(g[1]))
 
     def identity(self):

@@ -123,6 +123,19 @@ def test_length_usage_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["girth", "--group", "Z", "--genset", "[2,3]", "--cap", "1"],
+    ["length", "--group", "Z", "--genset", "[2,3]", "--element", "(1,)",
+     "--cap", "0"],
+])
+def test_cap_out_of_range_is_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "--cap" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_girth_command(runner):
     result = runner.invoke(main, [
         "girth", "--group", "Z", "--genset", "[2,3]", "--cap", "10"])

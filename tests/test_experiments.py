@@ -1,7 +1,8 @@
 """Experiment layer: reports, automorphisms, uniform lengths, golden files."""
 
 import random
-from math import gcd
+from fractions import Fraction
+from math import ceil, floor, gcd
 
 import pytest
 
@@ -9,6 +10,7 @@ from wordbound import experiments as ex
 from wordbound import groups as gr
 from wordbound.errors import NotGeneratingError, UnsupportedFamilyError
 from wordbound.gensets import make_symmetric
+from wordbound.metric import word_length
 from wordbound.reports import ExperimentReport, Verdict, render_report
 
 
@@ -32,6 +34,46 @@ def test_min_coefficients_against_brute_force():
             if (u - x * p) % q == 0
         )
         assert cost == brute
+
+
+def _scan_min_coefficients(p, q, u):
+    """Scan every alpha = a0 + t*q between the two exact breakpoints of the
+    cost, with a margin of 3; ties go to the smallest alpha."""
+    a0 = u * pow(p, -1, q) % q
+    b0 = (u - a0 * p) // q
+    breaks = [Fraction(-a0, q), Fraction(b0, p)]
+    best = None
+    for t in range(floor(min(breaks)) - 3, ceil(max(breaks)) + 4):
+        a, b = a0 + t * q, b0 - t * p
+        if best is None or abs(a) + abs(b) < best[0]:
+            best = (abs(a) + abs(b), (a, b))
+    return best
+
+
+def test_min_coefficients_matches_exact_scan():
+    rng = random.Random(2024)
+    cases = 0
+    while cases < 300:
+        bits = 80 if cases % 2 else 4  # the scan walks about |u|/(p*q) steps
+        p = rng.randint(2, 1 << bits)
+        q = rng.randint(2, 1 << bits)
+        if gcd(p, q) != 1:
+            continue
+        u = rng.randint(-(1 << bits), 1 << bits)
+        assert ex.min_coefficients(p, q, u) == _scan_min_coefficients(p, q, u)
+        cases += 1
+
+
+def test_min_coefficients_huge_target():
+    """No float quotient: u = 10**400 overflows a double."""
+    p, q, u = 3, 5, 10**400
+    cost, (a, b) = ex.min_coefficients(p, q, u)
+    assert a * p + b * q == u
+    assert cost == abs(a) + abs(b)
+    # the cost is convex in the step t, so a local minimum is global;
+    # the smaller neighbour must cost strictly more (least minimising t)
+    assert abs(a - q) + abs(b + p) > cost
+    assert abs(a + q) + abs(b - p) >= cost
 
 
 def test_min_bezout():
@@ -200,6 +242,47 @@ def test_heisenberg_center_experiment_deterministic():
     b = ex.heisenberg_center_experiment(20, seed=0)
     assert a.to_json_bytes() == b.to_json_bytes()
     assert a.passed
+
+
+def _assert_certificate_matches_bfs(S, target, cert):
+    bfs = word_length(S.group, S, target, cap=cert.cap, mode="bfs")
+    assert cert.length is not None
+    assert cert.length == bfs.length
+    assert len(cert.witness) == cert.length
+    assert S.eval_word(cert.witness) == target
+
+
+@pytest.mark.parametrize("kind", ["free", "zd"])
+def test_prescribe_certificates_match_bfs(kind):
+    for l, u, v in ex.DEFAULT_PRESCRIPTION_GRID:
+        if l > 4:
+            continue
+        if kind == "free":
+            g = (1,)
+            S, cert = ex.prescribe_length_free(2, g, l, u, v)
+        else:
+            g = (1, 0)
+            S, cert = ex.prescribe_length_zd(2, g, l, u, v)
+        assert cert.length == l + 1
+        _assert_certificate_matches_bfs(S, g, cert)
+
+
+def test_zxd8_certificates_match_bfs():
+    rng = random.Random(42)
+    target = ((0,), (2, 0))
+    for _ in range(20):
+        S = ex.sample_zxd8_genset(rng)
+        cert = word_length(S.group, S, target, cap=4, mode="bidirectional")
+        _assert_certificate_matches_bfs(S, target, cert)
+
+
+def test_heisenberg_center_certificates_match_bfs():
+    rng = random.Random(0)
+    for _ in range(20):
+        x, y = ex.sample_heisenberg_pair(rng)
+        _, cert = ex.heisenberg_center_certificate(x, y)
+        _assert_certificate_matches_bfs(make_symmetric(gr.Heisenberg(), [x, y]),
+                                        (0, 0, 1), cert)
 
 
 def test_bound_witness_zxd8_small():

@@ -1,7 +1,14 @@
 """Girth of Cayley graphs: word reduction, search agreement, torsion loops."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import wordbound
 from wordbound import groups as gr
 from wordbound.errors import DomainError
 from wordbound.gensets import make_symmetric
@@ -182,3 +189,33 @@ def test_girth_witness_path_is_vertex_distinct():
         seen.add(v)
         v = G.mul(v, S.element(sym))
     assert v == G.identity()
+
+
+def test_witness_validation_survives_optimize_flag():
+    """Corrupted witnesses are rejected under ``python -O`` as well."""
+    script = textwrap.dedent("""
+        from wordbound import groups as gr
+        from wordbound.gensets import make_symmetric
+        from wordbound.girth import _validate_witness, girth
+
+        if __debug__:
+            raise SystemExit("expected to run under python -O")
+        G = gr.IntVector(1)
+        S = make_symmetric(G, [(2,), (3,)])
+        w = girth(G, S, cap=6).witness
+        corrupted = [(), w[:-1], w + w, w[:1] + (S.inv_symbol(w[0]),) + w[1:]]
+        rejected = 0
+        for bad in corrupted:
+            try:
+                _validate_witness(G, S, bad)
+            except RuntimeError:
+                rejected += 1
+        print(rejected, len(corrupted))
+    """)
+    src = str(Path(wordbound.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["4", "4"]

@@ -163,6 +163,20 @@ def test_domain_checks_reject_foreign_elements():
         DihedralFinite(4).check((4, 0))
 
 
+def test_product_law_rejects_foreign_operands():
+    """Pair shape is checked by the product, components by the factors."""
+    P = Product(IntVector(1), DihedralFinite(4))
+    good = ((1,), (1, 0))
+    for bad in [(1, 2), ((1,), (1, 0), 0), [(1,), (1, 0)], ((1, 2), (1, 0)),
+                ((1,), (4, 0)), ((1,), (1, 2))]:
+        with pytest.raises(DomainError):
+            P.mul(bad, good)
+        with pytest.raises(DomainError):
+            P.mul(good, bad)
+        with pytest.raises(DomainError):
+            P.inv(bad)
+
+
 def test_cayley_table_validation():
     CayleyTableGroup.from_json(Z3_TABLE)
     with pytest.raises(ValueError, match="identity"):
