@@ -172,7 +172,8 @@ def _aut_by_generator_images(G):
             cl = gr.closure(G, gens)
     if not gens:  # trivial group
         return [Automorphism.build(G, {e: e})]
-    # discovery schedule: every element as parent * generator
+    # discovery schedule: every element as parent * generator.  Not
+    # metric._expand: gens is not symmetric and each step keeps its parent.
     schedule = []
     known = {e}
     frontier = [e]
@@ -894,7 +895,8 @@ def uniform_length_experiment():
         params={"group": "D8"},
         rows=rows,
         verdicts=[
-            Verdict("golden-file-byte-match", golden_ok, str(D8_GOLDEN_PATH)),
+            Verdict("golden-file-byte-match", golden_ok,
+                    D8_GOLDEN_PATH.relative_to(GOLDEN_DIR.parent).as_posix()),
         ],
     )
 

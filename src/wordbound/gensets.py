@@ -14,6 +14,7 @@ from math import gcd
 
 from . import groups as gr
 from .errors import DomainError, EmptyGenSetError, UnsupportedFamilyError
+from .metric import Ball, _Budget, _expand, _root, memory_limit
 
 
 @dataclass(frozen=True)
@@ -217,10 +218,11 @@ def generates(G, S, budget=8, witnesses=None):
 
     Family-specific: exact for finite groups (closure), lattices and abelian
     products (Smith normal form), Z x finite products (Schreier generators of
-    the translation kernel), and the infinite dihedral group.  Heisenberg and
-    free groups fall back to bounded witness searches and may return
-    "inconclusive".  ``witnesses`` optionally maps a free-group basis index to
-    a word (symbol ids) evaluating to that basis letter.
+    the translation kernel), the infinite dihedral group and the Heisenberg
+    group (abelianization).  Free groups fall back to a breadth-first witness
+    search out to radius ``budget`` and may return "inconclusive".
+    ``witnesses`` optionally maps a free-group basis index to a word (symbol
+    ids) evaluating to that basis letter.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -233,7 +235,7 @@ def generates(G, S, budget=8, witnesses=None):
     if isinstance(G, gr.DihedralInfinite):
         return _generates_dihedral_infinite(G, S)
     if isinstance(G, gr.Heisenberg):
-        return _generates_heisenberg(G, S, budget)
+        return _generates_heisenberg(G, S)
     if isinstance(G, gr.Free):
         return _generates_free(G, S, budget, witnesses)
     if isinstance(G, gr.Product):
@@ -340,6 +342,8 @@ def _generates_z_cross_finite(G, S, split):
         parts = [(x[0][0], x[1]) for x in S.letters]
     else:
         parts = [(x[1][0], x[0]) for x in S.letters]
+    # Not metric._expand: the gcd needs the edges that close cycles, which
+    # the kernel skips.
     rep = {F.identity(): 0}
     frontier = [F.identity()]
     g = 0
@@ -390,7 +394,13 @@ def _generates_dihedral_infinite(G, S):
     )
 
 
-def _generates_heisenberg(G, S, budget):
+def _generates_heisenberg(G, S):
+    """Exact: S generates iff its abelianized letters generate Z^2.
+
+    The commutator of two letters is c to the 2x2 minor of their images, and
+    the minors of a generating set of Z^2 have gcd 1, so the subgroup then
+    contains c and with it the whole center.
+    """
     images = [[x[0] for x in S.letters], [x[1] for x in S.letters]]
     factors = invariant_factors(images)
     if not (len(factors) == 2 and all(f == 1 for f in factors)):
@@ -398,44 +408,10 @@ def _generates_heisenberg(G, S, budget):
             "no", "abelianized letters do not generate Z^2",
             {"abelianization_factors": factors},
         )
-    central = []
-    for x in S.letters:
-        for y in S.letters:
-            _, _, l = G.commutator(x, y)
-            if l:
-                central.append(l)
-    g = 0
-    for l in central:
-        g = gcd(g, l)
-    if g != 1:
-        # widen with central elements reached by short products of letters
-        seen = {G.identity()}
-        frontier = [G.identity()]
-        for _ in range(budget):
-            nxt = []
-            for w in frontier:
-                for x in S.letters:
-                    h = G.mul(w, x)
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(h)
-                        if h[0] == 0 and h[1] == 0 and h[2]:
-                            central.append(h[2])
-                            g = gcd(g, h[2])
-            if g == 1:
-                break
-            frontier = nxt
-    if g == 1:
-        return GenerationResult(
-            "yes", "abelianization surjects and the center is reached",
-            {"abelianization_factors": factors,
-             "central_exponents": sorted(set(central))},
-        )
+    central = {G.commutator(x, y)[2] for x in S.letters for y in S.letters} - {0}
     return GenerationResult(
-        "inconclusive",
-        f"center only reached up to index {g} within budget {budget}",
-        {"abelianization_factors": factors,
-         "central_exponents": sorted(set(central))},
+        "yes", "abelianization surjects and the center is reached",
+        {"abelianization_factors": factors, "central_exponents": sorted(central)},
     )
 
 
@@ -450,22 +426,17 @@ def _generates_free(G, S, budget, witnesses):
     missing = [i for i in targets if i not in found]
     if missing:
         # budget-bounded breadth-first search for the remaining basis letters
-        seen = {G.identity(): ()}
+        mem = _Budget(memory_limit())
+        table = _root(mem, G.identity())
         frontier = [G.identity()]
-        for _ in range(budget):
+        for depth in range(1, budget + 1):
             if not missing:
                 break
-            nxt = []
-            for w in frontier:
-                for sym in S.symbols():
-                    h = G.mul(w, S.letters[sym])
-                    if h not in seen:
-                        seen[h] = seen[w] + (sym,)
-                        nxt.append(h)
-            frontier = nxt
+            frontier = _expand(G, S.letters, S.symbols(), table, frontier, depth, mem)
+            B = Ball(group=G, genset=S, radius=depth, table=table)
             for i in list(missing):
-                if targets[i] in seen:
-                    found[i] = seen[targets[i]]
+                if targets[i] in B:
+                    found[i] = B.word_to(targets[i])
                     missing.remove(i)
         if missing:
             return GenerationResult(

@@ -733,6 +733,9 @@ def closure(G, elements):
     if not G.is_finite:
         raise UnsupportedFamilyError("closure needs a finite group")
     gens = list(elements) + [G.inv(x) for x in elements]
+    # A plain set walk, not metric._expand: storing (depth, label) per element
+    # made perfbench's finite workload 10% slower per pass and 17% slower in
+    # its median operation.
     seen = {G.identity()}
     frontier = [G.identity()]
     while frontier:

@@ -136,6 +136,20 @@ def test_cap_out_of_range_is_usage_error(runner, args):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+@pytest.mark.parametrize("args", [
+    ["girth", "--group", "Z", "--genset", "[2,3]", "--cap", "4"],
+    ["length", "--group", "Z", "--genset", "[2,3]", "--element", "(1,)",
+     "--cap", "3"],
+])
+def test_bad_memory_limit_is_usage_error(runner, args, value):
+    result = runner.invoke(main, args, env={"WORDBOUND_MEM_LIMIT": value})
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: WORDBOUND_MEM_LIMIT")
+
+
 def test_girth_command(runner):
     result = runner.invoke(main, [
         "girth", "--group", "Z", "--genset", "[2,3]", "--cap", "10"])

@@ -363,6 +363,13 @@ def test_d8_golden_file_matches_regeneration():
     assert ex.D8_GOLDEN_PATH.read_bytes() == ex.d8_uniform_table_bytes()
 
 
+def test_golden_verdict_names_no_absolute_path():
+    """Report bytes must not depend on where the package is installed."""
+    (verdict,) = ex.uniform_length_experiment().verdicts
+    assert verdict.passed
+    assert verdict.details == "golden/d8_uniform_lengths.json"
+
+
 def test_regenerate_golden_to_tmp(tmp_path):
     out = ex.regenerate_d8_golden(tmp_path / "d8.json")
     assert out.read_bytes() == ex.d8_uniform_table_bytes()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordbound import groups as gr
-from wordbound.errors import DomainError, EmptyGenSetError
+from wordbound.errors import DomainError, EmptyGenSetError, ResourceLimitExceeded
 from wordbound.gensets import (
     GenSet,
     dihedral_mod,
@@ -196,6 +196,34 @@ def test_generates_free():
     assert res.is_yes
     with pytest.raises(DomainError):
         generates(G, S, witnesses={1: (S.symbol_of((2,)),)})
+
+
+def test_generates_free_witness_search_respects_memory_limit(monkeypatch):
+    G = gr.Free(2)
+    S = make_symmetric(G, [(1, 2), (2,)])  # x1 needs a witness search
+    monkeypatch.setenv("WORDBOUND_MEM_LIMIT", "1")
+    with pytest.raises(ResourceLimitExceeded) as exc:
+        generates(G, S, budget=4)
+    assert exc.value.partial_radius == 0
+
+
+def test_generates_heisenberg_is_exact():
+    """Yes exactly when the abelianized letters generate Z^2, and then the
+    commutators already reach the center: no alphabet is inconclusive."""
+    G = gr.Heisenberg()
+    rng = random.Random(29)
+    for _ in range(300):
+        letters = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(rng.randint(1, 3))]
+        if all(x == G.identity() for x in letters):
+            continue
+        S = make_symmetric(G, letters)
+        surjects = invariant_factors([[x[0] for x in S.letters], [x[1] for x in S.letters]]) == [1, 1]
+        res = generates(G, S)
+        assert res.status == ("yes" if surjects else "no")
+        if surjects:
+            exponents = res.evidence["central_exponents"]
+            assert all(G.commutator(x, y)[2] in exponents + [0] for x in S.letters for y in S.letters)
+            assert sympy.igcd(*exponents) == 1
 
 
 def test_generation_yes_evidence_revalidates():

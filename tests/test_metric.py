@@ -1,6 +1,7 @@
 """BFS word lengths: frozen oracles, mode agreement, resource limits."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -18,6 +19,31 @@ from wordbound.metric import (
 
 def _symm(G, elems):
     return make_symmetric(G, elems)
+
+
+def _naive_ball(G, S, radius):
+    """Textbook FIFO breadth-first search: {element: (distance, last symbol)}."""
+    table = {G.identity(): (0, None)}
+    queue = deque([G.identity()])
+    while queue:
+        u = queue.popleft()
+        d = table[u][0]
+        for sym in S.symbols() if d < radius else ():
+            v = G.mul(u, S.element(sym))
+            if v not in table:
+                table[v] = (d + 1, sym)
+                queue.append(v)
+    return table
+
+
+def _cayley_table(H):
+    """H rewritten as a CayleyTableGroup on the indices of H.elements()."""
+    elems = list(H.elements())
+    index = {x: i for i, x in enumerate(elems)}
+    return gr.CayleyTableGroup(
+        names=tuple(str(x) for x in elems),
+        table=tuple(tuple(index[H.mul(a, b)] for b in elems) for a in elems),
+    )
 
 
 # -- frozen values -------------------------------------------------------
@@ -114,6 +140,38 @@ def test_free_group_balls_are_trees():
         assert len(ball(G, S, M)) == expected
 
 
+def test_z2_sphere_sizes():
+    G = gr.IntVector(2)
+    B = ball(G, _symm(G, [(1, 0), (0, 1)]), 8)
+    assert [len(B.at_distance(r)) for r in range(9)] == [1] + [4 * r for r in range(1, 9)]
+
+
+@pytest.mark.parametrize("G,radius", [
+    (gr.Product(gr.IntVector(1), gr.FiniteCyclic(3)), 4),
+    (gr.Product(gr.FiniteCyclic(2), gr.DihedralFinite(4)), 5),
+    (_cayley_table(gr.DihedralFinite(3)), 4),
+    (gr.DihedralInfinite(), 4),
+    (gr.Free(2), 3),
+], ids=lambda v: str(v)[:24])
+def test_searches_match_naive_bfs(G, radius):
+    """Ball tables, insertion order included, and both word-length modes
+    agree with a textbook BFS on seeded alphabets."""
+    rng = random.Random(53)
+    for _ in range(4):
+        letters = []
+        while not letters:
+            letters = [gr.random_element(G, rng, size=3) for _ in range(rng.randint(1, 3))]
+            letters = [x for x in letters if x != G.identity()]
+        S = _symm(G, letters)
+        expected = _naive_ball(G, S, radius)
+        assert list(ball(G, S, radius).table.items()) == list(expected.items())
+        for g in rng.sample(sorted(expected, key=repr), min(30, len(expected))):
+            for mode in ("bfs", "bidirectional"):
+                cert = word_length(G, S, g, cap=radius, mode=mode)
+                assert cert.length == expected[g][0], (g, mode)
+                assert S.eval_word(cert.witness) == g
+
+
 # -- mode agreement ------------------------------------------------------
 
 
@@ -165,6 +223,13 @@ def test_memory_limit_resolution(monkeypatch):
     monkeypatch.setenv("WORDBOUND_MEM_LIMIT", "8192")
     assert memory_limit() == 8192
     assert memory_limit(16) == 16  # explicit wins
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
+def test_memory_limit_rejects_bad_environment(monkeypatch, value):
+    monkeypatch.setenv("WORDBOUND_MEM_LIMIT", value)
+    with pytest.raises(ValueError, match="WORDBOUND_MEM_LIMIT"):
+        memory_limit()
 
 
 def test_ball_memory_budget_exhaustion():
