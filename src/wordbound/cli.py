@@ -66,10 +66,17 @@ def _parse_factor(text):
 
 
 _FREE_WORD = re.compile(r"([a-z]+)(\d+)(?:\^(-?\d+))?")
+_LETTER_BYTES = 8  # one tuple slot per letter of a free word
 
 
 def parse_free_word(G, text):
-    """Words like x1*x2^-1 over a free group's basis letters."""
+    """Words like x1*x2^-1 over a free group's basis letters.
+
+    Refuses a word whose letters, before reduction, would not fit the
+    memory limit, without building it.
+    """
+    limit = memory_limit()
+    letters = 0
     word = G.identity()
     for piece in text.split("*"):
         m = _FREE_WORD.fullmatch(piece.strip())
@@ -79,22 +86,24 @@ def parse_free_word(G, text):
         exp = int(m.group(3)) if m.group(3) is not None else 1
         if not 1 <= i <= G.k:
             raise ValueError(f"basis index {i} out of range for rank {G.k}")
+        letters += abs(exp)
+        if letters * _LETTER_BYTES > limit:
+            raise ValueError(
+                f"free-word factor {piece.strip()!r} does not fit the memory limit of {limit} bytes")
         word = G.mul(word, G.power(G.generator(i), exp))
     return word
+
+
+def _flat(value):
+    """A literal tuple or list as a tuple; any other literal as one slot."""
+    return tuple(value) if isinstance(value, (tuple, list)) else (value,)
 
 
 def parse_element(G, text):
     """Parse an element: flat integer tuple (or scalar) or a free word."""
     if isinstance(G, gr.Free):
         return parse_free_word(G, text)
-    value = ast.literal_eval(text)
-    if isinstance(value, int):
-        value = (value,)
-    flat = tuple(int(v) for v in value)
-    if len(flat) != gr.flat_arity(G):
-        raise ValueError(
-            f"element needs {gr.flat_arity(G)} coordinates, got {len(flat)}")
-    return gr.element_from_flat(G, flat)
+    return gr.element_from_flat(G, _flat(ast.literal_eval(text)))
 
 
 def parse_genset(G, text):
@@ -108,15 +117,7 @@ def parse_genset(G, text):
         value = ast.literal_eval(text)
         if not isinstance(value, (list, tuple)):
             raise ValueError("genset must be a list")
-        elems = []
-        for item in value:
-            if isinstance(item, int):
-                item = (item,)
-            flat = tuple(int(v) for v in item)
-            if len(flat) != gr.flat_arity(G):
-                raise ValueError(
-                    f"letter needs {gr.flat_arity(G)} coordinates, got {len(flat)}")
-            elems.append(gr.element_from_flat(G, flat))
+        elems = [gr.element_from_flat(G, _flat(item)) for item in value]
     return make_symmetric(G, elems)
 
 
@@ -148,10 +149,10 @@ def main():
 def length(group_text, genset_text, element_text, cap, mode):
     """Exact word length of an element, searched out to --cap."""
     try:
+        limit = memory_limit()
         G = parse_group(group_text)
         S = parse_genset(G, genset_text)
         g = parse_element(G, element_text)
-        limit = memory_limit()
     except (ValueError, SyntaxError, DomainError) as exc:
         _fail_usage(str(exc))
     try:
@@ -172,9 +173,9 @@ def length(group_text, genset_text, element_text, cap, mode):
 def girth(group_text, genset_text, cap):
     """Girth of the Cayley graph: shortest simple loop at the identity."""
     try:
+        limit = memory_limit()
         G = parse_group(group_text)
         S = parse_genset(G, genset_text)
-        limit = memory_limit()
     except (ValueError, SyntaxError, DomainError) as exc:
         _fail_usage(str(exc))
     try:

@@ -117,50 +117,19 @@ class Automorphism:
         return self.mapping[g]
 
 
-def aut_group(G, method="auto", cap=24):
-    """All automorphisms of a small finite group.
+def aut_group(G, cap=24):
+    """All automorphisms of a finite group of at most ``cap`` elements.
 
-    ``method`` is "search" (images of a greedy generating sequence, groups up
-    to 24 elements) or "bijection" (filter all bijections, up to 8 elements);
-    "auto" picks the search.  Every returned map is validated on all pairs.
+    Tries every image of a greedy generating sequence that keeps each
+    generator's order; every returned map is validated on all pairs.
     """
     size = G.size
     if size is None:
         raise UnsupportedFamilyError("automorphism enumeration needs a finite group")
     if size > cap:
         raise UnsupportedFamilyError(f"group of size {size} exceeds the cap {cap}")
-    if method == "auto":
-        method = "search"
-    if method == "bijection":
-        if size > 8:
-            raise UnsupportedFamilyError("bijection filter is capped at 8 elements")
-        return _aut_by_bijections(G)
-    if method == "search":
-        return _aut_by_generator_images(G)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _aut_by_bijections(G):
     elems = list(G.elements())
     e = G.identity()
-    rest = [x for x in elems if x != e]
-    autos = []
-    for perm in itertools.permutations(rest):
-        mapping = {e: e}
-        mapping.update(zip(rest, perm))
-        if all(
-            mapping[G.mul(a, b)] == G.mul(mapping[a], mapping[b])
-            for a in elems
-            for b in elems
-        ):
-            autos.append(Automorphism.build(G, mapping))
-    return autos
-
-
-def _aut_by_generator_images(G):
-    elems = list(G.elements())
-    e = G.identity()
-    size = G.size
     # greedy generating sequence in enumeration order
     gens = []
     cl = {e}
@@ -310,7 +279,7 @@ def _aut_orbit_bound(G, g, S, table, autos):
 def conjugacy_orbit_growth(G, g, radius, genset=None):
     """(r, number of distinct conjugates x g x^-1 with x in B(r)) for r=1..radius."""
     G.check(g)
-    S = genset or make_symmetric(G, gr.standard_generators(G))
+    S = genset or make_symmetric(G, G.standard_generators())
     B = ball(G, S, radius)
     conjugates = {g}
     counts = []
@@ -426,7 +395,7 @@ def unbounded_witness_heisenberg(n, pairs):
         if gcd(p, q) != 1:
             raise ValueError(f"({p},{q}) must be coprime")
         S = make_symmetric(G, [(p, 0, 0), (q, 0, 0), (0, 1, 0)])
-        res = generates(G, S, budget=6)
+        res = generates(G, S)
         if not res.is_yes:
             raise NotGeneratingError(
                 f"generation not certified for (p,q)=({p},{q}): {res.reason}")
@@ -596,7 +565,7 @@ def bound_witness_zxd8(samples=200, seed=42, radius=10, max_attempts=500):
         cert = word_length(G, S, target, cap=4, mode="bidirectional")
         rows.append({
             "sample": i,
-            "letters": str([gr.element_to_obj(G, g) for g in S.letters]),
+            "letters": str([G.element_to_obj(g) for g in S.letters]),
             "length": cert.length,
             "ok": cert.length is not None and cert.length <= 4,
         })
@@ -801,14 +770,14 @@ def aut_orbit_experiment():
     ]
     rows = []
     for G, _ in cases:
-        S = make_symmetric(G, gr.standard_generators(G))
+        S = make_symmetric(G, G.standard_generators())
         table = uniform_length_table(G)
         autos = aut_group(G)
         for g in G.elements():
             check = _aut_orbit_bound(G, g, S, table, autos)
             rows.append({
                 "group": str(G),
-                "element": str(gr.element_to_obj(G, g)),
+                "element": str(G.element_to_obj(g)),
                 "orbit_size": len(check.orbit),
                 "max_length": check.max_length,
                 "ok": check.passed,
@@ -856,9 +825,9 @@ def d8_uniform_table_bytes():
     entries = []
     for g, (maxlen, S) in table.items():
         entries.append({
-            "element": gr.element_to_obj(G, g),
+            "element": G.element_to_obj(g),
             "max_length": maxlen,
-            "argmax": [gr.element_to_obj(G, x) for x in S.letters],
+            "argmax": [G.element_to_obj(x) for x in S.letters],
         })
     obj = {"group": "D8", "entries": entries}
     return (json.dumps(obj, indent=2) + "\n").encode("utf-8")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from typing import Callable
 
 from . import groups as gr
 from .errors import DomainError, EmptyGenSetError, UnsupportedFamilyError
@@ -53,14 +54,14 @@ class GenSet:
 
     def to_obj(self):
         return {
-            "group": gr.group_to_obj(self.group),
-            "elements": [gr.element_to_obj(self.group, x) for x in self.letters],
+            "group": self.group.to_obj(),
+            "elements": [self.group.element_to_obj(x) for x in self.letters],
         }
 
     @staticmethod
     def from_obj(obj):
         G = gr.group_from_obj(obj["group"])
-        elems = [gr.element_from_obj(G, o) for o in obj["elements"]]
+        elems = [G.element_from_obj(o) for o in obj["elements"]]
         return make_symmetric(G, elems)
 
 
@@ -455,50 +456,42 @@ def _generates_free(G, S, budget, witnesses):
 
 @dataclass(frozen=True)
 class QuotientMap:
-    """A family-specific surjection used to push generating sets forward."""
+    """A family-specific surjection used to push generating sets forward.
+
+    ``image_of`` maps a normal form of ``source`` to one of ``target``.
+    """
 
     source: gr.Group
     target: gr.Group
-    rule: str
-    params: tuple = ()
+    image_of: Callable
 
     def apply(self, g):
         self.source.check(g)
-        if self.rule == "project-left":
-            return g[0]
-        if self.rule == "project-right":
-            return g[1]
-        if self.rule == "abelianize-heisenberg":
-            return (g[0], g[1])
-        if self.rule == "mod-dihedral":
-            return (g[0] % self.params[0], g[1])
-        if self.rule == "mod-int":
-            return g[0] % self.params[0]
-        raise UnsupportedFamilyError(f"unknown quotient rule {self.rule!r}")
+        return self.image_of(g)
 
 
 def project_left(G):
     if not isinstance(G, gr.Product):
         raise UnsupportedFamilyError("project_left needs a product group")
-    return QuotientMap(G, G.left, "project-left")
+    return QuotientMap(G, G.left, lambda g: g[0])
 
 
 def project_right(G):
     if not isinstance(G, gr.Product):
         raise UnsupportedFamilyError("project_right needs a product group")
-    return QuotientMap(G, G.right, "project-right")
+    return QuotientMap(G, G.right, lambda g: g[1])
 
 
 def heisenberg_abelianization():
-    return QuotientMap(gr.Heisenberg(), gr.IntVector(2), "abelianize-heisenberg")
+    return QuotientMap(gr.Heisenberg(), gr.IntVector(2), lambda g: (g[0], g[1]))
 
 
 def dihedral_mod(p):
-    return QuotientMap(gr.DihedralInfinite(), gr.DihedralFinite(p), "mod-dihedral", (p,))
+    return QuotientMap(gr.DihedralInfinite(), gr.DihedralFinite(p), lambda g: (g[0] % p, g[1]))
 
 
 def int_mod(q):
-    return QuotientMap(gr.IntVector(1), gr.FiniteCyclic(q), "mod-int", (q,))
+    return QuotientMap(gr.IntVector(1), gr.FiniteCyclic(q), lambda g: g[0] % q)
 
 
 def project_genset(pi, S):

@@ -2,10 +2,10 @@
 
 Words are tuples of symbol ids over a GenSet alphabet.  An involution letter
 is its own formal inverse, so an involution edge is a single undirected edge
-and never counts as a 2-cycle.  The production search prunes with a
-half-radius ball (meet-in-the-middle over BFS tree edges); a plain
-iterative-deepening search over cyclically reduced words is kept as the
-reference implementation and the two must agree.
+and never counts as a 2-cycle.  The search prunes with a half-radius ball
+(meet-in-the-middle over BFS tree edges); the tests keep a plain
+iterative-deepening search over cyclically reduced words as its reference,
+and the two must agree.
 """
 
 from __future__ import annotations
@@ -133,37 +133,6 @@ def girth(G, S, cap, mem_limit=None):
     return GirthResult(value=total, cap=cap, witness=witness)
 
 
-def girth_reference(G, S, cap):
-    """Iterative deepening over cyclically reduced words; exponential, small
-    caps only.  Agreement with :func:`girth` is part of the contract."""
-    if cap < 2:
-        raise ValueError("cap must be >= 2")
-    e = G.identity()
-
-    def dfs(word, value, remaining):
-        if remaining == 0:
-            if value == e and word[0] != S.inv_symbol(word[-1]):
-                return tuple(word)
-            return None
-        for sym in S.symbols():
-            if word and sym == S.inv_symbol(word[-1]):
-                continue
-            word.append(sym)
-            got = dfs(word, G.mul(value, S.element(sym)), remaining - 1)
-            if got is not None:
-                return got
-            word.pop()
-        return None
-
-    for n in range(2, cap + 1):
-        got = dfs([], e, n)
-        if got is not None:
-            witness = got
-            _validate_witness(G, S, witness)
-            return GirthResult(value=n, cap=cap, witness=witness)
-    return GirthResult(value=None, cap=cap)
-
-
 @dataclass
 class LoopVerdict:
     """Outcome of the repeated-word simple-loop construction."""
@@ -182,7 +151,7 @@ def simple_loop_check(G, S, g, w):
     _check_word(S, w)
     if S.eval_word(w) != g:
         return LoopVerdict(ok=False, reason="word does not evaluate to the element")
-    n = G.element_order(g, cap=G.size)
+    n = G.element_order(g)
     if not isinstance(n, int):
         return LoopVerdict(ok=False, reason="element is not torsion")
     if n == 1:

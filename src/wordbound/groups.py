@@ -16,23 +16,28 @@ Normal forms by family:
   basis letter and ``-i`` its inverse
 * ``Product(left, right)`` -- pair of component normal forms
 * ``CayleyTableGroup``    -- index into an explicitly validated table
+
+Each family is a frozen dataclass subclass of :class:`Group` with its own
+``family`` string, listed in ``REGISTRY``.  A new family implements the group
+law (``mul``, ``inv``, ``identity``, ``contains``), ``element_order`` unless
+it is finite, ``standard_generators`` unless every non-identity element of a
+finite family is meant, and, for a flat CLI encoding, ``flat_arity`` and
+``from_flat``.  Its descriptor (``to_obj``/``from_obj``) and element JSON form
+default to its dataclass fields and tuples as lists; override those where
+they do not fit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd
 
 from .errors import DomainError, UnsupportedFamilyError
 
 
 class _Infinite:
-    """Singleton outcome of ``element_order`` for non-torsion elements.
-
-    Also returned when a table-driven order search exceeds its cap; for the
-    shipped families the answer is always analytic and exact.
-    """
+    """Singleton outcome of ``element_order`` for non-torsion elements."""
 
     _instance = None
 
@@ -49,9 +54,10 @@ INFINITE = _Infinite()
 
 
 class Group:
-    """Base interface for a concrete group family."""
+    """Base interface for a concrete group family (see the module docstring)."""
 
     family = "abstract"
+    flat_arity = None  # integers in the flat CLI encoding; None if there is none
 
     # -- group law -------------------------------------------------------
 
@@ -104,23 +110,54 @@ class Group:
         """Iterate all elements exactly once (finite families only)."""
         raise UnsupportedFamilyError(f"{self} is infinite; cannot enumerate")
 
-    def element_order(self, g, cap=None):
+    def element_order(self, g):
         """Least n >= 1 with g^n = e, or INFINITE.
 
         Finite families iterate powers; infinite families answer analytically
-        from the normal form.  ``cap`` bounds the iteration where one happens.
+        from the normal form.
         """
         self.check(g)
-        limit = cap if cap is not None else self.size
-        if limit is None:
-            raise UnsupportedFamilyError(f"need a cap for order search in {self}")
+        if not self.is_finite:
+            raise UnsupportedFamilyError(f"no order search in the infinite group {self}")
         e = self.identity()
-        x = g
-        for n in range(1, limit + 1):
-            if x == e:
-                return n
+        n, x = 1, g
+        while x != e:
             x = self.mul(x, g)
-        return INFINITE
+            n += 1
+        return n
+
+    def standard_generators(self):
+        """The conventional generating elements of the family; by default
+        every non-identity element of a finite group."""
+        e = self.identity()
+        return [x for x in self.elements() if x != e]
+
+    # -- encodings -------------------------------------------------------
+
+    def to_obj(self):
+        """JSON-able descriptor: the family and every dataclass field."""
+        return {"family": self.family, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+    @classmethod
+    def from_obj(cls, obj):
+        """Inverse of :meth:`to_obj`."""
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+
+    def element_to_obj(self, g):
+        """JSON-able form of an element: tuples become lists."""
+        self.check(g)
+        return list(g) if isinstance(g, tuple) else g
+
+    def element_from_obj(self, obj):
+        """Inverse of :meth:`element_to_obj`, checked."""
+        g = tuple(obj) if isinstance(obj, list) else obj
+        self.check(g)
+        return g
+
+    def from_flat(self, values):
+        """The element a tuple of ``flat_arity`` integers encodes, modular
+        slots reduced; :func:`element_from_flat` checks arity and result."""
+        return values
 
 
 @dataclass(frozen=True)
@@ -128,6 +165,7 @@ class FiniteCyclic(Group):
     q: int
 
     family = "finite-cyclic"
+    flat_arity = 1
 
     def __post_init__(self):
         if self.q < 1:
@@ -155,9 +193,15 @@ class FiniteCyclic(Group):
     def elements(self):
         return iter(range(self.q))
 
-    def element_order(self, g, cap=None):
+    def element_order(self, g):
         self.check(g)
         return self.q // gcd(self.q, g)
+
+    def standard_generators(self):
+        return [1] if self.q > 1 else []
+
+    def from_flat(self, values):
+        return values[0] % self.q
 
     def __str__(self):
         return f"Z/{self.q}"
@@ -192,9 +236,16 @@ class IntVector(Group):
             and all(isinstance(a, int) for a in g)
         )
 
-    def element_order(self, g, cap=None):
+    def element_order(self, g):
         self.check(g)
         return 1 if g == self.identity() else INFINITE
+
+    def standard_generators(self):
+        return [tuple(1 if i == j else 0 for j in range(self.d)) for i in range(self.d)]
+
+    @property
+    def flat_arity(self):
+        return self.d
 
     def __str__(self):
         return "Z" if self.d == 1 else f"Z^{self.d}"
@@ -216,6 +267,7 @@ class DihedralFinite(Group):
     n: int
 
     family = "dihedral-finite"
+    flat_arity = 2
 
     def __post_init__(self):
         if self.n < 1:
@@ -246,12 +298,18 @@ class DihedralFinite(Group):
     def elements(self):
         return iter([(k, e) for e in (0, 1) for k in range(self.n)])
 
-    def element_order(self, g, cap=None):
+    def element_order(self, g):
         self.check(g)
         k, e = g
         if e == 1:
             return 2
         return self.n // gcd(self.n, k)
+
+    def standard_generators(self):
+        return [(1, 0), (0, 1)] if self.n > 1 else [(0, 1)]
+
+    def from_flat(self, values):
+        return (values[0] % self.n, values[1] % 2)
 
     def __str__(self):
         return f"D{2 * self.n}"
@@ -262,6 +320,7 @@ class DihedralInfinite(Group):
     """Infinite dihedral group: t^k s^eps with s t s = t^-1."""
 
     family = "dihedral-infinite"
+    flat_arity = 2
 
     def mul(self, g, h):
         self.check(g)
@@ -281,12 +340,18 @@ class DihedralInfinite(Group):
     def contains(self, g):
         return _dihedral_contains(g)
 
-    def element_order(self, g, cap=None):
+    def element_order(self, g):
         self.check(g)
         k, e = g
         if e == 1:
             return 2
         return 1 if k == 0 else INFINITE
+
+    def standard_generators(self):
+        return [(1, 0), (0, 1)]
+
+    def from_flat(self, values):
+        return (values[0], values[1] % 2)
 
     def __str__(self):
         return "Dinf"
@@ -301,6 +366,7 @@ class Heisenberg(Group):
     """
 
     family = "heisenberg"
+    flat_arity = 3
 
     def mul(self, g, h):
         self.check(g)
@@ -324,23 +390,15 @@ class Heisenberg(Group):
             and all(isinstance(a, int) for a in g)
         )
 
-    def element_order(self, g, cap=None):
+    def element_order(self, g):
         self.check(g)
         return 1 if g == (0, 0, 0) else INFINITE
 
+    def standard_generators(self):
+        return [(1, 0, 0), (0, 1, 0)]
+
     def __str__(self):
         return "H3"
-
-
-def reduce_letters(seq):
-    """Freely reduce a sequence of signed basis letters."""
-    out = []
-    for x in seq:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -380,9 +438,12 @@ class Free(Group):
                 return False
         return all(g[i] != -g[i + 1] for i in range(len(g) - 1))
 
-    def element_order(self, g, cap=None):
+    def element_order(self, g):
         self.check(g)
         return 1 if g == () else INFINITE
+
+    def standard_generators(self):
+        return [(i,) for i in range(1, self.k + 1)]
 
     def generator(self, i):
         """The i-th basis letter (1-based) as an element."""
@@ -442,13 +503,41 @@ class Product(Group):
             for b in self.right.elements()
         )
 
-    def element_order(self, g, cap=None):
+    def element_order(self, g):
         self.check(g)
-        a = self.left.element_order(g[0], cap)
-        b = self.right.element_order(g[1], cap)
+        a = self.left.element_order(g[0])
+        b = self.right.element_order(g[1])
         if a is INFINITE or b is INFINITE:
             return INFINITE
         return a * b // gcd(a, b)
+
+    def standard_generators(self):
+        el, er = self.left.identity(), self.right.identity()
+        return ([(x, er) for x in self.left.standard_generators()]
+                + [(el, y) for y in self.right.standard_generators()])
+
+    def to_obj(self):
+        return {"family": self.family, "left": self.left.to_obj(), "right": self.right.to_obj()}
+
+    @classmethod
+    def from_obj(cls, obj):
+        return cls(group_from_obj(obj["left"]), group_from_obj(obj["right"]))
+
+    def element_to_obj(self, g):
+        self._check_pair(g)
+        return [self.left.element_to_obj(g[0]), self.right.element_to_obj(g[1])]
+
+    def element_from_obj(self, obj):
+        return (self.left.element_from_obj(obj[0]), self.right.element_from_obj(obj[1]))
+
+    @property
+    def flat_arity(self):
+        a, b = self.left.flat_arity, self.right.flat_arity
+        return None if a is None or b is None else a + b
+
+    def from_flat(self, values):
+        a = self.left.flat_arity
+        return (self.left.from_flat(values[:a]), self.right.from_flat(values[a:]))
 
     def __str__(self):
         return f"{self.left} x {self.right}"
@@ -467,6 +556,7 @@ class CayleyTableGroup(Group):
     table: tuple
 
     family = "cayley-table"
+    flat_arity = 1
 
     def __post_init__(self):
         m = len(self.names)
@@ -500,14 +590,23 @@ class CayleyTableGroup(Group):
         with index 0 the identity.
         """
         if isinstance(source, dict):
-            obj = source
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+            return cls.from_obj(source)
+        with open(source, "r", encoding="utf-8") as fh:
+            return cls.from_obj(json.load(fh))
+
+    @classmethod
+    def from_obj(cls, obj):
         return cls(
             names=tuple(obj["elements"]),
             table=tuple(tuple(row) for row in obj["table"]),
         )
+
+    def to_obj(self):
+        return {
+            "family": self.family,
+            "elements": list(self.names),
+            "table": [list(row) for row in self.table],
+        }
 
     def mul(self, g, h):
         self.check(g)
@@ -534,198 +633,40 @@ class CayleyTableGroup(Group):
     def elements(self):
         return iter(range(len(self.names)))
 
+    def from_flat(self, values):
+        return values[0]
+
     def __str__(self):
         return f"CayleyTable({len(self.names)})"
 
 
-# -- descriptor (de)serialization ----------------------------------------
-
-
-def group_to_obj(G):
-    """JSON-able descriptor of a group."""
-    if isinstance(G, FiniteCyclic):
-        return {"family": G.family, "q": G.q}
-    if isinstance(G, IntVector):
-        return {"family": G.family, "d": G.d}
-    if isinstance(G, DihedralFinite):
-        return {"family": G.family, "n": G.n}
-    if isinstance(G, (DihedralInfinite, Heisenberg)):
-        return {"family": G.family}
-    if isinstance(G, Free):
-        return {"family": G.family, "k": G.k}
-    if isinstance(G, Product):
-        return {
-            "family": G.family,
-            "left": group_to_obj(G.left),
-            "right": group_to_obj(G.right),
-        }
-    if isinstance(G, CayleyTableGroup):
-        return {
-            "family": G.family,
-            "elements": list(G.names),
-            "table": [list(row) for row in G.table],
-        }
-    raise UnsupportedFamilyError(f"cannot serialize {G!r}")
+REGISTRY = {
+    cls.family: cls
+    for cls in (FiniteCyclic, IntVector, DihedralFinite, DihedralInfinite,
+                Heisenberg, Free, Product, CayleyTableGroup)
+}
 
 
 def group_from_obj(obj):
-    fam = obj["family"]
-    if fam == "finite-cyclic":
-        return FiniteCyclic(obj["q"])
-    if fam == "int-vector":
-        return IntVector(obj["d"])
-    if fam == "dihedral-finite":
-        return DihedralFinite(obj["n"])
-    if fam == "dihedral-infinite":
-        return DihedralInfinite()
-    if fam == "heisenberg":
-        return Heisenberg()
-    if fam == "free":
-        return Free(obj["k"])
-    if fam == "product":
-        return Product(group_from_obj(obj["left"]), group_from_obj(obj["right"]))
-    if fam == "cayley-table":
-        return CayleyTableGroup.from_json({"elements": obj["elements"], "table": obj["table"]})
-    raise UnsupportedFamilyError(f"unknown family {fam!r}")
-
-
-def element_to_obj(G, g):
-    """JSON-able form of an element of G."""
-    G.check(g)
-    if isinstance(G, Product):
-        return [element_to_obj(G.left, g[0]), element_to_obj(G.right, g[1])]
-    if isinstance(g, tuple):
-        return list(g)
-    return g
-
-
-def element_from_obj(G, obj):
-    if isinstance(G, Product):
-        g = (element_from_obj(G.left, obj[0]), element_from_obj(G.right, obj[1]))
-    elif isinstance(obj, list):
-        g = tuple(obj)
-    else:
-        g = obj
-    G.check(g)
-    return g
-
-
-# -- flat coordinates (CLI element grammar) ------------------------------
-
-
-def flat_arity(G):
-    """Number of integers in the flat tuple encoding of an element of G."""
-    if isinstance(G, (FiniteCyclic, CayleyTableGroup)):
-        return 1
-    if isinstance(G, IntVector):
-        return G.d
-    if isinstance(G, (DihedralFinite, DihedralInfinite)):
-        return 2
-    if isinstance(G, Heisenberg):
-        return 3
-    if isinstance(G, Product):
-        return flat_arity(G.left) + flat_arity(G.right)
-    raise UnsupportedFamilyError(f"{G} has no flat encoding")
+    """Rebuild a group from its ``to_obj`` descriptor."""
+    cls = REGISTRY.get(obj["family"])
+    if cls is None:
+        raise UnsupportedFamilyError(f"unknown family {obj['family']!r}")
+    return cls.from_obj(obj)
 
 
 def element_from_flat(G, values):
-    """Build an element from a flat integer tuple, reducing modular slots."""
+    """Build an element of G from its flat integer encoding (the CLI element
+    grammar), reducing modular slots.  The one place that checks the
+    encoding's arity and the element it yields."""
     values = tuple(values)
-    if len(values) != flat_arity(G):
-        raise DomainError(f"expected {flat_arity(G)} coordinates for {G}, got {len(values)}")
-    return _from_flat(G, list(values))
-
-
-def _from_flat(G, vals):
-    if isinstance(G, FiniteCyclic):
-        return vals.pop(0) % G.q
-    if isinstance(G, CayleyTableGroup):
-        v = vals.pop(0)
-        G.check(v)
-        return v
-    if isinstance(G, IntVector):
-        return tuple(vals.pop(0) for _ in range(G.d))
-    if isinstance(G, DihedralFinite):
-        k, e = vals.pop(0), vals.pop(0)
-        return (k % G.n, e % 2)
-    if isinstance(G, DihedralInfinite):
-        k, e = vals.pop(0), vals.pop(0)
-        return (k, e % 2)
-    if isinstance(G, Heisenberg):
-        return (vals.pop(0), vals.pop(0), vals.pop(0))
-    if isinstance(G, Product):
-        left = _from_flat(G.left, vals)
-        right = _from_flat(G.right, vals)
-        return (left, right)
-    raise UnsupportedFamilyError(f"{G} has no flat encoding")
-
-
-# -- misc helpers --------------------------------------------------------
-
-
-def standard_generators(G):
-    """The conventional generating elements for a family.
-
-    Z^d: unit vectors; dihedral: rotation/translation and reflection;
-    Heisenberg: a, b; free: basis letters; products: componentwise lifts;
-    finite table groups: every non-identity element.
-    """
-    if isinstance(G, FiniteCyclic):
-        return [1 % G.q] if G.q > 1 else []
-    if isinstance(G, IntVector):
-        return [
-            tuple(1 if i == j else 0 for j in range(G.d)) for i in range(G.d)
-        ]
-    if isinstance(G, DihedralFinite):
-        gens = [(0, 1)]
-        if G.n > 1:
-            gens.insert(0, (1, 0))
-        return gens
-    if isinstance(G, DihedralInfinite):
-        return [(1, 0), (0, 1)]
-    if isinstance(G, Heisenberg):
-        return [(1, 0, 0), (0, 1, 0)]
-    if isinstance(G, Free):
-        return [(i,) for i in range(1, G.k + 1)]
-    if isinstance(G, Product):
-        el = G.left.identity()
-        er = G.right.identity()
-        return [(x, er) for x in standard_generators(G.left)] + [
-            (el, y) for y in standard_generators(G.right)
-        ]
-    if isinstance(G, CayleyTableGroup):
-        return [i for i in range(1, len(G.names))]
-    raise UnsupportedFamilyError(f"no standard generators for {G}")
-
-
-def random_element(G, rng, size=10):
-    """A pseudorandom element with coordinates bounded by ``size``."""
-    if isinstance(G, FiniteCyclic):
-        return rng.randrange(G.q)
-    if isinstance(G, IntVector):
-        return tuple(rng.randint(-size, size) for _ in range(G.d))
-    if isinstance(G, DihedralFinite):
-        return (rng.randrange(G.n), rng.randrange(2))
-    if isinstance(G, DihedralInfinite):
-        return (rng.randint(-size, size), rng.randrange(2))
-    if isinstance(G, Heisenberg):
-        return tuple(rng.randint(-size, size) for _ in range(3))
-    if isinstance(G, Free):
-        word = []
-        for _ in range(rng.randrange(size + 1)):
-            x = rng.choice([s * i for i in range(1, G.k + 1) for s in (1, -1)])
-            if word and word[-1] == -x:
-                continue
-            word.append(x)
-        return tuple(word)
-    if isinstance(G, Product):
-        return (
-            random_element(G.left, rng, size),
-            random_element(G.right, rng, size),
-        )
-    if isinstance(G, CayleyTableGroup):
-        return rng.randrange(len(G.names))
-    raise UnsupportedFamilyError(f"cannot sample from {G}")
+    if G.flat_arity is None:
+        raise UnsupportedFamilyError(f"{G} has no flat encoding")
+    if len(values) != G.flat_arity or not all(isinstance(v, int) for v in values):
+        raise DomainError(f"expected {G.flat_arity} integer coordinates for {G}, got {values!r}")
+    g = G.from_flat(values)
+    G.check(g)
+    return g
 
 
 def closure(G, elements):

@@ -98,9 +98,6 @@ class Ball:
             g = G.mul(g, S.element(S.inv_symbol(sym)))
         return tuple(reversed(syms))
 
-    def at_distance(self, r):
-        return [g for g, (d, _) in self.table.items() if d == r]
-
 
 class _Budget:
     """Approximate byte accounting for visited-set growth, counting nodes.
@@ -265,15 +262,3 @@ def _length_bidirectional(G, S, g, cap, limit):
     return LengthCert(element=g, length=total, witness=witness, cap=cap,
                       explored=explored)
 
-
-def length_profile(G, labeled_gensets, g, cap, mode="auto"):
-    """Word length of g across a parameterized family of alphabets.
-
-    ``labeled_gensets`` is an iterable of (label, GenSet) pairs; returns
-    (label, length) pairs in the same order.
-    """
-    out = []
-    for label, S in labeled_gensets:
-        cert = word_length(G, S, g, cap, mode=mode)
-        out.append((label, cert.length))
-    return out

@@ -1,0 +1,119 @@
+"""Samplers and slow, obviously correct reference implementations that the
+tests compare the library against."""
+
+import itertools
+
+from wordbound import groups as gr
+from wordbound.errors import UnsupportedFamilyError
+from wordbound.experiments import Automorphism
+from wordbound.girth import GirthResult, _validate_witness
+from wordbound.metric import word_length
+
+
+def random_element(G, rng, size=10):
+    """A pseudorandom element with coordinates bounded by ``size``."""
+    if isinstance(G, gr.FiniteCyclic):
+        return rng.randrange(G.q)
+    if isinstance(G, gr.IntVector):
+        return tuple(rng.randint(-size, size) for _ in range(G.d))
+    if isinstance(G, gr.DihedralFinite):
+        return (rng.randrange(G.n), rng.randrange(2))
+    if isinstance(G, gr.DihedralInfinite):
+        return (rng.randint(-size, size), rng.randrange(2))
+    if isinstance(G, gr.Heisenberg):
+        return tuple(rng.randint(-size, size) for _ in range(3))
+    if isinstance(G, gr.Free):
+        word = []
+        for _ in range(rng.randrange(size + 1)):
+            x = rng.choice([s * i for i in range(1, G.k + 1) for s in (1, -1)])
+            if word and word[-1] == -x:
+                continue
+            word.append(x)
+        return tuple(word)
+    if isinstance(G, gr.Product):
+        return (
+            random_element(G.left, rng, size),
+            random_element(G.right, rng, size),
+        )
+    if isinstance(G, gr.CayleyTableGroup):
+        return rng.randrange(len(G.names))
+    raise UnsupportedFamilyError(f"cannot sample from {G}")
+
+
+def reduce_letters(seq):
+    """Freely reduce a sequence of signed basis letters."""
+    out = []
+    for x in seq:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def at_distance(B, r):
+    """The elements of a ball at distance exactly ``r``, in table order."""
+    return [g for g, (d, _) in B.table.items() if d == r]
+
+
+def length_profile(G, labeled_gensets, g, cap, mode="auto"):
+    """Word length of g across a parameterized family of alphabets.
+
+    ``labeled_gensets`` is an iterable of (label, GenSet) pairs; returns
+    (label, length) pairs in the same order.
+    """
+    out = []
+    for label, S in labeled_gensets:
+        cert = word_length(G, S, g, cap, mode=mode)
+        out.append((label, cert.length))
+    return out
+
+
+def girth_reference(G, S, cap):
+    """Iterative deepening over cyclically reduced words; exponential, small
+    caps only.  Must agree with :func:`wordbound.girth.girth`."""
+    if cap < 2:
+        raise ValueError("cap must be >= 2")
+    e = G.identity()
+
+    def dfs(word, value, remaining):
+        if remaining == 0:
+            if value == e and word[0] != S.inv_symbol(word[-1]):
+                return tuple(word)
+            return None
+        for sym in S.symbols():
+            if word and sym == S.inv_symbol(word[-1]):
+                continue
+            word.append(sym)
+            got = dfs(word, G.mul(value, S.element(sym)), remaining - 1)
+            if got is not None:
+                return got
+            word.pop()
+        return None
+
+    for n in range(2, cap + 1):
+        got = dfs([], e, n)
+        if got is not None:
+            witness = got
+            _validate_witness(G, S, witness)
+            return GirthResult(value=n, cap=cap, witness=witness)
+    return GirthResult(value=None, cap=cap)
+
+
+def aut_by_bijections(G):
+    """Every automorphism of a tiny finite group, by filtering all
+    bijections that fix the identity."""
+    elems = list(G.elements())
+    e = G.identity()
+    rest = [x for x in elems if x != e]
+    autos = []
+    for perm in itertools.permutations(rest):
+        mapping = {e: e}
+        mapping.update(zip(rest, perm))
+        if all(
+            mapping[G.mul(a, b)] == G.mul(mapping[a], mapping[b])
+            for a in elems
+            for b in elems
+        ):
+            autos.append(Automorphism.build(G, mapping))
+    return autos

@@ -1,6 +1,7 @@
 """CLI: grammar, exit codes, deterministic report bytes."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -148,6 +149,23 @@ def test_bad_memory_limit_is_usage_error(runner, args, value):
     lines = result.output.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: WORDBOUND_MEM_LIMIT")
+
+
+@pytest.mark.parametrize("element, env", [
+    ("x1^-1000000000", {"WORDBOUND_MEM_LIMIT": None}),
+    ("x2*x1^600", {"WORDBOUND_MEM_LIMIT": "4096"}),
+])
+def test_free_word_beyond_memory_limit_is_usage_error(runner, element, env):
+    """A word whose letters cannot fit the limit is refused before it is built."""
+    start = time.perf_counter()
+    result = runner.invoke(main, [
+        "length", "--group", "F2", "--genset", "[x1,x2]", "--element", element,
+        "--cap", "3"], env=env)
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: free-word factor")
 
 
 def test_girth_command(runner):

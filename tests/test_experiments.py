@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 import pytest
+from oracles import aut_by_bijections
 
 from wordbound import experiments as ex
 from wordbound import groups as gr
@@ -95,8 +96,8 @@ def test_aut_group_sizes():
 
 def test_aut_group_methods_agree():
     for G in [gr.FiniteCyclic(5), gr.DihedralFinite(3)]:
-        search = ex.aut_group(G, method="search")
-        brute = ex.aut_group(G, method="bijection")
+        search = ex.aut_group(G)
+        brute = aut_by_bijections(G)
         assert {tuple(sorted(A.mapping.items())) for A in search} == {
             tuple(sorted(A.mapping.items())) for A in brute
         }
@@ -107,8 +108,6 @@ def test_aut_group_caps():
         ex.aut_group(gr.IntVector(1))
     with pytest.raises(UnsupportedFamilyError):
         ex.aut_group(gr.DihedralFinite(20))
-    with pytest.raises(UnsupportedFamilyError):
-        ex.aut_group(gr.DihedralFinite(5), method="bijection")
 
 
 def test_automorphism_build_rejects_bad_maps():

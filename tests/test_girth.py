@@ -7,6 +7,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from oracles import girth_reference
 
 import wordbound
 from wordbound import groups as gr
@@ -15,7 +16,6 @@ from wordbound.gensets import make_symmetric
 from wordbound.girth import (
     cyclic_reduce,
     girth,
-    girth_reference,
     is_cyclically_reduced,
     reduce_word,
     simple_loop_check,

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import random_element, reduce_letters
 
 from wordbound import groups as gr
 from wordbound.errors import DomainError, UnsupportedFamilyError
@@ -48,9 +49,9 @@ def test_group_laws(G):
     e = G.identity()
     assert G.contains(e)
     for _ in range(400):
-        g = gr.random_element(G, rng, size=6)
-        h = gr.random_element(G, rng, size=6)
-        k = gr.random_element(G, rng, size=6)
+        g = random_element(G, rng, size=6)
+        h = random_element(G, rng, size=6)
+        k = random_element(G, rng, size=6)
         assert G.contains(g)
         assert G.mul(G.mul(g, h), k) == G.mul(g, G.mul(h, k))
         assert G.mul(g, e) == g
@@ -64,7 +65,7 @@ def test_group_laws(G):
 def test_power_matches_iterated_multiplication(G):
     rng = random.Random(11)
     for _ in range(50):
-        g = gr.random_element(G, rng, size=4)
+        g = random_element(G, rng, size=4)
         acc = G.identity()
         for n in range(7):
             assert G.power(g, n) == acc
@@ -95,8 +96,8 @@ def test_heisenberg_center_commutator_exponent_is_determinant():
     G = Heisenberg()
     rng = random.Random(3)
     for _ in range(200):
-        x = gr.random_element(G, rng, size=5)
-        y = gr.random_element(G, rng, size=5)
+        x = random_element(G, rng, size=5)
+        y = random_element(G, rng, size=5)
         com = G.commutator(x, y)
         assert com == (0, 0, x[0] * y[1] - x[1] * y[0])
 
@@ -109,7 +110,7 @@ def test_dihedral_relations(G):
     assert G.mul(G.mul(s, t), s) == G.inv(t)
     rng = random.Random(5)
     for _ in range(100):
-        g = gr.random_element(G, rng, size=6)
+        g = random_element(G, rng, size=6)
         if g[1] == 1:
             assert G.mul(g, g) == G.identity()
             assert G.inv(g) == g
@@ -121,7 +122,7 @@ def test_free_reduction():
     assert G.mul(x, G.inv(x)) == ()
     assert G.mul((1, 2), (-2, -1)) == ()
     assert G.mul((1, 2), (-2, 1)) == (1, 1)
-    assert gr.reduce_letters([1, 2, -2, -1, 1]) == (1,)
+    assert reduce_letters([1, 2, -2, -1, 1]) == (1,)
     assert not G.contains((1, -1))  # unreduced
     assert not G.contains((3,))  # out of rank
     assert not G.contains((0,))
@@ -203,7 +204,7 @@ def test_cayley_table_matches_cyclic_group():
 
 @pytest.mark.parametrize("G", FAMILIES, ids=str)
 def test_group_descriptor_round_trip(G):
-    obj = gr.group_to_obj(G)
+    obj = G.to_obj()
     back = gr.group_from_obj(obj)
     assert back == G
 
@@ -212,8 +213,8 @@ def test_group_descriptor_round_trip(G):
 def test_element_serialization_round_trip(G):
     rng = random.Random(13)
     for _ in range(30):
-        g = gr.random_element(G, rng, size=5)
-        assert gr.element_from_obj(G, gr.element_to_obj(G, g)) == g
+        g = random_element(G, rng, size=5)
+        assert G.element_from_obj(G.element_to_obj(g)) == g
 
 
 @pytest.mark.parametrize("G", [
@@ -227,7 +228,7 @@ def test_element_serialization_round_trip(G):
 def test_flat_encoding_round_trip(G):
     rng = random.Random(17)
     for _ in range(30):
-        g = gr.random_element(G, rng, size=5)
+        g = random_element(G, rng, size=5)
         flat = []
 
         def walk(H, x):
@@ -248,10 +249,40 @@ def test_flat_encoding_reduces_modular_slots():
     assert gr.element_from_flat(DihedralFinite(4), (-1, 3)) == (3, 1)
 
 
+@pytest.mark.parametrize("G, flat", [
+    (FiniteCyclic(5), (1.5,)),
+    (Heisenberg(), ("a", 2, 3)),
+    (DihedralFinite(4), ("a", 1)),
+    (CayleyTableGroup.from_json(Z3_TABLE), (3,)),
+    (IntVector(2), (1, 2, 3)),
+], ids=str)
+def test_flat_encoding_rejects_non_elements(G, flat):
+    """element_from_flat checks the element it builds, not only the arity."""
+    with pytest.raises(DomainError):
+        gr.element_from_flat(G, flat)
+
+
+def test_flat_encoding_needs_a_flat_family():
+    with pytest.raises(UnsupportedFamilyError):
+        gr.element_from_flat(Free(2), (1,))
+    with pytest.raises(UnsupportedFamilyError):
+        gr.element_from_flat(Product(IntVector(1), Free(2)), (1, 1))
+
+
+def test_every_family_is_registered_and_tested():
+    """A new family cannot skip the descriptor round-trip tests above."""
+    concrete = {
+        cls for cls in vars(gr).values()
+        if isinstance(cls, type) and issubclass(cls, gr.Group) and cls is not gr.Group
+    }
+    assert {cls.family: cls for cls in concrete} == gr.REGISTRY
+    assert {type(G) for G in FAMILIES} == concrete
+
+
 def test_standard_generators_generate():
     for G in [FiniteCyclic(5), DihedralFinite(4),
               Product(DihedralFinite(4), FiniteCyclic(3))]:
-        assert len(gr.closure(G, gr.standard_generators(G))) == G.size
+        assert len(gr.closure(G, G.standard_generators())) == G.size
 
 
 def test_closure_of_proper_subgroup():

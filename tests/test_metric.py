@@ -4,6 +4,7 @@ import random
 from collections import deque
 
 import pytest
+from oracles import at_distance, length_profile, random_element
 
 from wordbound import groups as gr
 from wordbound.errors import ResourceLimitExceeded
@@ -11,7 +12,6 @@ from wordbound.gensets import make_symmetric
 from wordbound.metric import (
     Ball,
     ball,
-    length_profile,
     memory_limit,
     word_length,
 )
@@ -96,7 +96,7 @@ def test_ball_basic():
     assert len(B) == 7
     assert sorted(x for (x,) in B.table) == [-3, -2, -1, 0, 1, 2, 3]
     assert B.length((2,)) == 2
-    assert B.at_distance(3) == [(3,), (-3,)]
+    assert at_distance(B, 3) == [(3,), (-3,)]
     assert (5,) not in B
     assert ball(Z, S, 0).table == {(0,): (0, None)}
 
@@ -143,7 +143,7 @@ def test_free_group_balls_are_trees():
 def test_z2_sphere_sizes():
     G = gr.IntVector(2)
     B = ball(G, _symm(G, [(1, 0), (0, 1)]), 8)
-    assert [len(B.at_distance(r)) for r in range(9)] == [1] + [4 * r for r in range(1, 9)]
+    assert [len(at_distance(B, r)) for r in range(9)] == [1] + [4 * r for r in range(1, 9)]
 
 
 @pytest.mark.parametrize("G,radius", [
@@ -160,7 +160,7 @@ def test_searches_match_naive_bfs(G, radius):
     for _ in range(4):
         letters = []
         while not letters:
-            letters = [gr.random_element(G, rng, size=3) for _ in range(rng.randint(1, 3))]
+            letters = [random_element(G, rng, size=3) for _ in range(rng.randint(1, 3))]
             letters = [x for x in letters if x != G.identity()]
         S = _symm(G, letters)
         expected = _naive_ball(G, S, radius)
@@ -186,7 +186,7 @@ def test_bidirectional_matches_bfs(G, elems, size):
     S = _symm(G, elems)
     rng = random.Random(41)
     for _ in range(60):
-        g = gr.random_element(G, rng, size=size)
+        g = random_element(G, rng, size=size)
         a = word_length(G, S, g, cap=10, mode="bfs")
         b = word_length(G, S, g, cap=10, mode="bidirectional")
         assert a.length == b.length, (g, a.length, b.length)
