@@ -69,15 +69,10 @@ _FREE_WORD = re.compile(r"([a-z]+)(\d+)(?:\^(-?\d+))?")
 _LETTER_BYTES = 8  # one tuple slot per letter of a free word
 
 
-def parse_free_word(G, text):
-    """Words like x1*x2^-1 over a free group's basis letters.
-
-    Refuses a word whose letters, before reduction, would not fit the
-    memory limit, without building it.
-    """
-    limit = memory_limit()
-    letters = 0
-    word = G.identity()
+def _free_factors(G, text):
+    """The (factor text, basis index, exponent) of each factor of a word
+    like x1*x2^-1, checked but not built."""
+    factors = []
     for piece in text.split("*"):
         m = _FREE_WORD.fullmatch(piece.strip())
         if not m:
@@ -86,12 +81,32 @@ def parse_free_word(G, text):
         exp = int(m.group(3)) if m.group(3) is not None else 1
         if not 1 <= i <= G.k:
             raise ValueError(f"basis index {i} out of range for rank {G.k}")
-        letters += abs(exp)
-        if letters * _LETTER_BYTES > limit:
-            raise ValueError(
-                f"free-word factor {piece.strip()!r} does not fit the memory limit of {limit} bytes")
-        word = G.mul(word, G.power(G.generator(i), exp))
-    return word
+        factors.append((piece.strip(), i, exp))
+    return factors
+
+
+def parse_free_words(G, texts, copies=1):
+    """Free words like x1*x2^-1 over a free group's basis letters.
+
+    Refuses the words if ``copies`` times their letters, before reduction,
+    would not fit the memory limit, before building any of them.
+    """
+    limit = memory_limit()
+    words = [_free_factors(G, text) for text in texts]
+    letters = 0
+    for factors in words:
+        for piece, _, exp in factors:
+            letters += abs(exp)
+            if copies * letters * _LETTER_BYTES > limit:
+                raise ValueError(
+                    f"free-word factor {piece!r} does not fit the memory limit of {limit} bytes")
+    out = []
+    for factors in words:
+        word = G.identity()
+        for _, i, exp in factors:
+            word = G.mul(word, G.power(G.generator(i), exp))
+        out.append(word)
+    return out
 
 
 def _flat(value):
@@ -102,7 +117,7 @@ def _flat(value):
 def parse_element(G, text):
     """Parse an element: flat integer tuple (or scalar) or a free word."""
     if isinstance(G, gr.Free):
-        return parse_free_word(G, text)
+        return parse_free_words(G, [text])[0]
     return gr.element_from_flat(G, _flat(ast.literal_eval(text)))
 
 
@@ -112,7 +127,8 @@ def parse_genset(G, text):
         body = text.strip()
         if body.startswith("[") and body.endswith("]"):
             body = body[1:-1]
-        elems = [parse_free_word(G, p) for p in body.split(",") if p.strip()]
+        # make_symmetric adds each word's inverse, so charge two copies.
+        elems = parse_free_words(G, [p for p in body.split(",") if p.strip()], copies=2)
     else:
         value = ast.literal_eval(text)
         if not isinstance(value, (list, tuple)):

@@ -408,7 +408,7 @@ def unbounded_witness_heisenberg(n, pairs):
             cost = 2 * min_coefficients(p, q, u)[0] + 2 * v
             if bound is None or cost < bound:
                 bound = cost
-        cert = word_length(G, S, (0, 0, n), cap=bound)
+        cert = word_length(G, S, (0, 0, n), cap=bound, mode="bidirectional")
         rows.append({"p": p, "q": q, "length": cert.length, "upper_bound": bound})
         lengths.append(cert.length)
     return ExperimentReport(

@@ -60,9 +60,11 @@ class GenSet:
 
     @staticmethod
     def from_obj(obj):
-        G = gr.group_from_obj(obj["group"])
-        elems = [G.element_from_obj(o) for o in obj["elements"]]
-        return make_symmetric(G, elems)
+        G = gr.group_from_obj(obj.get("group") if isinstance(obj, dict) else None)
+        elems = obj.get("elements")
+        if not isinstance(elems, list):
+            raise DomainError(f"a genset's elements must be a list, got {elems!r}")
+        return make_symmetric(G, [G.element_from_obj(o) for o in elems])
 
 
 def make_symmetric(G, elements):
@@ -73,20 +75,24 @@ def make_symmetric(G, elements):
     """
     index = {}
     order = []
+    involution = []
     for x in elements:
         G.check(x)
         if x == G.identity() or x in index:
             continue
-        index[x] = len(order)
+        # x is new, so its inverse is too unless x is an involution.
+        a = index[x] = len(order)
         order.append(x)
         xi = G.inv(x)
-        if xi not in index:
-            index[xi] = len(order)
+        if xi == x:
+            involution.append(a)
+        else:
+            index[xi] = a + 1
             order.append(xi)
+            involution += [a + 1, a]
     if not order:
         raise EmptyGenSetError("all proposed generators were the identity")
-    involution = tuple(index[G.inv(x)] for x in order)
-    return GenSet(group=G, letters=tuple(order), involution=involution)
+    return GenSet(group=G, letters=tuple(order), involution=tuple(involution))
 
 
 # -- Smith normal form ---------------------------------------------------

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from itertools import repeat
 from math import gcd
+from operator import add, neg
 
 from .errors import DomainError, UnsupportedFamilyError
 
@@ -71,6 +73,14 @@ class Group:
         raise NotImplementedError
 
     def contains(self, g):
+        """Whether ``g`` is an element in this family's normal form.
+
+        A pure predicate: it never raises, never mutates ``g`` and answers
+        the same on every call.  "Integer" means ``isinstance(x, int)``:
+        ``True``, ``False`` and other ``int`` subclasses count as integers,
+        while ``1.0`` does not.  ``check`` runs it on every operand of the
+        checked ``mul`` and ``inv``.
+        """
         raise NotImplementedError
 
     def check(self, g):
@@ -87,8 +97,9 @@ class Group:
         while n:
             if n & 1:
                 acc = self.mul(acc, g)
-            g = self.mul(g, g)
             n >>= 1
+            if n:
+                g = self.mul(g, g)
         return acc
 
     def commutator(self, g, h):
@@ -140,8 +151,9 @@ class Group:
 
     @classmethod
     def from_obj(cls, obj):
-        """Inverse of :meth:`to_obj`."""
-        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+        """Inverse of :meth:`to_obj`.  The default reads integer fields; a
+        family with other fields overrides it."""
+        return cls(**{f.name: _field(obj, f.name, int) for f in fields(cls)})
 
     def element_to_obj(self, g):
         """JSON-able form of an element: tuples become lists."""
@@ -220,11 +232,11 @@ class IntVector(Group):
     def mul(self, g, h):
         self.check(g)
         self.check(h)
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(add, g, h))
 
     def inv(self, g):
         self.check(g)
-        return tuple(-a for a in g)
+        return tuple(map(neg, g))
 
     def identity(self):
         return (0,) * self.d
@@ -233,7 +245,7 @@ class IntVector(Group):
         return (
             isinstance(g, tuple)
             and len(g) == self.d
-            and all(isinstance(a, int) for a in g)
+            and all(map(isinstance, g, repeat(int)))
         )
 
     def element_order(self, g):
@@ -249,15 +261,6 @@ class IntVector(Group):
 
     def __str__(self):
         return "Z" if self.d == 1 else f"Z^{self.d}"
-
-
-def _dihedral_contains(g):
-    return (
-        isinstance(g, tuple)
-        and len(g) == 2
-        and isinstance(g[0], int)
-        and g[1] in (0, 1)
-    )
 
 
 @dataclass(frozen=True)
@@ -289,7 +292,13 @@ class DihedralFinite(Group):
         return (0, 0)
 
     def contains(self, g):
-        return _dihedral_contains(g) and 0 <= g[0] < self.n
+        return (
+            isinstance(g, tuple)
+            and len(g) == 2
+            and isinstance(g[0], int)
+            and g[1] in (0, 1)
+            and 0 <= g[0] < self.n
+        )
 
     @property
     def size(self):
@@ -338,7 +347,12 @@ class DihedralInfinite(Group):
         return (0, 0)
 
     def contains(self, g):
-        return _dihedral_contains(g)
+        return (
+            isinstance(g, tuple)
+            and len(g) == 2
+            and isinstance(g[0], int)
+            and g[1] in (0, 1)
+        )
 
     def element_order(self, g):
         self.check(g)
@@ -387,7 +401,9 @@ class Heisenberg(Group):
         return (
             isinstance(g, tuple)
             and len(g) == 3
-            and all(isinstance(a, int) for a in g)
+            and isinstance(g[0], int)
+            and isinstance(g[1], int)
+            and isinstance(g[2], int)
         )
 
     def element_order(self, g):
@@ -425,10 +441,27 @@ class Free(Group):
 
     def inv(self, g):
         self.check(g)
-        return tuple(-x for x in reversed(g))
+        # One negated int per distinct letter: CPython caches only small
+        # ints, so negating every slot would allocate an object per letter.
+        negated = {x: -x for x in set(g)}
+        return tuple(map(negated.__getitem__, reversed(g)))
 
     def identity(self):
         return ()
+
+    def power(self, g, n):
+        """n-th power, built once as p c^n p^-1, where g = p c p^-1 and the
+        core c is cyclically reduced, so the word needs no reduction."""
+        self.check(g)
+        if n == 0 or not g:
+            return ()
+        # Letters are nonzero and g is reduced, so the core keeps a letter.
+        i, j = 0, len(g)
+        while g[i] == -g[j - 1]:
+            i += 1
+            j -= 1
+        core = g[i:j] if n > 0 else self.inv(g[i:j])
+        return g[:i] + core * abs(n) + g[j:]
 
     def contains(self, g):
         if not isinstance(g, tuple):
@@ -470,8 +503,10 @@ class Product(Group):
             raise DomainError(f"{g!r} is not an element of {self}")
 
     def mul(self, g, h):
-        self._check_pair(g)
-        self._check_pair(h)
+        if not (isinstance(g, tuple) and len(g) == 2
+                and isinstance(h, tuple) and len(h) == 2):
+            self._check_pair(g)
+            self._check_pair(h)
         return (self.left.mul(g[0], h[0]), self.right.mul(g[1], h[1]))
 
     def inv(self, g):
@@ -521,13 +556,16 @@ class Product(Group):
 
     @classmethod
     def from_obj(cls, obj):
-        return cls(group_from_obj(obj["left"]), group_from_obj(obj["right"]))
+        return cls(group_from_obj(_field(obj, "left", dict)),
+                   group_from_obj(_field(obj, "right", dict)))
 
     def element_to_obj(self, g):
         self._check_pair(g)
         return [self.left.element_to_obj(g[0]), self.right.element_to_obj(g[1])]
 
     def element_from_obj(self, obj):
+        if not (isinstance(obj, list) and len(obj) == 2):
+            raise DomainError(f"{obj!r} is not an element of {self}")
         return (self.left.element_from_obj(obj[0]), self.right.element_from_obj(obj[1]))
 
     @property
@@ -596,9 +634,12 @@ class CayleyTableGroup(Group):
 
     @classmethod
     def from_obj(cls, obj):
+        table = _field(obj, "table", list)
+        if not all(isinstance(row, list) for row in table):
+            raise UnsupportedFamilyError("every row of a cayley-table descriptor must be a list")
         return cls(
-            names=tuple(obj["elements"]),
-            table=tuple(tuple(row) for row in obj["table"]),
+            names=tuple(_field(obj, "elements", list)),
+            table=tuple(tuple(row) for row in table),
         )
 
     def to_obj(self):
@@ -647,11 +688,25 @@ REGISTRY = {
 }
 
 
+def _field(obj, name, kind):
+    """Field ``name`` of a group descriptor, which must be a ``kind``."""
+    if not isinstance(obj, dict):
+        raise UnsupportedFamilyError(f"a group descriptor is a JSON object, got {obj!r}")
+    value = obj.get(name)
+    if not isinstance(value, kind):
+        raise UnsupportedFamilyError(
+            f"descriptor field {name!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def group_from_obj(obj):
-    """Rebuild a group from its ``to_obj`` descriptor."""
-    cls = REGISTRY.get(obj["family"])
+    """Rebuild a group from its ``to_obj`` descriptor.  A descriptor that is
+    not an object, names no known family or lacks a field of the right type
+    raises ``UnsupportedFamilyError``."""
+    family = _field(obj, "family", str)
+    cls = REGISTRY.get(family)
     if cls is None:
-        raise UnsupportedFamilyError(f"unknown family {obj['family']!r}")
+        raise UnsupportedFamilyError(f"unknown family {family!r}")
     return cls.from_obj(obj)
 
 

@@ -40,6 +40,55 @@ def random_element(G, rng, size=10):
     raise UnsupportedFamilyError(f"cannot sample from {G}")
 
 
+def _dihedral_contains(g):
+    return (
+        isinstance(g, tuple)
+        and len(g) == 2
+        and isinstance(g[0], int)
+        and g[1] in (0, 1)
+    )
+
+
+def contains_reference(G, g):
+    """Membership as each family first tested it: generator scans and a
+    shared dihedral helper.  Every family's ``contains`` must agree."""
+    if isinstance(G, gr.FiniteCyclic):
+        return isinstance(g, int) and 0 <= g < G.q
+    if isinstance(G, gr.IntVector):
+        return (
+            isinstance(g, tuple)
+            and len(g) == G.d
+            and all(isinstance(a, int) for a in g)
+        )
+    if isinstance(G, gr.DihedralFinite):
+        return _dihedral_contains(g) and 0 <= g[0] < G.n
+    if isinstance(G, gr.DihedralInfinite):
+        return _dihedral_contains(g)
+    if isinstance(G, gr.Heisenberg):
+        return (
+            isinstance(g, tuple)
+            and len(g) == 3
+            and all(isinstance(a, int) for a in g)
+        )
+    if isinstance(G, gr.Free):
+        if not isinstance(g, tuple):
+            return False
+        for x in g:
+            if not isinstance(x, int) or x == 0 or abs(x) > G.k:
+                return False
+        return all(g[i] != -g[i + 1] for i in range(len(g) - 1))
+    if isinstance(G, gr.Product):
+        return (
+            isinstance(g, tuple)
+            and len(g) == 2
+            and contains_reference(G.left, g[0])
+            and contains_reference(G.right, g[1])
+        )
+    if isinstance(G, gr.CayleyTableGroup):
+        return isinstance(g, int) and 0 <= g < len(G.names)
+    raise UnsupportedFamilyError(f"no reference membership for {G}")
+
+
 def reduce_letters(seq):
     """Freely reduce a sequence of signed basis letters."""
     out = []

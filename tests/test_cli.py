@@ -1,13 +1,15 @@
 """CLI: grammar, exit codes, deterministic report bytes."""
 
+import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
 from wordbound import groups as gr
-from wordbound.cli import main, parse_element, parse_genset, parse_group
+from wordbound.cli import _LETTER_BYTES, main, parse_element, parse_genset, parse_group
 
 
 @pytest.fixture
@@ -168,6 +170,32 @@ def test_free_word_beyond_memory_limit_is_usage_error(runner, element, env):
     assert lines[0].startswith("error: free-word factor")
 
 
+def test_free_genset_beyond_memory_limit_is_usage_error(runner):
+    """A genset is charged its words' letters together with the inverses
+    make_symmetric adds: each word here fits the limit, the genset does not."""
+    result = runner.invoke(main, [
+        "length", "--group", "F2", "--genset", "[x1^300, x2^300]", "--element", "x1",
+        "--cap", "3"], env={"WORDBOUND_MEM_LIMIT": "8192"})
+    assert result.exit_code == 2
+    assert result.output.startswith("error: free-word factor 'x2^300'")
+
+
+@pytest.mark.parametrize("parse, charged_letters", [
+    (lambda: parse_element(gr.Free(2), "x1^200000"), 200000),
+    (lambda: parse_element(gr.Free(7), "x7^-200001"), 200001),
+    (lambda: parse_genset(gr.Free(7), "[x1^100000, x7^-100001]"), 2 * 200001),
+], ids=["word", "high-letter-word", "genset"])
+def test_free_word_parsing_memory_matches_its_charge(parse, charged_letters):
+    """The traced peak while parsing stays within 1.5x the bytes charged."""
+    tracemalloc.start()
+    try:
+        parse()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * charged_letters * _LETTER_BYTES
+
+
 def test_girth_command(runner):
     result = runner.invoke(main, [
         "girth", "--group", "Z", "--genset", "[2,3]", "--cap", "10"])
@@ -216,6 +244,18 @@ def test_experiment_byte_determinism(runner):
     b = runner.invoke(main, args)
     assert a.output == b.output
     assert a.exit_code == 0
+
+
+# The sha256 of `wordbound experiment all --format json`.  A change that
+# means to alter the report bytes must update this digest; a refactor or a
+# speed-up must leave it as it is.
+EXPERIMENT_ALL_SHA256 = "f35062a9f0d023453fb5f3c548c524e579178553f296e0cefe07e6a577b78952"
+
+
+def test_experiment_all_bytes_are_pinned(runner):
+    result = runner.invoke(main, ["experiment", "all", "--format", "json"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == EXPERIMENT_ALL_SHA256
 
 
 def test_experiment_pairs_option(runner):

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from oracles import random_element
 
 from wordbound import groups as gr
-from wordbound.errors import DomainError, EmptyGenSetError, ResourceLimitExceeded
+from wordbound.errors import (
+    DomainError,
+    EmptyGenSetError,
+    ResourceLimitExceeded,
+    UnsupportedFamilyError,
+)
 from wordbound.gensets import (
     GenSet,
     dihedral_mod,
@@ -73,6 +78,14 @@ def test_genset_json_round_trip():
     G = gr.Product(gr.IntVector(1), gr.FiniteCyclic(2))
     S = make_symmetric(G, [((5,), 1), ((3,), 0)])
     assert GenSet.from_obj(S.to_obj()) == S
+
+
+def test_genset_json_refuses_malformed_input():
+    G = gr.Product(gr.IntVector(1), gr.FiniteCyclic(2))
+    with pytest.raises(UnsupportedFamilyError):
+        GenSet.from_obj({"elements": [1]})
+    with pytest.raises(DomainError):
+        GenSet.from_obj({"group": G.to_obj()})
 
 
 # -- Smith normal form ---------------------------------------------------

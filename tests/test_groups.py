@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from oracles import random_element, reduce_letters
+from oracles import contains_reference, random_element, reduce_letters
 
 from wordbound import groups as gr
 from wordbound.errors import DomainError, UnsupportedFamilyError
@@ -71,6 +71,17 @@ def test_power_matches_iterated_multiplication(G):
             assert G.power(g, n) == acc
             acc = G.mul(acc, g)
         assert G.power(g, -3) == G.inv(G.power(g, 3))
+
+
+def test_free_power_matches_repeated_squaring():
+    """Free.power builds p c^n p^-1 at once; the generic law squares."""
+    F = Free(3)
+    rng = random.Random(23)
+    for _ in range(200):
+        g = random_element(F, rng, size=8)
+        for n in (-7, -2, -1, 0, 1, 2, 5, 16):
+            assert F.power(g, n) == gr.Group.power(F, g, n)
+    assert F.power((1, 2, 2, -1), 3) == (1,) + (2,) * 6 + (-1,)
 
 
 def test_heisenberg_presentation_identities():
@@ -153,6 +164,52 @@ def test_enumeration_sizes():
         list(IntVector(1).elements())
 
 
+class _IntSub(int):
+    pass
+
+
+def _membership_battery(G, rng):
+    """Seeded candidates for ``G.contains``: elements, and elements with a
+    slot swapped for a bool, an int subclass, a float, None, a list, a
+    nested tuple or an integer on either side of a bound of the family."""
+    bounds = [v for v in G.to_obj().values() if isinstance(v, int)]
+    if isinstance(G, CayleyTableGroup):
+        bounds.append(len(G.names))
+    ints = [-1, 0, 1, 2, _IntSub(1), _IntSub(-1)] + [b + k for b in bounds for k in (-1, 0, 1)]
+    atoms = ints + [True, False, 1.0, 0.0, None, "a", [], (), [1], (1,), ((0,),), 10**30]
+    if isinstance(G, Product):
+        left = _membership_battery(G.left, rng)
+        right = _membership_battery(G.right, rng)
+        pairs = [(rng.choice(left), rng.choice(right)) for _ in range(600)]
+        return atoms + pairs + [list(p) for p in pairs[:50]] + [p[:1] for p in pairs[:50]] \
+            + [p + p[1:] for p in pairs[:50]]
+    out = list(atoms)
+    for _ in range(20):
+        g = random_element(G, rng, size=4)
+        out.append(g)
+        if not isinstance(g, tuple):
+            continue
+        out += [list(g), g + (0,), g[:-1], g + g]
+        if g:
+            out.append(g + (-g[-1],))
+        for i in range(len(g)):
+            out += [g[:i] + (a,) + g[i + 1:] for a in atoms]
+    return out
+
+
+@pytest.mark.parametrize(
+    "G", FAMILIES + [Product(G, H) for G, H in zip(FAMILIES, reversed(FAMILIES))], ids=str)
+def test_contains_matches_reference(G):
+    """Every family's membership test gives the reference verdict."""
+    rng = random.Random(19)
+    verdicts = set()
+    for g in _membership_battery(G, rng):
+        verdict = G.contains(g)
+        assert verdict is contains_reference(G, g), g
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_domain_checks_reject_foreign_elements():
     with pytest.raises(DomainError):
         FiniteCyclic(5).check(5)
@@ -207,6 +264,18 @@ def test_group_descriptor_round_trip(G):
     obj = G.to_obj()
     back = gr.group_from_obj(obj)
     assert back == G
+
+
+@pytest.mark.parametrize("read, error", [
+    (lambda: Product(IntVector(1), FiniteCyclic(2)).element_from_obj(5), DomainError),
+    (lambda: gr.group_from_obj({"family": "finite-cyclic", "q": "5"}), UnsupportedFamilyError),
+    (lambda: gr.group_from_obj({"family": "finite-cyclic"}), UnsupportedFamilyError),
+    (lambda: gr.group_from_obj({}), UnsupportedFamilyError),
+    (lambda: gr.group_from_obj([1]), UnsupportedFamilyError),
+], ids=["product-element-int", "string-modulus", "missing-modulus", "no-family", "not-an-object"])
+def test_json_readers_refuse_malformed_input(read, error):
+    with pytest.raises(error):
+        read()
 
 
 @pytest.mark.parametrize("G", FAMILIES, ids=str)
