@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import re
 import sys
+from itertools import chain, repeat
 
 import click
 
@@ -102,10 +103,17 @@ def parse_free_words(G, texts, copies=1):
                     f"free-word factor {piece!r} does not fit the memory limit of {limit} bytes")
     out = []
     for factors in words:
-        word = G.identity()
+        # Merge adjacent factors of one letter by adding exponents, so the
+        # syllables left are a reduced word that is built once, never
+        # concatenated onto a partial word (which held both at once).
+        syllables = []
         for _, i, exp in factors:
-            word = G.mul(word, G.power(G.generator(i), exp))
-        out.append(word)
+            if syllables and syllables[-1][0] == i:
+                exp += syllables.pop()[1]
+            if exp:
+                syllables.append((i, exp))
+        out.append(tuple(chain.from_iterable(
+            repeat(i if exp > 0 else -i, abs(exp)) for i, exp in syllables)))
     return out
 
 

@@ -763,13 +763,9 @@ def quotient_orbit_experiment(p, ks):
 
 def aut_orbit_experiment():
     """Orbit-vs-ball bound for every element of a few small groups."""
-    cases = [
-        (gr.FiniteCyclic(5), None),
-        (gr.FiniteCyclic(8), None),
-        (gr.DihedralFinite(4), None),
-    ]
+    cases = [gr.FiniteCyclic(5), gr.FiniteCyclic(8), gr.DihedralFinite(4)]
     rows = []
-    for G, _ in cases:
+    for G in cases:
         S = make_symmetric(G, G.standard_generators())
         table = uniform_length_table(G)
         autos = aut_group(G)
@@ -784,7 +780,7 @@ def aut_orbit_experiment():
             })
     return ExperimentReport(
         name="aut-orbit",
-        params={"groups": [str(G) for G, _ in cases]},
+        params={"groups": [str(G) for G in cases]},
         rows=rows,
         verdicts=[
             Verdict("orbits-within-ball-bound", all(r["ok"] for r in rows)),

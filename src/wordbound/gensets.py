@@ -5,12 +5,19 @@ carries a group element, and the involution permutation pairs every letter
 with the letter carrying its inverse (self-paired exactly for involutions).
 Cardinality counts distinct group elements, so {+1, -1} in Z has cardinality
 two.
+
+``generates`` decides generation exactly on every family whose
+``Group.lattice_split`` presents it as Z^k x| F with F finite: one Schreier
+walk over F and the index of the translation kernel in Z^k.  That method is
+all a virtually abelian family implements to be decided; only the Heisenberg
+and free groups keep procedures of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import prod
+from operator import add, sub
 from typing import Callable
 
 from . import groups as gr
@@ -205,7 +212,14 @@ def invariant_factors(M):
 
 @dataclass(frozen=True)
 class GenerationResult:
-    """Outcome of a generation check with re-validatable evidence."""
+    """Outcome of a generation check and the figures it rests on.
+
+    The Schreier decision reports ``closure_size`` (elements of F the
+    F-parts reach), ``finite_group_size``, ``lattice_rank`` k, the
+    ``invariant_factors`` of the translation kernel, its ``kernel_index``
+    in Z^k (0 when its rank is below k; ``translation_gcd`` too when k = 1)
+    and, when the F-parts miss part of F, a ``missing`` element of F.
+    """
 
     status: str  # "yes" | "no" | "inconclusive"
     reason: str
@@ -223,182 +237,89 @@ class GenerationResult:
 def generates(G, S, budget=8, witnesses=None):
     """Decide whether the alphabet S generates G.
 
-    Family-specific: exact for finite groups (closure), lattices and abelian
-    products (Smith normal form), Z x finite products (Schreier generators of
-    the translation kernel), the infinite dihedral group and the Heisenberg
-    group (abelianization).  Free groups fall back to a breadth-first witness
-    search out to radius ``budget`` and may return "inconclusive".
-    ``witnesses`` optionally maps a free-group basis index to a word (symbol
-    ids) evaluating to that basis letter.
+    Exact for every family with a ``lattice_split`` (finite groups, lattices,
+    the infinite dihedral group and their products) by Schreier's lemma, and
+    for the Heisenberg group by its abelianization.  Free groups fall back to
+    a breadth-first witness search out to radius ``budget`` and may return
+    "inconclusive".  ``witnesses`` optionally maps a free-group basis index
+    to a word (symbol ids) evaluating to that basis letter.  Both searches
+    are charged to the memory budget and raise ResourceLimitExceeded past it.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     if S.group != G:
         raise DomainError("alphabet belongs to a different group")
-    if G.is_finite:
-        return _generates_finite(G, S)
-    if isinstance(G, gr.IntVector):
-        return _generates_lattice(G, S)
-    if isinstance(G, gr.DihedralInfinite):
-        return _generates_dihedral_infinite(G, S)
     if isinstance(G, gr.Heisenberg):
         return _generates_heisenberg(G, S)
     if isinstance(G, gr.Free):
         return _generates_free(G, S, budget, witnesses)
-    if isinstance(G, gr.Product):
-        flat = _flatten_abelian(G)
-        if flat is not None:
-            return _generates_abelian_product(G, S, flat)
-        split = _split_z_cross_finite(G)
-        if split is not None:
-            return _generates_z_cross_finite(G, S, split)
-    return GenerationResult("inconclusive", f"no decision procedure for {G}")
+    split = G.lattice_split()
+    if split is None:
+        return GenerationResult("inconclusive", f"no decision procedure for {G}")
+    return _generates_split(S, *split)
 
 
-def _generates_finite(G, S):
-    reached = gr.closure(G, S.letters)
-    if len(reached) == G.size:
-        return GenerationResult(
-            "yes", "closure is the whole group",
-            {"closure_size": len(reached), "group_size": G.size},
-        )
-    missing = next(x for x in G.elements() if x not in reached)
-    return GenerationResult(
-        "no", "closure is a proper subgroup",
-        {"closure_size": len(reached), "group_size": G.size, "missing": missing},
-    )
+def _generates_split(S, k, F, split, act):
+    """Exact decision on G = Z^k x| F by Schreier's lemma (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005).
 
-
-def _generates_lattice(G, S):
-    matrix = [[x[i] for x in S.letters] for i in range(G.d)]
-    factors = invariant_factors(matrix)
-    ok = len(factors) == G.d and all(f == 1 for f in factors)
-    return GenerationResult(
-        "yes" if ok else "no",
-        "invariant factors of the letter matrix",
-        {"matrix": matrix, "invariant_factors": factors},
-    )
-
-
-def _flatten_abelian(G):
-    """(free_rank, torsion moduli, flatten fn) for abelian product trees."""
-
-    def walk(H):
-        if isinstance(H, gr.IntVector):
-            return H.d, [], lambda g: list(g)
-        if isinstance(H, gr.FiniteCyclic):
-            if H.q == 1:
-                return 0, [], lambda g: []
-            return 0, [H.q], lambda g: [g]
-        if isinstance(H, gr.Product):
-            left = walk(H.left)
-            right = walk(H.right)
-            if left is None or right is None:
-                return None
-            a1, t1, f1 = left
-            a2, t2, f2 = right
-
-            def flat(g, f1=f1, f2=f2, a1=a1, t1=t1):
-                u = f1(g[0])
-                v = f2(g[1])
-                # free coordinates first, then torsion coordinates
-                return u[:a1] + v[: len(v) - len(t2)] + u[a1:] + v[len(v) - len(t2):]
-
-            return a1 + a2, t1 + t2, flat
-        return None
-
-    return walk(G)
-
-
-def _generates_abelian_product(G, S, flat):
-    rank, torsion, flatten = flat
-    dim = rank + len(torsion)
-    cols = [flatten(x) for x in S.letters]
-    for i, q in enumerate(torsion):
-        rel = [0] * dim
-        rel[rank + i] = q
-        cols.append(rel)
-    matrix = [[col[i] for col in cols] for i in range(dim)]
-    factors = invariant_factors(matrix)
-    ok = len(factors) == dim and all(f == 1 for f in factors)
-    return GenerationResult(
-        "yes" if ok else "no",
-        "invariant factors of letters plus torsion relations",
-        {"matrix": matrix, "invariant_factors": factors,
-         "free_rank": rank, "torsion": list(torsion)},
-    )
-
-
-def _split_z_cross_finite(G):
-    """Orientation of a Product as Z x (finite group), if it has one."""
-    if isinstance(G.left, gr.IntVector) and G.left.d == 1 and G.right.is_finite:
-        return ("left", G.right)
-    if isinstance(G.right, gr.IntVector) and G.right.d == 1 and G.left.is_finite:
-        return ("right", G.left)
-    return None
-
-
-def _generates_z_cross_finite(G, S, split):
-    """Exact decision for Z x F via Schreier generators of the kernel.
-
-    S generates iff the finite components generate F and the Schreier
-    generators of (subgroup intersect Z) have gcd 1.
+    S generates G iff the F-parts of its letters generate F and the Schreier
+    generators, which generate the intersection of <S> with Z^k, span a
+    lattice of index 1 in Z^k.  The walk over F keeps, for each f reached,
+    the translation of one word of S ending at f; an edge from f by a letter
+    (a, u) into an f' reached before closes the Schreier generator with
+    translation rep[f] + act(f, a) - rep[f'].  F is finite, so the monoid
+    the F-parts generate is already a subgroup and one letter of each
+    inverse pair suffices.  The walk stores O(|F|) entries, each charged to
+    the memory budget like a search node.
     """
-    side, F = split
-    if side == "left":
-        parts = [(x[0][0], x[1]) for x in S.letters]
-    else:
-        parts = [(x[1][0], x[0]) for x in S.letters]
-    # Not metric._expand: the gcd needs the edges that close cycles, which
-    # the kernel skips.
-    rep = {F.identity(): 0}
-    frontier = [F.identity()]
-    g = 0
+    parts = [split(x) for sym, x in enumerate(S.letters) if S.involution[sym] >= sym]
+    mem = _Budget(memory_limit())
+    e = F.identity()
+    origin = (0,) * k
+    rep = {e: origin}
+    mem.charge(e)
+    frontier = [e]
+    kernel = set()
+    radius = 0
     while frontier:
         nxt = []
         for f in frontier:
+            t = rep[f]
             for a, u in parts:
                 f2 = F.mul(f, u)
-                n2 = rep[f] + a
+                t2 = tuple(map(add, t, a if act is None else act(f, a)))
                 if f2 in rep:
-                    g = gcd(g, n2 - rep[f2])
+                    v = tuple(map(sub, t2, rep[f2]))
+                    if v not in kernel:
+                        mem.charge(v, radius)
+                        kernel.add(v)
                 else:
-                    rep[f2] = n2
+                    mem.charge(f2, radius)
+                    rep[f2] = t2
                     nxt.append(f2)
         frontier = nxt
-    ok = len(rep) == F.size and g == 1
-    if ok:
-        reason = "finite image surjects and the translation kernel is all of Z"
-    elif len(rep) != F.size:
-        reason = "finite components generate a proper subgroup"
-    else:
-        reason = f"translation kernel has index {g}"
-    return GenerationResult(
-        "yes" if ok else "no", reason,
-        {"finite_image_size": len(rep), "finite_group_size": F.size,
-         "translation_gcd": g},
-    )
-
-
-def _generates_dihedral_infinite(G, S):
-    reflections = [k for k, e in S.letters if e == 1]
-    translations = [k for k, e in S.letters if e == 0]
-    if not reflections:
+        radius += 1
+    kernel.discard(origin)
+    # The kernel vectors as the columns of a k-row matrix.
+    factors = invariant_factors(list(zip(*kernel))) if kernel else []
+    index = prod(factors) if len(factors) == k else 0
+    evidence = {"closure_size": len(rep), "finite_group_size": F.size,
+                "lattice_rank": k, "invariant_factors": factors,
+                "kernel_index": index}
+    if k == 1:
+        evidence["translation_gcd"] = index
+    if len(rep) != F.size:
+        evidence["missing"] = next(x for x in F.elements() if x not in rep)
         return GenerationResult(
-            "no", "no reflection letter", {"translations": translations})
-    base = reflections[0]
-    g = 0
-    for k in translations:
-        g = gcd(g, k)
-    for k in reflections:
-        g = gcd(g, k - base)
-    ok = g == 1
+            "no", f"the finite parts generate a proper subgroup of {F}", evidence)
+    if index != 1:
+        return GenerationResult(
+            "no", f"the translation kernel has index {index or 'infinity'} in Z^{k}",
+            evidence)
     return GenerationResult(
-        "yes" if ok else "no",
-        "gcd of reachable translation exponents",
-        {"translation_gcd": g, "reflections": reflections,
-         "translations": translations},
-    )
+        "yes", f"the finite parts generate {F} and the translation kernel is Z^{k}",
+        evidence)
 
 
 def _generates_heisenberg(G, S):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import time
 import tracemalloc
 
@@ -54,6 +55,7 @@ def test_parse_free_words():
     assert parse_element(F, "x1*x2^-1") == (1, -2)
     assert parse_element(F, "x1^2*x1^-1") == (1,)
     assert parse_element(F, "x2^-3") == (-2, -2, -2)
+    assert parse_element(F, "x1*x2*x2^-1*x1^-1*x2^0") == ()
     with pytest.raises(ValueError):
         parse_element(F, "x3")
     with pytest.raises(ValueError):
@@ -180,11 +182,37 @@ def test_free_genset_beyond_memory_limit_is_usage_error(runner):
     assert result.output.startswith("error: free-word factor 'x2^300'")
 
 
+def test_large_torsion_generation_walk_is_a_resource_error(runner):
+    """Deciding generation of Z x Z/q walks all of Z/q; past the memory
+    limit that walk stops with the resource exit, not an unbounded dict."""
+    result = runner.invoke(main, [
+        "experiment", "zxzq", "--q", "100000000", "--primes", "100000007"],
+        env={"WORDBOUND_MEM_LIMIT": "1000000"})
+    assert result.exit_code == 3
+    assert result.output.startswith("error: search memory budget exhausted")
+
+
+def test_parse_free_words_matches_the_group_law():
+    """Merged syllables give the word that multiplying the factors' powers
+    out one by one gives, cancellations and zero exponents included."""
+    F = gr.Free(3)
+    rng = random.Random(37)
+    for _ in range(300):
+        factors = [(rng.randint(1, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 7))]
+        word = F.identity()
+        for i, exp in factors:
+            word = F.mul(word, F.power(F.generator(i), exp))
+        text = "*".join(f"x{i}^{exp}" for i, exp in factors)
+        assert parse_element(F, text) == word
+
+
 @pytest.mark.parametrize("parse, charged_letters", [
     (lambda: parse_element(gr.Free(2), "x1^200000"), 200000),
     (lambda: parse_element(gr.Free(7), "x7^-200001"), 200001),
     (lambda: parse_genset(gr.Free(7), "[x1^100000, x7^-100001]"), 2 * 200001),
-], ids=["word", "high-letter-word", "genset"])
+    (lambda: parse_element(gr.Free(2), "x2*x1^200000"), 200001),
+    (lambda: parse_element(gr.Free(2), "x1^100000*x2^100000"), 200000),
+], ids=["word", "high-letter-word", "genset", "short-then-long", "two-long-factors"])
 def test_free_word_parsing_memory_matches_its_charge(parse, charged_letters):
     """The traced peak while parsing stays within 1.5x the bytes charged."""
     tracemalloc.start()

@@ -240,6 +240,106 @@ def test_generates_heisenberg_is_exact():
             assert sympy.igcd(*exponents) == 1
 
 
+def _mod_translations(G, g, m):
+    """g with its translation coordinates reduced mod m: the quotient map
+    G -> G / mZ^k, written per family apart from ``lattice_split``."""
+    if isinstance(G, gr.Product):
+        return (_mod_translations(G.left, g[0], m), _mod_translations(G.right, g[1], m))
+    if isinstance(G, gr.IntVector):
+        return tuple(x % m for x in g)
+    if isinstance(G, gr.DihedralInfinite):
+        return (g[0] % m, g[1])
+    return g
+
+
+def _quotient_closure_size(G, letters, m):
+    reached = {_mod_translations(G, G.identity(), m)}
+    frontier = list(reached)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for x in letters:
+                h = _mod_translations(G, G.mul(g, x), m)
+                if h not in reached:
+                    reached.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return len(reached)
+
+
+def _translation(G, v):
+    """The element translating by the leading coordinates of v, and the
+    coordinates left over."""
+    if isinstance(G, gr.Product):
+        left, v = _translation(G.left, v)
+        right, v = _translation(G.right, v)
+        return (left, right), v
+    if isinstance(G, gr.IntVector):
+        return tuple(v[:G.d]), v[G.d:]
+    if isinstance(G, gr.DihedralInfinite):
+        return (v[0], 0), v[1:]
+    return G.identity(), v
+
+
+@pytest.mark.parametrize("G", [
+    gr.Product(gr.IntVector(1), gr.DihedralInfinite()),
+    gr.Product(gr.IntVector(2), gr.DihedralFinite(4)),
+    gr.Product(gr.DihedralInfinite(), gr.FiniteCyclic(3)),
+], ids=str)
+def test_generation_verdicts_match_a_search_oracle(G):
+    """On seeded alphabets every verdict is exact and confirmed apart from
+    the Schreier walk.  Yes: every standard generator has a finite word
+    length.  No: the letters miss part of G/Z^k (the finite parts generate a
+    proper subgroup), or of G/mZ^k for the reported kernel index m (2 when
+    the kernel has lower rank), and mZ^k is reached when m is finite."""
+    k = G.lattice_split()[0]
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    rng = random.Random(str(G))
+    verdicts = set()
+    for _ in range(60):
+        letters = [random_element(G, rng, size=2) for _ in range(rng.randint(2, 4))]
+        if all(x == G.identity() for x in letters):
+            continue
+        S = make_symmetric(G, letters)
+        res = generates(G, S)
+        verdicts.add(res.status)
+        if res.is_yes:
+            for x in G.standard_generators():
+                assert word_length(G, S, x, cap=24, mode="bidirectional").length is not None
+            continue
+        assert res.is_no
+        whole = G.standard_generators()
+        if _quotient_closure_size(G, S.letters, 1) < _quotient_closure_size(G, whole, 1):
+            continue
+        m = res.evidence["kernel_index"]
+        assert m != 1
+        q = m or 2
+        assert _quotient_closure_size(G, S.letters, q) < _quotient_closure_size(G, whole, q)
+        for v in units if m else []:
+            target, rest = _translation(G, [m * x for x in v])
+            assert rest == []
+            assert word_length(G, S, target, cap=24, mode="bidirectional").length is not None
+    assert verdicts == {"yes", "no"}
+
+
+@pytest.mark.parametrize("G", [
+    gr.FiniteCyclic(6),
+    gr.DihedralFinite(4),
+    gr.Product(gr.DihedralFinite(3), gr.FiniteCyclic(2)),
+    gr.CayleyTableGroup.from_json({"elements": ["e", "g", "g2"],
+                                   "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}),
+], ids=str)
+def test_generates_matches_closure_on_finite_groups(G):
+    rng = random.Random(43)
+    elements = [x for x in G.elements() if x != G.identity()]
+    for _ in range(60):
+        S = make_symmetric(G, rng.sample(elements, rng.randint(1, min(3, len(elements)))))
+        closed = gr.closure(G, S.letters)
+        res = generates(G, S)
+        assert res.status == ("yes" if len(closed) == G.size else "no")
+        assert res.evidence["closure_size"] == len(closed)
+
+
 def test_generation_yes_evidence_revalidates():
     G = gr.Free(2)
     S = _symm(G, [(1,), (1, 2)])

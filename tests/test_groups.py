@@ -348,6 +348,43 @@ def test_every_family_is_registered_and_tested():
     assert {type(G) for G in FAMILIES} == concrete
 
 
+def _has_no_split(G):
+    """Whether G is, or has a factor that is, a Heisenberg or free group."""
+    if isinstance(G, Product):
+        return _has_no_split(G.left) or _has_no_split(G.right)
+    return isinstance(G, (Heisenberg, Free))
+
+
+@pytest.mark.parametrize("G", FAMILIES + [
+    Product(Heisenberg(), FiniteCyclic(2)),
+    Product(DihedralInfinite(), Free(1)),
+    Product(IntVector(2), DihedralInfinite()),
+    Product(DihedralInfinite(), DihedralFinite(3)),
+    Product(Product(IntVector(1), FiniteCyclic(2)), DihedralInfinite()),
+], ids=str)
+def test_lattice_split_is_a_homomorphism(G):
+    """split(gh) = (a + act(f, b), fu) on seeded pairs, the split is
+    injective on them, and only Heisenberg and free groups (alone or as a
+    factor) have none."""
+    found = G.lattice_split()
+    if _has_no_split(G):
+        assert found is None
+        return
+    k, F, split, act = found
+    assert F.is_finite
+    assert split(G.identity()) == ((0,) * k, F.identity())
+    rng = random.Random(41)
+    seen = {}
+    for _ in range(300):
+        g = random_element(G, rng, size=6)
+        h = random_element(G, rng, size=6)
+        (a, f), (b, u) = split(g), split(h)
+        assert len(a) == k and all(isinstance(x, int) for x in a) and F.contains(f)
+        moved = b if act is None else act(f, b)
+        assert split(G.mul(g, h)) == (tuple(x + y for x, y in zip(a, moved)), F.mul(f, u))
+        assert seen.setdefault(split(g), g) == g
+
+
 def test_standard_generators_generate():
     for G in [FiniteCyclic(5), DihedralFinite(4),
               Product(DihedralFinite(4), FiniteCyclic(3))]:
