@@ -9,6 +9,7 @@ compared against the search, never substituted for it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -107,9 +108,14 @@ class Automorphism:
         elems = list(G.elements())
         if set(mapping) != set(elems) or set(mapping.values()) != set(elems):
             raise ValueError("mapping is not a bijection of the group")
+        # Equal is not identical (1.0 == 1): check each image once, then
+        # multiply unchecked.
+        for y in mapping.values():
+            G.check(y)
+        mul = G._mul
         for a in elems:
             for b in elems:
-                if mapping[G.mul(a, b)] != G.mul(mapping[a], mapping[b]):
+                if mapping[mul(a, b)] != mul(mapping[a], mapping[b]):
                     raise ValueError(f"mapping is not multiplicative at {a!r}, {b!r}")
         return cls(group=G, mapping=dict(mapping))
 
@@ -143,6 +149,7 @@ def aut_group(G, cap=24):
         return [Automorphism.build(G, {e: e})]
     # discovery schedule: every element as parent * generator.  Not
     # metric._expand: gens is not symmetric and each step keeps its parent.
+    mul = G._mul  # gens and the candidate images are enumerated elements
     schedule = []
     known = {e}
     frontier = [e]
@@ -150,7 +157,7 @@ def aut_group(G, cap=24):
         nxt = []
         for g in frontier:
             for gi, s in enumerate(gens):
-                h = G.mul(g, s)
+                h = mul(g, s)
                 if h not in known:
                     known.add(h)
                     schedule.append((h, g, gi))
@@ -164,7 +171,7 @@ def aut_group(G, cap=24):
     for images in itertools.product(*candidates):
         phi = {e: e}
         for h, parent, gi in schedule:
-            phi[h] = G.mul(phi[parent], images[gi])
+            phi[h] = mul(phi[parent], images[gi])
         if len(set(phi.values())) != size:
             continue
         try:
@@ -529,18 +536,21 @@ def heisenberg_center_experiment(count=100, seed=0):
 _ZXD8 = gr.Product(gr.IntVector(1), gr.DihedralFinite(4))
 
 
+@functools.lru_cache(maxsize=None)
+def _zxd8_pool(radius):
+    """The non-identity elements of Z x D8 with translation part bounded by
+    ``radius``, in the order the sampler draws from."""
+    e = _ZXD8.identity()
+    pool = (((n,), f) for n in range(-radius, radius + 1) for f in _ZXD8.right.elements())
+    return tuple(g for g in pool if g != e)
+
+
 def sample_zxd8_genset(rng, radius=10, max_attempts=500):
     """A generating alphabet of Z x D8, rejection sampled from 2 to 4
     elements with translation part bounded by ``radius``; sets whose
     generation certificate is not a definite yes are discarded."""
     G = _ZXD8
-    e = G.identity()
-    pool = [
-        ((n,), f)
-        for n in range(-radius, radius + 1)
-        for f in G.right.elements()
-    ]
-    pool = [g for g in pool if g != e]
+    pool = _zxd8_pool(radius)
     for _ in range(max_attempts):
         chosen = rng.sample(pool, rng.randint(2, 4))
         S = make_symmetric(G, chosen)

@@ -112,14 +112,36 @@ def smith_normal_form(M):
     with each entry dividing the next.  Pivots are chosen by least absolute
     value to keep intermediate entries small.  Everything is Python-int exact.
     """
+    D, U, V = _smith(M, transforms=True)
+    return D, tuple(tuple(row) for row in U), tuple(tuple(row) for row in V)
+
+
+def invariant_factors(M):
+    """Nonzero diagonal entries of the Smith normal form, in order.
+
+    The same elimination as :func:`smith_normal_form` without the transforms:
+    on a 1 x n matrix each sweep along the row is O(n) work, where V alone
+    has n^2 entries.
+    """
+    D, _, _ = _smith(M, transforms=False)
+    n = min(len(D), len(D[0]))
+    return [D[i][i] for i in range(n) if D[i][i]]
+
+
+def _smith(M, transforms):
+    """Smith normal form D of M, and U, V as lists of rows if ``transforms``.
+
+    Without transforms U has empty rows and V no rows, so every update of
+    them below is a no-op and D comes out the same.
+    """
     A = [[int(v) for v in row] for row in M]
     if not A or not A[0]:
         raise ValueError("matrix must be nonempty")
     r, c = len(A), len(A[0])
     if any(len(row) != c for row in A):
         raise ValueError("matrix must be rectangular")
-    U = [[int(i == j) for j in range(r)] for i in range(r)]
-    V = [[int(i == j) for j in range(c)] for i in range(c)]
+    U = [[int(i == j) for j in range(r if transforms else 0)] for i in range(r)]
+    V = [[int(i == j) for j in range(c)] for i in range(c if transforms else 0)]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -135,8 +157,7 @@ def smith_normal_form(M):
         # row_dst -= q * row_src
         for k in range(c):
             A[dst][k] -= q * A[src][k]
-        for k in range(r):
-            U[dst][k] -= q * U[src][k]
+        U[dst] = [x - q * y for x, y in zip(U[dst], U[src])]
 
     def add_col(dst, src, q):
         for row in A:
@@ -192,19 +213,10 @@ def smith_normal_form(M):
         if A[t][t] < 0:
             for k in range(c):
                 A[t][k] = -A[t][k]
-            for k in range(r):
-                U[t][k] = -U[t][k]
+            U[t] = [-x for x in U[t]]
         t += 1
 
-    D = tuple(tuple(row) for row in A)
-    return D, tuple(tuple(row) for row in U), tuple(tuple(row) for row in V)
-
-
-def invariant_factors(M):
-    """Nonzero diagonal entries of the Smith normal form, in order."""
-    D, _, _ = smith_normal_form(M)
-    n = min(len(D), len(D[0]))
-    return [D[i][i] for i in range(n) if D[i][i]]
+    return tuple(tuple(row) for row in A), U, V
 
 
 # -- generation decision -------------------------------------------------
@@ -249,6 +261,10 @@ def generates(G, S, budget=8, witnesses=None):
         raise ValueError("budget must be positive")
     if S.group != G:
         raise DomainError("alphabet belongs to a different group")
+    # A GenSet trusts its letters: check them once, since the Schreier walk
+    # multiplies unchecked.
+    for x in S.letters:
+        G.check(x)
     if isinstance(G, gr.Heisenberg):
         return _generates_heisenberg(G, S)
     if isinstance(G, gr.Free):
@@ -275,6 +291,7 @@ def _generates_split(S, k, F, split, act):
     """
     parts = [split(x) for sym, x in enumerate(S.letters) if S.involution[sym] >= sym]
     mem = _Budget(memory_limit())
+    mul = F._mul  # the letters were checked, so their F-parts are in F
     e = F.identity()
     origin = (0,) * k
     rep = {e: origin}
@@ -287,7 +304,7 @@ def _generates_split(S, k, F, split, act):
         for f in frontier:
             t = rep[f]
             for a, u in parts:
-                f2 = F.mul(f, u)
+                f2 = mul(f, u)
                 t2 = tuple(map(add, t, a if act is None else act(f, a)))
                 if f2 in rep:
                     v = tuple(map(sub, t2, rep[f2]))

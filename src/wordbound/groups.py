@@ -19,15 +19,24 @@ Normal forms by family:
 
 Each family is a frozen dataclass subclass of :class:`Group` with its own
 ``family`` string, listed in ``REGISTRY``.  A new family implements the group
-law (``mul``, ``inv``, ``identity``, ``contains``), ``element_order`` unless
-it is finite, ``standard_generators`` unless every non-identity element of a
-finite family is meant, and, for a flat CLI encoding, ``flat_arity`` and
-``from_flat``.  A virtually abelian family of the form Z^k x| F (a semidirect
-product with F finite) implements ``lattice_split``, which is all
-``gensets.generates`` needs to decide generation exactly; finite families
-inherit it.  Its descriptor (``to_obj``/``from_obj``) and element JSON form
+law (``_mul``, ``mul``, ``inv``, ``identity``, ``contains``),
+``element_order`` unless it is finite, ``standard_generators`` unless every
+non-identity element of a finite family is meant, and, for a flat CLI
+encoding, ``flat_arity`` and ``from_flat``.  A virtually abelian family of
+the form Z^k x| F (a semidirect product with F finite) implements
+``lattice_split``, which is all ``gensets.generates`` needs to decide
+generation exactly; finite families inherit it.  Its descriptor (``to_obj``/``from_obj``) and element JSON form
 default to its dataclass fields and tuples as lists; override those where
 they do not fit.
+
+``_mul`` is the arithmetic with no membership check.  Each family's ``mul``
+tests both operands with ``contains``, raises the ``DomainError`` that
+``check`` would and otherwise returns ``self._mul(g, h)``; it is defined in
+the family's own class body, because perfbench traces ``mul`` class by
+class.  ``_mul`` is only called on operands that were already checked:
+``closure``, the Schreier walk of ``gensets.generates`` and the automorphism
+check in ``experiments`` check their inputs once where they come in and then
+multiply unchecked.
 """
 
 from __future__ import annotations
@@ -67,6 +76,12 @@ class Group:
     # -- group law -------------------------------------------------------
 
     def mul(self, g, h):
+        """The product gh; raises DomainError unless both are elements."""
+        raise NotImplementedError
+
+    def _mul(self, g, h):
+        """The product gh with no membership check, for operands already
+        checked: garbage in, garbage out."""
         raise NotImplementedError
 
     def inv(self, g):
@@ -88,7 +103,13 @@ class Group:
 
     def check(self, g):
         if not self.contains(g):
-            raise DomainError(f"{g!r} is not an element of {self}")
+            raise self._foreign(g)
+
+    def _foreign(self, *operands):
+        """The DomainError naming the first of ``operands`` that is not an
+        element, for a law that tested them all with ``contains``."""
+        bad = next(g for g in operands if not self.contains(g))
+        return DomainError(f"{bad!r} is not an element of {self}")
 
     def power(self, g, n):
         """n-th power by repeated squaring, ``n`` any integer."""
@@ -201,8 +222,11 @@ class FiniteCyclic(Group):
             raise ValueError("modulus must be >= 1")
 
     def mul(self, g, h):
-        self.check(g)
-        self.check(h)
+        if self.contains(g) and self.contains(h):
+            return self._mul(g, h)
+        raise self._foreign(g, h)
+
+    def _mul(self, g, h):
         return (g + h) % self.q
 
     def inv(self, g):
@@ -247,8 +271,11 @@ class IntVector(Group):
             raise ValueError("dimension must be >= 1")
 
     def mul(self, g, h):
-        self.check(g)
-        self.check(h)
+        if self.contains(g) and self.contains(h):
+            return self._mul(g, h)
+        raise self._foreign(g, h)
+
+    def _mul(self, g, h):
         return tuple(map(add, g, h))
 
     def inv(self, g):
@@ -297,8 +324,11 @@ class DihedralFinite(Group):
             raise ValueError("rotation order must be >= 1")
 
     def mul(self, g, h):
-        self.check(g)
-        self.check(h)
+        if self.contains(g) and self.contains(h):
+            return self._mul(g, h)
+        raise self._foreign(g, h)
+
+    def _mul(self, g, h):
         k, e = g
         k2, e2 = h
         return ((k + k2) % self.n if e == 0 else (k - k2) % self.n, e ^ e2)
@@ -352,8 +382,11 @@ class DihedralInfinite(Group):
     flat_arity = 2
 
     def mul(self, g, h):
-        self.check(g)
-        self.check(h)
+        if self.contains(g) and self.contains(h):
+            return self._mul(g, h)
+        raise self._foreign(g, h)
+
+    def _mul(self, g, h):
         k, e = g
         k2, e2 = h
         return (k + k2 if e == 0 else k - k2, e ^ e2)
@@ -407,8 +440,11 @@ class Heisenberg(Group):
     flat_arity = 3
 
     def mul(self, g, h):
-        self.check(g)
-        self.check(h)
+        if self.contains(g) and self.contains(h):
+            return self._mul(g, h)
+        raise self._foreign(g, h)
+
+    def _mul(self, g, h):
         i, j, l = g
         i2, j2, l2 = h
         return (i + i2, j + j2, l + l2 - j * i2)
@@ -454,8 +490,11 @@ class Free(Group):
             raise ValueError("rank must be >= 1")
 
     def mul(self, g, h):
-        self.check(g)
-        self.check(h)
+        if self.contains(g) and self.contains(h):
+            return self._mul(g, h)
+        raise self._foreign(g, h)
+
+    def _mul(self, g, h):
         i = len(g)
         j = 0
         while i > 0 and j < len(h) and g[i - 1] == -h[j]:
@@ -519,21 +558,20 @@ class Product(Group):
 
     family = "product"
 
-    # The factors' checked mul/inv validate the components, so the group
-    # law checks only the pair shape: each component is validated once.
-
     def _check_pair(self, g):
         if not (isinstance(g, tuple) and len(g) == 2):
             raise DomainError(f"{g!r} is not an element of {self}")
 
     def mul(self, g, h):
-        if not (isinstance(g, tuple) and len(g) == 2
-                and isinstance(h, tuple) and len(h) == 2):
-            self._check_pair(g)
-            self._check_pair(h)
-        return (self.left.mul(g[0], h[0]), self.right.mul(g[1], h[1]))
+        if self.contains(g) and self.contains(h):
+            return self._mul(g, h)
+        raise self._foreign(g, h)
+
+    def _mul(self, g, h):
+        return (self.left._mul(g[0], h[0]), self.right._mul(g[1], h[1]))
 
     def inv(self, g):
+        # The factors' checked inv validates the components.
         self._check_pair(g)
         return (self.left.inv(g[0]), self.right.inv(g[1]))
 
@@ -692,8 +730,11 @@ class CayleyTableGroup(Group):
         }
 
     def mul(self, g, h):
-        self.check(g)
-        self.check(h)
+        if self.contains(g) and self.contains(h):
+            return self._mul(g, h)
+        raise self._foreign(g, h)
+
+    def _mul(self, g, h):
         return self.table[g][h]
 
     def inv(self, g):
@@ -774,6 +815,9 @@ def closure(G, elements):
     # positive power of x: the monoid the elements generate is already the
     # subgroup, and walking their inverses too would double the products.
     gens = list(elements)
+    for s in gens:
+        G.check(s)
+    mul = G._mul
     # A plain set walk, not metric._expand: storing (depth, label) per element
     # made perfbench's finite workload 10% slower per pass and 17% slower in
     # its median operation.
@@ -783,7 +827,7 @@ def closure(G, elements):
         nxt = []
         for g in frontier:
             for s in gens:
-                h = G.mul(g, s)
+                h = mul(g, s)
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)

@@ -4,8 +4,9 @@ tests compare the library against."""
 import itertools
 
 from wordbound import groups as gr
-from wordbound.errors import UnsupportedFamilyError
+from wordbound.errors import NotGeneratingError, UnsupportedFamilyError
 from wordbound.experiments import Automorphism
+from wordbound.gensets import generates, make_symmetric
 from wordbound.girth import GirthResult, _validate_witness
 from wordbound.metric import word_length
 
@@ -166,3 +167,18 @@ def aut_by_bijections(G):
         ):
             autos.append(Automorphism.build(G, mapping))
     return autos
+
+
+def sample_zxd8_genset_reference(rng, radius=10, max_attempts=500):
+    """The zxd8 sampler as first written, building its pool of Z x D8 on
+    every call; ``experiments.sample_zxd8_genset`` must draw the same
+    alphabets from the same ``rng`` state."""
+    G = gr.Product(gr.IntVector(1), gr.DihedralFinite(4))
+    e = G.identity()
+    pool = [((n,), f) for n in range(-radius, radius + 1) for f in G.right.elements()]
+    pool = [g for g in pool if g != e]
+    for _ in range(max_attempts):
+        S = make_symmetric(G, rng.sample(pool, rng.randint(2, 4)))
+        if generates(G, S).is_yes:
+            return S
+    raise NotGeneratingError(f"no generating set within {max_attempts} attempts")

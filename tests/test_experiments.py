@@ -5,11 +5,11 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 import pytest
-from oracles import aut_by_bijections
+from oracles import aut_by_bijections, sample_zxd8_genset_reference
 
 from wordbound import experiments as ex
 from wordbound import groups as gr
-from wordbound.errors import NotGeneratingError, UnsupportedFamilyError
+from wordbound.errors import DomainError, NotGeneratingError, UnsupportedFamilyError
 from wordbound.gensets import make_symmetric
 from wordbound.metric import word_length
 from wordbound.reports import ExperimentReport, Verdict, render_report
@@ -119,6 +119,12 @@ def test_automorphism_build_rejects_bad_maps():
         ex.Automorphism.build(G, swap_only)
     doubling = ex.Automorphism.build(G, {g: (2 * g) % 5 for g in G.elements()})
     assert doubling.apply(3) == 1
+    # 1.0 == 1 passes the bijection test, but it is not an element.
+    with pytest.raises(DomainError):
+        ex.Automorphism.build(G, {0: 0, 1: 1.0, 2: 2, 3: 3, 4: 4})
+    D = gr.DihedralFinite(4)
+    with pytest.raises(DomainError):
+        ex.Automorphism.build(D, {g: (g[0] * 1.0, g[1]) for g in D.elements()})
 
 
 # -- uniform lengths -----------------------------------------------------
@@ -264,6 +270,15 @@ def test_prescribe_certificates_match_bfs(kind):
             S, cert = ex.prescribe_length_zd(2, g, l, u, v)
         assert cert.length == l + 1
         _assert_certificate_matches_bfs(S, g, cert)
+
+
+def test_zxd8_sampler_matches_a_per_call_pool():
+    """Building the pool once per radius draws the same alphabets."""
+    fast, slow = random.Random(42), random.Random(42)
+    for _ in range(20):
+        assert ex.sample_zxd8_genset(fast) == sample_zxd8_genset_reference(slow)
+    assert fast.getstate() == slow.getstate()
+    assert len(ex._zxd8_pool(10)) == 167
 
 
 def test_zxd8_certificates_match_bfs():

@@ -135,6 +135,40 @@ def test_invariant_factors():
     assert invariant_factors([[0, 0], [0, 0]]) == []
 
 
+def _seeded_shapes(rng):
+    """300 matrices: random shapes, 1 x n with n <= 40, n x 1, all-zero and
+    rank-deficient ones (a row repeated as a multiple of another)."""
+    out = []
+    for i in range(300):
+        kind = i % 5
+        if kind == 0:
+            M = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        elif kind == 1:
+            M = _random_matrix(rng, 1, rng.randint(1, 40), -30, 30)
+        elif kind == 2:
+            M = _random_matrix(rng, rng.randint(1, 12), 1, -30, 30)
+        elif kind == 3:
+            M = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 0, 0)
+        else:
+            M = _random_matrix(rng, rng.randint(1, 3), rng.randint(2, 5))
+            M.append([rng.randint(-3, 3) * x for x in M[0]])
+            rng.shuffle(M)
+        out.append(M)
+    return out
+
+
+def test_invariant_factors_match_both_smith_forms():
+    """invariant_factors skips the transforms but finds the same diagonal
+    as smith_normal_form and as sympy."""
+    for M in _seeded_shapes(random.Random(29)):
+        D, _, _ = smith_normal_form(M)
+        diag = [D[i][i] for i in range(min(len(M), len(M[0])))]
+        factors = invariant_factors(M)
+        assert factors == [d for d in diag if d], M
+        ref = snf_reference(sympy.Matrix(M))
+        assert factors == sorted(abs(int(ref[i, i])) for i in range(min(ref.shape)) if ref[i, i])
+
+
 # -- generation decisions ------------------------------------------------
 
 
@@ -354,6 +388,23 @@ def test_generates_rejects_foreign_alphabet():
     S = _symm(Z, [(1,)])
     with pytest.raises(DomainError):
         generates(gr.IntVector(2), S)
+
+
+def test_generates_checks_letters_of_a_raw_genset():
+    """GenSet's constructor trusts its letters, and the Schreier walk
+    multiplies unchecked, so generates checks every letter first."""
+    G = gr.Product(gr.IntVector(1), gr.DihedralFinite(4))
+    S = GenSet(G, (((1.5,), (1, 0)), ((-1.5,), (3, 0)), ((1,), (0, 1))), (1, 0, 2))
+    with pytest.raises(DomainError):
+        generates(G, S)
+    for G, letters, involution in [
+        (gr.DihedralFinite(4), ((1, 0), (3, 0), (4, 1)), (1, 0, 2)),
+        (gr.FiniteCyclic(5), (1, 4, 5), (1, 0, 2)),
+        (gr.Heisenberg(), ((1, 0, 0), (-1, 0, 0), (0, 1)), (1, 0, 2)),
+        (gr.Free(2), ((1,), (-1,), (3,)), (1, 0, 2)),
+    ]:
+        with pytest.raises(DomainError):
+            generates(G, GenSet(G, letters, involution))
 
 
 # -- quotient maps -------------------------------------------------------

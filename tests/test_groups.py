@@ -210,6 +210,46 @@ def test_contains_matches_reference(G):
     assert verdicts == {True, False}
 
 
+PRODUCTS = [
+    Product(FiniteCyclic(1), DihedralFinite(4)),
+    Product(FiniteCyclic(4), FiniteCyclic(6)),
+    Product(IntVector(2), DihedralInfinite()),
+    Product(Heisenberg(), Free(2)),
+    Product(Free(1), IntVector(1)),
+    Product(DihedralFinite(3), CayleyTableGroup.from_json(Z3_TABLE)),
+    Product(CayleyTableGroup.from_json(Z3_TABLE), Heisenberg()),
+    Product(Product(IntVector(1), FiniteCyclic(2)), DihedralInfinite()),
+    Product(DihedralFinite(5), Product(Free(2), FiniteCyclic(3))),
+    Product(Product(IntVector(1), DihedralFinite(4)),
+            Product(CayleyTableGroup.from_json(Z3_TABLE), Heisenberg())),
+]
+
+
+@pytest.mark.parametrize("G", FAMILIES + PRODUCTS, ids=str)
+def test_unchecked_law_matches_checked_law(G):
+    """``_mul`` is ``mul`` without the membership checks."""
+    rng = random.Random(43)
+    for _ in range(300):
+        g = random_element(G, rng, size=6)
+        h = random_element(G, rng, size=6)
+        assert G._mul(g, h) == G.mul(g, h)
+
+
+@pytest.mark.parametrize(
+    "G", FAMILIES + [Product(G, H) for G, H in zip(FAMILIES, reversed(FAMILIES))], ids=str)
+def test_checked_law_rejects_every_non_element(G):
+    """``mul`` on either side and ``inv`` raise DomainError on each
+    non-element of the membership battery."""
+    rng = random.Random(19)
+    e = G.identity()
+    outsiders = [g for g in _membership_battery(G, rng) if not contains_reference(G, g)]
+    assert outsiders
+    for g in outsiders:
+        for law in (lambda: G.mul(g, e), lambda: G.mul(e, g), lambda: G.inv(g)):
+            with pytest.raises(DomainError):
+                law()
+
+
 def test_domain_checks_reject_foreign_elements():
     with pytest.raises(DomainError):
         FiniteCyclic(5).check(5)
@@ -396,3 +436,13 @@ def test_closure_of_proper_subgroup():
     assert sorted(gr.closure(G, [2])) == [0, 2, 4, 6]
     D = DihedralFinite(4)
     assert len(gr.closure(D, [(0, 1)])) == 2
+
+
+def test_closure_checks_its_inputs():
+    """closure multiplies unchecked, so it checks each input first."""
+    for G, bad in [(FiniteCyclic(8), 8), (DihedralFinite(4), (1, 2)),
+                   (Product(FiniteCyclic(2), DihedralFinite(3)), (1, (3, 0)))]:
+        with pytest.raises(DomainError):
+            gr.closure(G, [bad])
+        with pytest.raises(DomainError):
+            gr.closure(G, [G.identity(), bad])

@@ -1,8 +1,10 @@
-"""Source-wide guards: exact integers only, and checks that survive
-``python -O``."""
+"""Source-wide guards: exact integers only, checks that survive
+``python -O``, and a group law of each family's own."""
 
 import ast
 from pathlib import Path
+
+from wordbound import groups as gr
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "wordbound").glob("*.py"))
 
@@ -25,3 +27,29 @@ def test_library_has_no_assert_or_float_literal():
     assert SOURCES
     found = {p.name: _offences(p.read_text(encoding="utf-8")) for p in SOURCES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _laws_not_in_own_body(classes):
+    """Names of the classes that leave ``mul`` or ``_mul`` to a base class.
+
+    perfbench traces ``mul`` class by class, so a family that inherits it
+    would drop out of ``groups.mul_ns.<family>``.
+    """
+    return sorted(cls.__name__ for cls in classes
+                  if not {"mul", "_mul"} <= vars(cls).keys())
+
+
+def test_guard_flags_an_inherited_law():
+    class Inherits(gr.FiniteCyclic):
+        pass
+
+    class OnlyChecked(gr.FiniteCyclic):
+        def mul(self, g, h):
+            return super().mul(g, h)
+
+    assert _laws_not_in_own_body([gr.FiniteCyclic, Inherits, OnlyChecked]) == [
+        "Inherits", "OnlyChecked"]
+
+
+def test_every_family_defines_both_laws():
+    assert _laws_not_in_own_body(gr.REGISTRY.values()) == []
