@@ -1,13 +1,18 @@
 """Command-line front end.
 
-One subcommand per operation or experiment; deterministic byte output for
-identical (argv, seed); exit codes: 0 pass, 1 failed verdict, 2 usage error,
-3 resource limit.
+Subcommands ``length``, ``girth`` and ``experiment``; deterministic byte
+output for identical (argv, seed).  Exit codes: 0 pass, 1 failed verdict,
+2 usage error, 3 resource limit.  Every library error is a ``ValueError``
+(or a ``ResourceLimitExceeded``), mapped onto these codes in one place, the
+command group's ``invoke``.  ``experiment NAME`` calls ``DEFAULT_RUNS[NAME]``
+with the experiment options that were given as keywords; an option that the
+run's signature lacks, or any of them with ``all``, is a usage error.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 import sys
 from itertools import chain, repeat
@@ -16,7 +21,7 @@ import click
 
 from . import experiments as ex
 from . import groups as gr
-from .errors import DomainError, NotGeneratingError, ResourceLimitExceeded
+from .errors import ResourceLimitExceeded
 from .gensets import make_symmetric
 from .girth import girth as girth_op
 from .metric import memory_limit, word_length
@@ -154,12 +159,26 @@ def _emit(data, output):
         sys.stdout.flush()
 
 
-def _fail_usage(message):
+def _fail(code, message):
     click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_USAGE)
+    sys.exit(code)
 
 
-@click.group()
+class _Commands(click.Group):
+    """The exit-code contract for every subcommand: a ValueError or
+    SyntaxError is a usage error, an exhausted memory budget a resource
+    error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, SyntaxError) as exc:
+            _fail(EXIT_USAGE, exc)
+        except ResourceLimitExceeded as exc:
+            _fail(EXIT_RESOURCE, exc)
+
+
+@click.group(cls=_Commands)
 def main():
     """Word metrics on finitely generated groups."""
 
@@ -172,18 +191,11 @@ def main():
 @click.option("--mode", type=click.Choice(["auto", "bfs", "bidirectional"]), default="auto")
 def length(group_text, genset_text, element_text, cap, mode):
     """Exact word length of an element, searched out to --cap."""
-    try:
-        limit = memory_limit()
-        G = parse_group(group_text)
-        S = parse_genset(G, genset_text)
-        g = parse_element(G, element_text)
-    except (ValueError, SyntaxError, DomainError) as exc:
-        _fail_usage(str(exc))
-    try:
-        cert = word_length(G, S, g, cap=cap, mode=mode, mem_limit=limit)
-    except ResourceLimitExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
+    limit = memory_limit()
+    G = parse_group(group_text)
+    S = parse_genset(G, genset_text)
+    g = parse_element(G, element_text)
+    cert = word_length(G, S, g, cap=cap, mode=mode, mem_limit=limit)
     if cert.length is None:
         click.echo(f"> {cap}")
         sys.exit(EXIT_FAIL)
@@ -196,18 +208,10 @@ def length(group_text, genset_text, element_text, cap, mode):
 @click.option("--cap", type=click.IntRange(min=2), required=True)
 def girth(group_text, genset_text, cap):
     """Girth of the Cayley graph: shortest simple loop at the identity."""
-    try:
-        limit = memory_limit()
-        G = parse_group(group_text)
-        S = parse_genset(G, genset_text)
-    except (ValueError, SyntaxError, DomainError) as exc:
-        _fail_usage(str(exc))
-    try:
-        result = girth_op(G, S, cap=cap, mem_limit=limit)
-    except ResourceLimitExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
-    click.echo(str(result))
+    limit = memory_limit()
+    G = parse_group(group_text)
+    S = parse_genset(G, genset_text)
+    click.echo(str(girth_op(G, S, cap=cap, mem_limit=limit)))
 
 
 def _run_named(name):
@@ -216,27 +220,42 @@ def _run_named(name):
     return ex.DEFAULT_RUNS[name]()
 
 
+def _ints(text):
+    return tuple(int(v) for v in text.split(","))
+
+
+def _pairs(text):
+    return tuple(tuple(int(v) for v in chunk.split(":")) for chunk in text.split(","))
+
+
 @main.command()
 @click.argument("name")
-@click.option("--q", type=int, default=None, help="Torsion modulus (zxzq).")
-@click.option("--primes", default=None, help="Comma-separated primes (zxzq).")
-@click.option("--pairs", default=None, help="Comma-separated pairs like 2:3,3:5.")
-@click.option("--samples", type=int, default=None, help="Sample count (zxd8).")
-@click.option("--seed", type=int, default=None, help="RNG seed for sampled runs.")
-@click.option("--p", type=int, default=None, help="Odd prime (quotient-orbit).")
-@click.option("--ks", default=None, help="Comma-separated units mod p (quotient-orbit).")
+@click.option("--q", type=int, help="Torsion modulus (zxzq).")
+@click.option("--primes", type=_ints, metavar="P,P,...", help="Primes (zxzq).")
+@click.option("--pairs", type=_pairs, metavar="A:B,A:B,...",
+              help="Coprime pairs (zd, heisenberg, dinfty).")
+@click.option("--samples", type=click.IntRange(min=1),
+              help="Sample count (zxd8, heisenberg-center).")
+@click.option("--seed", type=int, help="RNG seed (zxd8, heisenberg-center).")
+@click.option("--p", type=int, help="Odd prime (quotient-orbit).")
+@click.option("--ks", type=_ints, metavar="K,K,...", help="Units mod p (quotient-orbit).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]), default="table")
 @click.option("--output", default=None, help="Write the report here instead of stdout.")
 @click.option("--explain", is_flag=True, help="Print the claim the experiment checks and exit.")
 @click.option("--regenerate-golden", is_flag=True,
               help="Rewrite the stored golden table (uniform-length only).")
-def experiment(name, q, primes, pairs, samples, seed, p, ks, fmt, output,
-               explain, regenerate_golden):
+def experiment(name, fmt, output, explain, regenerate_golden, **options):
     """Run a named experiment, or 'all' for the full deterministic suite."""
     if name != "all" and name not in ex.DEFAULT_RUNS:
-        _fail_usage(
+        raise ValueError(
             f"unknown experiment {name!r}; choose from "
             f"{', '.join(sorted(ex.DEFAULT_RUNS))} or 'all'")
+    run = ex.DEFAULT_RUNS.get(name)
+    keywords = inspect.signature(run).parameters if run else ()
+    given = {key: value for key, value in options.items() if value is not None}
+    for key in given:
+        if key not in keywords:
+            raise ValueError(f"--{key} does not apply to experiment {name!r}")
     if explain:
         if name == "all":
             for key in sorted(ex.CLAIMS):
@@ -246,42 +265,10 @@ def experiment(name, q, primes, pairs, samples, seed, p, ks, fmt, output,
         return
     if regenerate_golden:
         if name != "uniform-length":
-            _fail_usage("--regenerate-golden applies to the uniform-length experiment")
+            raise ValueError("--regenerate-golden applies to the uniform-length experiment")
         path = ex.regenerate_d8_golden()
         click.echo(f"regenerated {path}", err=True)
-
-    def parse_pairs(text):
-        return [tuple(int(v) for v in chunk.split(":")) for chunk in text.split(",")]
-
-    try:
-        if name == "all":
-            reports = [_run_named(n) for n in sorted(ex.DEFAULT_RUNS)]
-        elif name == "zxzq":
-            reports = [ex.unbounded_witness_zxzq(
-                q if q is not None else 2,
-                [int(v) for v in primes.split(",")] if primes else [5, 7, 11],
-            )]
-        elif name == "heisenberg" and pairs:
-            reports = [ex.unbounded_witness_heisenberg(1, parse_pairs(pairs))]
-        elif name == "dinfty" and pairs:
-            reports = [ex.unbounded_witness_dinfty(parse_pairs(pairs))]
-        elif name == "zd" and pairs:
-            reports = [ex.unbounded_witness_zd(2, (1, 0), parse_pairs(pairs))]
-        elif name == "heisenberg-center" and seed is not None:
-            reports = [ex.heisenberg_center_experiment(samples or 100, seed)]
-        elif name == "zxd8" and (samples is not None or seed is not None):
-            reports = [ex.bound_witness_zxd8(samples or 200, 42 if seed is None else seed)]
-        elif name == "quotient-orbit" and (p is not None or ks is not None):
-            pp = p if p is not None else 5
-            kk = [int(v) for v in ks.split(",")] if ks else list(range(1, pp))
-            reports = [ex.quotient_orbit_experiment(pp, kk)]
-        else:
-            reports = [ex.DEFAULT_RUNS[name]()]
-    except (ValueError, NotGeneratingError, SyntaxError) as exc:
-        _fail_usage(str(exc))
-    except ResourceLimitExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
+    reports = [run(**given)] if run else [_run_named(n) for n in sorted(ex.DEFAULT_RUNS)]
     payload = b"".join(render_report(r, fmt) for r in reports)
     _emit(payload, output)
     if not all(r.passed for r in reports):

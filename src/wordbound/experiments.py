@@ -303,7 +303,17 @@ def conjugacy_orbit_growth(G, g, radius, genset=None):
 # -- unboundedness ladders -----------------------------------------------
 
 
-def unbounded_witness_zxzq(q, primes):
+def _generating(G, letters, what):
+    """The symmetric alphabet of ``letters``; NotGeneratingError naming
+    ``what`` unless it certainly generates G."""
+    S = make_symmetric(G, letters)
+    res = generates(G, S)
+    if not res.is_yes:
+        raise NotGeneratingError(f"{what}: {res.reason}")
+    return S
+
+
+def unbounded_witness_zxzq(q=2, primes=(5, 7, 11)):
     """Word length of (0,1) in Z x Z/q under S = {+-(p,1), +-(q+1,0)}."""
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -313,10 +323,7 @@ def unbounded_witness_zxzq(q, primes):
     for p in primes:
         if not _is_prime(p) or p <= q + 1:
             raise ValueError(f"need a prime p > q+1, got {p}")
-        S = make_symmetric(G, [((p,), 1), ((q + 1,), 0)])
-        res = generates(G, S)
-        if not res.is_yes:
-            raise NotGeneratingError(f"S for p={p}: {res.reason}")
+        S = _generating(G, [((p,), 1), ((q + 1,), 0)], f"S for p={p}")
         cert = word_length(G, S, ((0,), 1), cap=p + q + 1)
         expected = p + q + 1
         rows.append({
@@ -339,7 +346,7 @@ def unbounded_witness_zxzq(q, primes):
     )
 
 
-def unbounded_witness_zd(d, x, pairs):
+def unbounded_witness_zd(d=2, x=(1, 0), pairs=((2, 3), (3, 5), (5, 7))):
     """Word length of x in Z^d under the basis {(p,a,0..), (q,b,0..), e3..}."""
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -358,10 +365,7 @@ def unbounded_witness_zd(d, x, pairs):
         basis = [v1, v2] + [
             tuple(1 if i == j else 0 for j in range(d)) for i in range(2, d)
         ]
-        S = make_symmetric(G, basis)
-        res = generates(G, S)
-        if not res.is_yes:
-            raise NotGeneratingError(f"S for (p,q)=({p},{q}): {res.reason}")
+        S = _generating(G, basis, f"S for (p,q)=({p},{q})")
         # basis coordinates are unique, so the exact length is known a priori
         alpha = b * x[0] - q * x[1]
         beta = p * x[1] - a * x[0]
@@ -391,7 +395,7 @@ def unbounded_witness_zd(d, x, pairs):
     )
 
 
-def unbounded_witness_heisenberg(n, pairs):
+def unbounded_witness_heisenberg(n=1, pairs=((2, 3), (3, 5), (5, 7))):
     """Word length of the n-th central power under S = {a^+-p, a^+-q, b^+-1}."""
     if n < 1:
         raise ValueError("central exponent must be >= 1")
@@ -401,11 +405,8 @@ def unbounded_witness_heisenberg(n, pairs):
     for p, q in pairs:
         if gcd(p, q) != 1:
             raise ValueError(f"({p},{q}) must be coprime")
-        S = make_symmetric(G, [(p, 0, 0), (q, 0, 0), (0, 1, 0)])
-        res = generates(G, S)
-        if not res.is_yes:
-            raise NotGeneratingError(
-                f"generation not certified for (p,q)=({p},{q}): {res.reason}")
+        S = _generating(G, [(p, 0, 0), (q, 0, 0), (0, 1, 0)],
+                        f"generation not certified for (p,q)=({p},{q})")
         # commutator decompositions of the target give a safe search cap
         bound = None
         for u in range(1, n + 1):
@@ -429,7 +430,7 @@ def unbounded_witness_heisenberg(n, pairs):
     )
 
 
-def unbounded_witness_dinfty(pairs):
+def unbounded_witness_dinfty(pairs=((2, 3), (3, 5), (5, 7))):
     """Word length of the translation t under S = {s, t^alpha s, t^beta s}."""
     G = gr.DihedralInfinite()
     rows = []
@@ -437,10 +438,7 @@ def unbounded_witness_dinfty(pairs):
     for alpha, beta in pairs:
         if gcd(alpha, beta) != 1:
             raise NotGeneratingError(f"({alpha},{beta}) must be coprime")
-        S = make_symmetric(G, [(0, 1), (alpha, 1), (beta, 1)])
-        res = generates(G, S)
-        if not res.is_yes:
-            raise NotGeneratingError(f"S for ({alpha},{beta}): {res.reason}")
+        S = _generating(G, [(0, 1), (alpha, 1), (beta, 1)], f"S for ({alpha},{beta})")
         cert = word_length(G, S, (1, 0), cap=2 * (abs(alpha) + abs(beta)))
         rows.append({"alpha": alpha, "beta": beta, "length": cert.length})
         lengths.append(cert.length)
@@ -505,11 +503,11 @@ def sample_heisenberg_pair(rng):
     return x, y
 
 
-def heisenberg_center_experiment(count=100, seed=0):
-    """Center certificates for ``count`` seeded generating pairs."""
+def heisenberg_center_experiment(samples=100, seed=0):
+    """Center certificates for ``samples`` seeded generating pairs."""
     rng = random.Random(seed)
     rows = []
-    for i in range(count):
+    for i in range(samples):
         x, y = sample_heisenberg_pair(rng)
         exponent, cert = heisenberg_center_certificate(x, y)
         rows.append({
@@ -521,7 +519,7 @@ def heisenberg_center_experiment(count=100, seed=0):
         })
     return ExperimentReport(
         name="heisenberg-center",
-        params={"count": count},
+        params={"count": samples},
         rows=rows,
         verdicts=[
             Verdict("commutator-is-central-generator",
@@ -617,38 +615,44 @@ def _check_prescription_params(p, u, v, n_bound):
         raise ValueError(f"need v > {3 * n_bound * u}")
 
 
-def prescribe_length_free(k, g, l, u, v):
-    """Alphabet over F_k giving g word length exactly l + 1.
-
-    Letters: g^2 and g^(2l+1) plus u-th and v-th powers of every basis
-    letter.  The returned certificate is the exact meet-in-the-middle search
-    to radius l + 1 (equal to BFS on length); a shorter witness would
-    surface as a certificate length below l + 1.
-    """
-    G = gr.Free(k)
-    G.check(g)
-    if g == ():
-        raise ValueError("element must be nontrivial")
+def _prescribe_length(G, g, l, u, v, n_bound):
+    """Letters g^2 and g^(2l+1) plus u-th and v-th powers of G's standard
+    generators (v must outgrow ``n_bound``), and the exact meet-in-the-middle
+    search for g to radius l + 1: a shorter word would surface as a
+    certificate length below l + 1."""
     if l < 0:
         raise ValueError("target length must be >= 0")
     p = 2 * l + 1
-    _check_prescription_params(p, u, v, _free_syllable_bound(g))
+    _check_prescription_params(p, u, v, n_bound)
+    basis = G.standard_generators()
     letters = [G.power(g, 2), G.power(g, p)]
-    for i in range(1, k + 1):
-        letters.append(G.power((i,), u))
-        letters.append(G.power((i,), v))
+    for b in basis:
+        letters.append(G.power(b, u))
+        letters.append(G.power(b, v))
     S = make_symmetric(G, letters)
+    # b = b^(alpha u + beta v): a word for each basis letter, which free
+    # groups need to certify generation
     witnesses = {}
     _, (alpha, beta) = min_coefficients(u, v, 1)
-    for i in range(1, k + 1):
-        su = S.symbol_of(G.power((i,), u if alpha >= 0 else -u))
-        sv = S.symbol_of(G.power((i,), v if beta >= 0 else -v))
+    for i, b in enumerate(basis, 1):
+        su = S.symbol_of(G.power(b, u if alpha >= 0 else -u))
+        sv = S.symbol_of(G.power(b, v if beta >= 0 else -v))
         witnesses[i] = (su,) * abs(alpha) + (sv,) * abs(beta)
     res = generates(G, S, witnesses=witnesses)
     if not res.is_yes:
         raise NotGeneratingError(f"prescribed alphabet: {res.reason}")
     cert = word_length(G, S, g, cap=l + 1, mode="bidirectional")
     return S, cert
+
+
+def prescribe_length_free(k, g, l, u, v):
+    """Alphabet over F_k giving g word length exactly l + 1, from g^2,
+    g^(2l+1) and prime powers of the basis letters."""
+    G = gr.Free(k)
+    G.check(g)
+    if g == ():
+        raise ValueError("element must be nontrivial")
+    return _prescribe_length(G, g, l, u, v, _free_syllable_bound(g))
 
 
 def prescribe_length_zd(d, g, l, u, v):
@@ -662,39 +666,25 @@ def prescribe_length_zd(d, g, l, u, v):
     G.check(g)
     if g == G.identity():
         raise ValueError("element must be nonzero")
-    if l < 0:
-        raise ValueError("target length must be >= 0")
-    p = 2 * l + 1
-    _check_prescription_params(p, u, v, max(abs(c) for c in g))
-    letters = [G.power(g, 2), G.power(g, p)]
-    for i in range(d):
-        unit = tuple(1 if j == i else 0 for j in range(d))
-        letters.append(G.power(unit, u))
-        letters.append(G.power(unit, v))
-    S = make_symmetric(G, letters)
-    res = generates(G, S)
-    if not res.is_yes:
-        raise NotGeneratingError(f"prescribed alphabet: {res.reason}")
-    cert = word_length(G, S, g, cap=l + 1, mode="bidirectional")
-    return S, cert
+    return _prescribe_length(G, g, l, u, v, max(abs(c) for c in g))
 
 
-DEFAULT_PRESCRIPTION_GRID = [
+DEFAULT_PRESCRIPTION_GRID = (
     (0, 2, 7),
     (1, 5, 17),
     (2, 7, 23),
     (3, 11, 37),
     (4, 11, 37),
     (5, 13, 41),
-]
+)
 
 
-def prescribe_length_experiment(kind, triples=None, k=2, d=2, g=None):
+def prescribe_length_experiment(kind, triples=DEFAULT_PRESCRIPTION_GRID, k=2, d=2, g=None):
     """Run the prescribed-length construction over a (l, u, v) grid.
 
     ``kind`` is "free" or "zd"; defaults prescribe the first basis element.
     """
-    triples = list(triples) if triples is not None else list(DEFAULT_PRESCRIPTION_GRID)
+    triples = list(triples)
     rows = []
     for l, u, v in triples:
         if kind == "free":
@@ -725,15 +715,18 @@ def prescribe_length_experiment(kind, triples=None, k=2, d=2, g=None):
 # -- quotient orbit growth -----------------------------------------------
 
 
-def quotient_orbit_experiment(p, ks):
+def quotient_orbit_experiment(p=5, ks=None):
     """Power maps on the rotation part of the dihedral quotient of order 2p.
 
-    Each k coprime to p induces (rotation, reflection-part) -> (rotation^k,
-    reflection-part); the experiment validates every map exhaustively and
-    measures the orbit of the image of the translation.
+    Each k coprime to p (by default every unit 1..p-1) induces (rotation,
+    reflection-part) -> (rotation^k, reflection-part); the experiment
+    validates every map exhaustively and measures the orbit of the image of
+    the translation.
     """
     if not _is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
+    if ks is None:
+        ks = range(1, p)
     pi = dihedral_mod(p)
     D = pi.target
     rows = []
@@ -942,17 +935,19 @@ CLAIMS = {
     ),
 }
 
+# Each run is its function at its signature's defaults; the CLI's experiment
+# options override those keywords by name.
 DEFAULT_RUNS = {
-    "zxzq": lambda: unbounded_witness_zxzq(2, [5, 7, 11]),
-    "zd": lambda: unbounded_witness_zd(2, (1, 0), [(2, 3), (3, 5), (5, 7)]),
-    "heisenberg": lambda: unbounded_witness_heisenberg(1, [(2, 3), (3, 5), (5, 7)]),
-    "dinfty": lambda: unbounded_witness_dinfty([(2, 3), (3, 5), (5, 7)]),
-    "heisenberg-center": lambda: heisenberg_center_experiment(100, 0),
-    "zxd8": lambda: bound_witness_zxd8(200, 42, 10),
-    "prescribe-free": lambda: prescribe_length_experiment("free"),
-    "prescribe-zd": lambda: prescribe_length_experiment("zd"),
-    "quotient-orbit": lambda: quotient_orbit_experiment(5, [1, 2, 3, 4]),
+    "zxzq": unbounded_witness_zxzq,
+    "zd": unbounded_witness_zd,
+    "heisenberg": unbounded_witness_heisenberg,
+    "dinfty": unbounded_witness_dinfty,
+    "heisenberg-center": heisenberg_center_experiment,
+    "zxd8": bound_witness_zxd8,
+    "prescribe-free": functools.partial(prescribe_length_experiment, "free"),
+    "prescribe-zd": functools.partial(prescribe_length_experiment, "zd"),
+    "quotient-orbit": quotient_orbit_experiment,
     "aut-orbit": aut_orbit_experiment,
     "uniform-length": uniform_length_experiment,
-    "fc-witness": lambda: fc_witness_experiment(4),
+    "fc-witness": fc_witness_experiment,
 }

@@ -72,20 +72,29 @@ class GirthResult:
         return f"> {self.cap}" if self.value is None else str(self.value)
 
 
+def _loop_fault(G, S, path):
+    """Why walking ``path`` from the identity is not a simple loop at the
+    identity: "revisit" or "open"; None when it is one."""
+    seen = set()
+    v = G.identity()
+    for sym in path:
+        if v in seen:
+            return "revisit"
+        seen.add(v)
+        v = G.mul(v, S.element(sym))
+    return None if v == G.identity() else "open"
+
+
 def _validate_witness(G, S, w):
     """Raise RuntimeError unless w is a simple loop at the identity."""
     if not w:
         raise RuntimeError("witness must be nonempty")
     if not is_cyclically_reduced(S, w):
         raise RuntimeError("witness must be cyclically reduced")
-    seen = set()
-    v = G.identity()
-    for sym in w:
-        if v in seen:
-            raise RuntimeError("witness path revisits a vertex")
-        seen.add(v)
-        v = G.mul(v, S.element(sym))
-    if v != G.identity():
+    fault = _loop_fault(G, S, w)
+    if fault == "revisit":
+        raise RuntimeError("witness path revisits a vertex")
+    if fault == "open":
         raise RuntimeError("witness does not evaluate to the identity")
 
 
@@ -102,23 +111,17 @@ def girth(G, S, cap, mem_limit=None):
     radius = (cap + 1) // 2
     B = ball(G, S, radius, mem_limit=mem_limit)
     table = B.table
-
-    def parent_of(v):
-        d, sym = table[v]
-        if sym is None:
-            return None
-        return G.mul(v, S.element(S.inv_symbol(sym)))
-
-    parents = {v: parent_of(v) for v in table}
     best = None  # (length, u, sym, v)
     for u in table:  # insertion order == BFS discovery order: deterministic
-        du = table[u][0]
+        du, u_last = table[u]
         for sym in S.symbols():
             v = G.mul(u, S.element(sym))
             if v not in table:
                 continue
-            if parents[u] == v or parents[v] == u:
-                continue  # BFS tree edge, not a cycle closer
+            # The letters are distinct, so the edge u -sym-> v is a BFS tree
+            # edge iff v was reached by sym or u by sym's inverse.
+            if table[v][1] == sym or u_last == S.inv_symbol(sym):
+                continue
             total = du + table[v][0] + 1
             if best is None or total < best[0]:
                 best = (total, u, sym, v)
@@ -160,13 +163,9 @@ def simple_loop_check(G, S, g, w):
     if not wp:
         return LoopVerdict(ok=False, reason="word is conjugate to the empty word")
     path = wp * n
-    seen = set()
-    v = G.identity()
-    for sym in path:
-        if v in seen:
-            return LoopVerdict(ok=False, reason="path revisits a vertex")
-        seen.add(v)
-        v = G.mul(v, S.element(sym))
-    if v != G.identity():
+    fault = _loop_fault(G, S, path)
+    if fault == "revisit":
+        return LoopVerdict(ok=False, reason="path revisits a vertex")
+    if fault == "open":
         return LoopVerdict(ok=False, reason="path does not close at the identity")
     return LoopVerdict(ok=True, loop_length=len(path))

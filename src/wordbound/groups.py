@@ -346,6 +346,7 @@ class DihedralFinite(Group):
             isinstance(g, tuple)
             and len(g) == 2
             and isinstance(g[0], int)
+            and isinstance(g[1], int)
             and g[1] in (0, 1)
             and 0 <= g[0] < self.n
         )
@@ -404,6 +405,7 @@ class DihedralInfinite(Group):
             isinstance(g, tuple)
             and len(g) == 2
             and isinstance(g[0], int)
+            and isinstance(g[1], int)
             and g[1] in (0, 1)
         )
 

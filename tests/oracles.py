@@ -46,6 +46,7 @@ def _dihedral_contains(g):
         isinstance(g, tuple)
         and len(g) == 2
         and isinstance(g[0], int)
+        and isinstance(g[1], int)
         and g[1] in (0, 1)
     )
 

@@ -1,6 +1,7 @@
 """CLI: grammar, exit codes, deterministic report bytes."""
 
 import hashlib
+import inspect
 import json
 import random
 import time
@@ -9,8 +10,16 @@ import tracemalloc
 import pytest
 from click.testing import CliRunner
 
+from wordbound import experiments as ex
 from wordbound import groups as gr
-from wordbound.cli import _LETTER_BYTES, main, parse_element, parse_genset, parse_group
+from wordbound.cli import (
+    _LETTER_BYTES,
+    experiment,
+    main,
+    parse_element,
+    parse_genset,
+    parse_group,
+)
 
 
 @pytest.fixture
@@ -293,3 +302,51 @@ def test_experiment_pairs_option(runner):
     lines = result.output.splitlines()
     assert lines[0] == "alpha,beta,length"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("args, named", [
+    (["zd", "--q", "9"], "--q"),
+    (["fc-witness", "--seed", "5"], "--seed"),
+    (["all", "--seed", "3"], "--seed"),
+    (["zxd8", "--samples", "0"], "--samples"),
+    (["zxzq", "--primes", "5,x"], "--primes"),
+])
+def test_experiment_option_misuse_is_usage_error(runner, args, named):
+    """An option the named run does not take, any option with 'all', and a
+    sample count below 1 exit 2 with a message, never a traceback."""
+    result = runner.invoke(main, ["experiment", *args])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert named in result.output
+
+
+def test_experiment_samples_without_seed(runner):
+    result = runner.invoke(main, [
+        "experiment", "heisenberg-center", "--samples", "3", "--format", "json"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert len(doc["rows"]) == 3
+    assert doc["params"]["count"] == 3
+    assert doc["seed"] == 0
+
+
+def test_experiment_quotient_orbit_defaults_to_every_unit(runner):
+    result = runner.invoke(main, ["experiment", "quotient-orbit", "--p", "7", "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["params"]["ks"] == [1, 2, 3, 4, 5, 6]
+
+
+def test_every_experiment_option_reaches_a_run():
+    """Every DEFAULT_RUNS entry can be called with no arguments, and every
+    experiment option of the CLI is a keyword of at least one entry, so no
+    option is dead."""
+    keywords = set()
+    for run in ex.DEFAULT_RUNS.values():
+        signature = inspect.signature(run)
+        signature.bind()
+        keywords |= set(signature.parameters)
+    fixed = {name for name, param in inspect.signature(experiment.callback).parameters.items()
+             if param.kind is not param.VAR_KEYWORD}
+    options = {param.name for param in experiment.params} - fixed
+    assert options
+    assert options <= keywords

@@ -275,6 +275,18 @@ def test_product_law_rejects_foreign_operands():
             P.inv(bad)
 
 
+@pytest.mark.parametrize("G", [DihedralFinite(4), DihedralInfinite()], ids=str)
+def test_dihedral_reflection_slot_takes_only_integers(G):
+    """0.0 == 0 and 1.0 == 1, but neither is an integer: the law refuses
+    them with DomainError rather than failing inside the arithmetic."""
+    for bad in [(1, 1.0), (1, 0.0)]:
+        assert not G.contains(bad)
+        with pytest.raises(DomainError):
+            G.mul(bad, bad)
+        with pytest.raises(DomainError):
+            G.inv(bad)
+
+
 def test_cayley_table_validation():
     CayleyTableGroup.from_json(Z3_TABLE)
     with pytest.raises(ValueError, match="identity"):
