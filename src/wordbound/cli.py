@@ -127,11 +127,20 @@ def _flat(value):
     return tuple(value) if isinstance(value, (tuple, list)) else (value,)
 
 
+def _literal(text):
+    """``ast.literal_eval``, raising its ``TypeError`` (a set or dict key
+    holding a list) as a ``ValueError``, a usage error."""
+    try:
+        return ast.literal_eval(text)
+    except TypeError as exc:
+        raise ValueError(f"malformed literal {text!r}: {exc}") from exc
+
+
 def parse_element(G, text):
     """Parse an element: flat integer tuple (or scalar) or a free word."""
     if isinstance(G, gr.Free):
         return parse_free_words(G, [text])[0]
-    return gr.element_from_flat(G, _flat(ast.literal_eval(text)))
+    return gr.element_from_flat(G, _flat(_literal(text)))
 
 
 def parse_genset(G, text):
@@ -143,7 +152,7 @@ def parse_genset(G, text):
         # make_symmetric adds each word's inverse, so charge two copies.
         elems = parse_free_words(G, [p for p in body.split(",") if p.strip()], copies=2)
     else:
-        value = ast.literal_eval(text)
+        value = _literal(text)
         if not isinstance(value, (list, tuple)):
             raise ValueError("genset must be a list")
         elems = [gr.element_from_flat(G, _flat(item)) for item in value]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import groups as gr
 from .errors import NotGeneratingError, UnsupportedFamilyError
-from .gensets import dihedral_mod, generates, make_symmetric
+from .gensets import GenSet, dihedral_mod, generates, make_symmetric
 from .metric import ball, word_length
 from .reports import ExperimentReport, Verdict
 
@@ -188,7 +188,13 @@ def symmetric_generating_subsets(G):
     """Every symmetric generating subset of G minus the identity, as a GenSet.
 
     Deterministic order: inverse-pair classes in enumeration order, subsets
-    by increasing bitmask.
+    by increasing bitmask.  The subgroup of mask m is the join of the
+    subgroup of m without its top class and that class (P. Hall's lattice
+    view), so ``closure`` runs once per distinct (subgroup, class) pair,
+    cached for the call: D16's 4095 masks need 111 closures.  A generating
+    mask's letters are its classes in order, each inverse right after its
+    letter, which is what ``make_symmetric`` returns for them; the group
+    enumerated them, so they are not checked again.
     """
     if not G.is_finite:
         raise UnsupportedFamilyError("need a finite group")
@@ -202,12 +208,24 @@ def symmetric_generating_subsets(G):
         xi = G.inv(x)
         seen.add(xi)
         classes.append((x,) if xi == x else (x, xi))
+    subgroups = [frozenset((e,))]  # subgroups[m]: generated by the classes of mask m
+    joins = {}
     for mask in range(1, 1 << len(classes)):
-        chosen = [
-            x for i, cls in enumerate(classes) if mask >> i & 1 for x in cls
-        ]
-        if len(gr.closure(G, chosen)) == G.size:
-            yield make_symmetric(G, chosen)
+        top = mask.bit_length() - 1
+        key = (subgroups[mask ^ (1 << top)], top)
+        J = joins.get(key)
+        if J is None:
+            J = joins[key] = frozenset(gr.closure(G, [*key[0], *classes[top]]))
+        subgroups.append(J)
+        if len(J) == G.size:
+            letters = []
+            involution = []
+            for i, cls in enumerate(classes):
+                if mask >> i & 1:
+                    a = len(letters)
+                    letters += cls
+                    involution += (a,) if len(cls) == 1 else (a + 1, a)
+            yield GenSet(group=G, letters=tuple(letters), involution=tuple(involution))
 
 
 def uniform_length_table(G, cap=16):

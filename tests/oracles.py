@@ -183,3 +183,26 @@ def sample_zxd8_genset_reference(rng, radius=10, max_attempts=500):
         if generates(G, S).is_yes:
             return S
     raise NotGeneratingError(f"no generating set within {max_attempts} attempts")
+
+
+def symmetric_generating_subsets_reference(G):
+    """The generating-set enumeration as first written: one ``closure`` and
+    one ``make_symmetric`` per inverse-pair mask.
+    ``experiments.symmetric_generating_subsets`` must yield equal GenSets in
+    the same order."""
+    e = G.identity()
+    classes = []
+    seen = set()
+    for x in G.elements():
+        if x == e or x in seen:
+            continue
+        seen.add(x)
+        xi = G.inv(x)
+        seen.add(xi)
+        classes.append((x,) if xi == x else (x, xi))
+    for mask in range(1, 1 << len(classes)):
+        chosen = [
+            x for i, cls in enumerate(classes) if mask >> i & 1 for x in cls
+        ]
+        if len(gr.closure(G, chosen)) == G.size:
+            yield make_symmetric(G, chosen)

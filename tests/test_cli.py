@@ -137,6 +137,17 @@ def test_length_usage_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("genset, element", [("[1]", "{[]}"), ("{[]}", "(1,)")])
+def test_unhashable_literal_is_usage_error(runner, genset, element):
+    """literal_eval raises TypeError for a set holding a list; the CLI exits
+    2 with a message, not a traceback."""
+    result = runner.invoke(main, [
+        "length", "--group", "Z", "--genset", genset, "--element", element, "--cap", "3"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "unhashable" in result.output
+
+
 @pytest.mark.parametrize("args", [
     ["girth", "--group", "Z", "--genset", "[2,3]", "--cap", "1"],
     ["length", "--group", "Z", "--genset", "[2,3]", "--element", "(1,)",

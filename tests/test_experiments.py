@@ -5,7 +5,11 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 import pytest
-from oracles import aut_by_bijections, sample_zxd8_genset_reference
+from oracles import (
+    aut_by_bijections,
+    sample_zxd8_genset_reference,
+    symmetric_generating_subsets_reference,
+)
 
 from wordbound import experiments as ex
 from wordbound import groups as gr
@@ -153,6 +157,61 @@ def test_uniform_length_cap():
         ex.uniform_length_table(gr.DihedralFinite(10))
     with pytest.raises(UnsupportedFamilyError):
         ex.uniform_length_table(gr.IntVector(1))
+
+
+def _quaternion_table():
+    """Q8 as a CayleyTableGroup, from unit quaternions as integer 4-tuples."""
+    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    elems = units + [tuple(-c for c in u) for u in units]
+    index = {x: i for i, x in enumerate(elems)}
+
+    def qmul(p, q):
+        a, b, c, d = p
+        w, x, y, z = q
+        return (a * w - b * x - c * y - d * z, a * x + b * w + c * z - d * y,
+                a * y - b * z + c * w + d * x, a * z + b * y - c * x + d * w)
+
+    return gr.CayleyTableGroup(
+        names=("1", "i", "j", "k", "-1", "-i", "-j", "-k"),
+        table=tuple(tuple(index[qmul(p, q)] for q in elems) for p in elems),
+    )
+
+
+C2, C4, C6 = gr.FiniteCyclic(2), gr.FiniteCyclic(4), gr.FiniteCyclic(6)
+ENUMERATION_GROUPS = [
+    gr.DihedralFinite(4), gr.DihedralFinite(5), gr.DihedralFinite(6), gr.DihedralFinite(8),
+    gr.Product(C2, C4), gr.Product(C2, C6), gr.Product(gr.Product(C2, C2), C2),
+    _quaternion_table(),
+]
+
+
+@pytest.mark.parametrize("G", ENUMERATION_GROUPS, ids=str)
+def test_generating_subsets_match_reference(G):
+    """Same GenSets (letters, involution, order) as one closure per mask."""
+    assert list(ex.symmetric_generating_subsets(G)) == list(symmetric_generating_subsets_reference(G))
+
+
+@pytest.mark.parametrize("G", ENUMERATION_GROUPS, ids=str)
+def test_uniform_length_table_matches_reference(G, monkeypatch):
+    table = ex.uniform_length_table(G)
+    monkeypatch.setattr(ex, "symmetric_generating_subsets", symmetric_generating_subsets_reference)
+    assert table == ex.uniform_length_table(G)
+
+
+def test_generating_subsets_run_one_closure_per_join(monkeypatch):
+    """D16 has 12 inverse-pair classes (4095 masks) and 19 subgroups; its
+    masks reach 111 distinct (subgroup, top class) joins, one closure each."""
+    calls = []
+    closure = gr.closure
+
+    def counted(G, elements):
+        calls.append(1)
+        return closure(G, elements)
+
+    monkeypatch.setattr(gr, "closure", counted)
+    subsets = list(ex.symmetric_generating_subsets(gr.DihedralFinite(8)))
+    assert len(subsets) == 3960
+    assert len(calls) == 111
 
 
 def test_symmetric_generating_subsets_d8():
