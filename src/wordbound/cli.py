@@ -127,9 +127,16 @@ def _flat(value):
     return tuple(value) if isinstance(value, (tuple, list)) else (value,)
 
 
+# Two unary operators in a row, across whitespace, line joins and comments:
+# literal_eval never accepts them, but a long run overflows its parser.
+_UNARY_RUN = re.compile(r"(?:[-+~]|\bnot\b)(?:\s|\\|#[^\n]*\n)*(?:[-+~]|\bnot\b)")
+
+
 def _literal(text):
-    """``ast.literal_eval``, raising its ``TypeError`` (a set or dict key
-    holding a list) as a ``ValueError``, a usage error."""
+    """``ast.literal_eval``, raising a run of unary operators and its
+    ``TypeError`` (a set or dict key holding a list) as a ``ValueError``."""
+    if run := _UNARY_RUN.search(text):
+        raise ValueError(f"malformed literal: unary operators in a row at offset {run.start()}")
     try:
         return ast.literal_eval(text)
     except TypeError as exc:

@@ -25,6 +25,13 @@ from .reports import ExperimentReport, Verdict
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+# Fixed sizes of the experiments; the caps bound exhaustive work.
+AUT_GROUP_CAP = 24  # elements of a group aut_group enumerates
+UNIFORM_LENGTH_CAP = 16  # elements of a group in the exhaustive uniform table
+QUOTIENT_ORBIT_MAX_P = 257  # p of quotient_orbit_experiment: p - 1 maps of 2p entries
+ZXD8_MAX_ATTEMPTS = 500  # draws of sample_zxd8_genset before it gives up
+PRESCRIBE_RANK = 2  # rank of F_k and Z^d in prescribe_length_experiment
+
 
 # -- small number-theory helpers -----------------------------------------
 
@@ -95,6 +102,18 @@ def _strictly_increasing(xs):
 # -- automorphisms of small finite groups --------------------------------
 
 
+def _generating_sequence(G, elems):
+    """G's greedy generating sequence: each of ``elems``, in order, that the
+    ones kept before it do not generate."""
+    gens = []
+    cl = {G.identity()}
+    for x in elems:
+        if x not in cl:
+            gens.append(x)
+            cl = gr.closure(G, gens)
+    return gens
+
+
 @dataclass
 class Automorphism:
     """A validated automorphism of a finite group, as an element mapping."""
@@ -104,49 +123,51 @@ class Automorphism:
 
     @classmethod
     def build(cls, G, mapping):
-        """Validate bijectivity and multiplicativity on all pairs."""
+        """Validate a bijection phi of G with phi(xs) = phi(x)phi(s) for every
+        x in G and s in G's greedy generating sequence S: |G|*|S| products.
+
+        That suffices: phi(s) = phi(e)phi(s) gives phi(e) = e, and every y is
+        a positive word s_1...s_n in S (s^-1 = s^(ord s - 1) in a finite
+        group), so by induction on n, phi(xy) = phi(x s_1...s_(n-1))phi(s_n)
+        = phi(x)phi(s_1...s_(n-1))phi(s_n) = phi(x)phi(y).
+        """
         elems = list(G.elements())
+        return cls._checked(G, mapping, elems, _generating_sequence(G, elems))
+
+    @classmethod
+    def _checked(cls, G, mapping, elems, gens):
         if set(mapping) != set(elems) or set(mapping.values()) != set(elems):
             raise ValueError("mapping is not a bijection of the group")
         # Equal is not identical (1.0 == 1): check each image once, then
-        # multiply unchecked.
+        # multiply unchecked, and store G's own elements as the keys.
         for y in mapping.values():
             G.check(y)
         mul = G._mul
-        for a in elems:
-            for b in elems:
-                if mapping[mul(a, b)] != mul(mapping[a], mapping[b]):
-                    raise ValueError(f"mapping is not multiplicative at {a!r}, {b!r}")
-        return cls(group=G, mapping=dict(mapping))
+        for s in gens:
+            image = mapping[s]
+            for x in elems:
+                if mapping[mul(x, s)] != mul(mapping[x], image):
+                    raise ValueError(f"mapping is not multiplicative at {x!r}, {s!r}")
+        return cls(group=G, mapping={x: mapping[x] for x in elems})
 
     def apply(self, g):
         return self.mapping[g]
 
 
-def aut_group(G, cap=24):
-    """All automorphisms of a finite group of at most ``cap`` elements.
+def aut_group(G):
+    """All automorphisms of a finite group of at most ``AUT_GROUP_CAP`` elements.
 
-    Tries every image of a greedy generating sequence that keeps each
-    generator's order; every returned map is validated on all pairs.
+    Tries every image of the greedy generating sequence that keeps each
+    generator's order; :meth:`Automorphism.build` checks each on it.
     """
     size = G.size
     if size is None:
         raise UnsupportedFamilyError("automorphism enumeration needs a finite group")
-    if size > cap:
-        raise UnsupportedFamilyError(f"group of size {size} exceeds the cap {cap}")
+    if size > AUT_GROUP_CAP:
+        raise UnsupportedFamilyError(f"group of size {size} exceeds the cap {AUT_GROUP_CAP}")
     elems = list(G.elements())
     e = G.identity()
-    # greedy generating sequence in enumeration order
-    gens = []
-    cl = {e}
-    for x in elems:
-        if len(cl) == size:
-            break
-        if x not in cl:
-            gens.append(x)
-            cl = gr.closure(G, gens)
-    if not gens:  # trivial group
-        return [Automorphism.build(G, {e: e})]
+    gens = _generating_sequence(G, elems)
     # discovery schedule: every element as parent * generator.  Not
     # metric._expand: gens is not symmetric and each step keeps its parent.
     mul = G._mul  # gens and the candidate images are enumerated elements
@@ -172,10 +193,8 @@ def aut_group(G, cap=24):
         phi = {e: e}
         for h, parent, gi in schedule:
             phi[h] = mul(phi[parent], images[gi])
-        if len(set(phi.values())) != size:
-            continue
         try:
-            autos.append(Automorphism.build(G, phi))
+            autos.append(Automorphism._checked(G, phi, elems, gens))
         except ValueError:
             continue
     return autos
@@ -228,13 +247,14 @@ def symmetric_generating_subsets(G):
             yield GenSet(group=G, letters=tuple(letters), involution=tuple(involution))
 
 
-def uniform_length_table(G, cap=16):
+def uniform_length_table(G):
     """For every element, the max word length over ALL generating sets.
 
     Returns an ordered dict element -> (max length, first argmax GenSet).
     """
-    if not G.is_finite or G.size > cap:
-        raise UnsupportedFamilyError(f"exhaustive enumeration is capped at {cap} elements")
+    if not G.is_finite or G.size > UNIFORM_LENGTH_CAP:
+        raise UnsupportedFamilyError(
+            f"exhaustive enumeration is capped at {UNIFORM_LENGTH_CAP} elements")
     table = {g: (0, None) for g in G.elements()}
     found_any = False
     for S in symmetric_generating_subsets(G):
@@ -249,10 +269,10 @@ def uniform_length_table(G, cap=16):
     return table
 
 
-def uniform_length_exact(G, g, cap=16):
+def uniform_length_exact(G, g):
     """(max length of g over all generating sets, a witnessing GenSet)."""
     G.check(g)
-    return uniform_length_table(G, cap=cap)[g]
+    return uniform_length_table(G)[g]
 
 
 # -- orbit and conjugacy checks ------------------------------------------
@@ -301,10 +321,10 @@ def _aut_orbit_bound(G, g, S, table, autos):
     )
 
 
-def conjugacy_orbit_growth(G, g, radius, genset=None):
+def conjugacy_orbit_growth(G, g, radius):
     """(r, number of distinct conjugates x g x^-1 with x in B(r)) for r=1..radius."""
     G.check(g)
-    S = genset or make_symmetric(G, G.standard_generators())
+    S = make_symmetric(G, G.standard_generators())
     B = ball(G, S, radius)
     conjugates = {g}
     counts = []
@@ -561,22 +581,22 @@ def _zxd8_pool(radius):
     return tuple(g for g in pool if g != e)
 
 
-def sample_zxd8_genset(rng, radius=10, max_attempts=500):
+def sample_zxd8_genset(rng, radius=10):
     """A generating alphabet of Z x D8, rejection sampled from 2 to 4
     elements with translation part bounded by ``radius``; sets whose
     generation certificate is not a definite yes are discarded."""
     G = _ZXD8
     pool = _zxd8_pool(radius)
-    for _ in range(max_attempts):
+    for _ in range(ZXD8_MAX_ATTEMPTS):
         chosen = rng.sample(pool, rng.randint(2, 4))
         S = make_symmetric(G, chosen)
         if generates(G, S).is_yes:
             return S
     raise NotGeneratingError(
-        f"sampler found no generating set within {max_attempts} attempts")
+        f"sampler found no generating set within {ZXD8_MAX_ATTEMPTS} attempts")
 
 
-def bound_witness_zxd8(samples=200, seed=42, radius=10, max_attempts=500):
+def bound_witness_zxd8(samples=200, seed=42, radius=10):
     """Sampled generating sets of Z x D8 all place (0, z) within radius 4.
 
     z is the central rotation of order 2; the alphabets come from
@@ -587,7 +607,7 @@ def bound_witness_zxd8(samples=200, seed=42, radius=10, max_attempts=500):
     rng = random.Random(seed)
     rows = []
     for i in range(samples):
-        S = sample_zxd8_genset(rng, radius, max_attempts)
+        S = sample_zxd8_genset(rng, radius)
         cert = word_length(G, S, target, cap=4, mode="bidirectional")
         rows.append({
             "sample": i,
@@ -697,20 +717,19 @@ DEFAULT_PRESCRIPTION_GRID = (
 )
 
 
-def prescribe_length_experiment(kind, triples=DEFAULT_PRESCRIPTION_GRID, k=2, d=2, g=None):
+def prescribe_length_experiment(kind, triples=DEFAULT_PRESCRIPTION_GRID):
     """Run the prescribed-length construction over a (l, u, v) grid.
 
-    ``kind`` is "free" or "zd"; defaults prescribe the first basis element.
+    ``kind`` is "free" or "zd"; the target is the first basis element of
+    F_k or Z^d, of rank ``PRESCRIBE_RANK``.
     """
     triples = list(triples)
     rows = []
     for l, u, v in triples:
         if kind == "free":
-            target = g if g is not None else (1,)
-            _, cert = prescribe_length_free(k, target, l, u, v)
+            _, cert = prescribe_length_free(PRESCRIBE_RANK, (1,), l, u, v)
         elif kind == "zd":
-            target = g if g is not None else (1,) + (0,) * (d - 1)
-            _, cert = prescribe_length_zd(d, target, l, u, v)
+            _, cert = prescribe_length_zd(PRESCRIBE_RANK, (1,) + (0,) * (PRESCRIBE_RANK - 1), l, u, v)
         else:
             raise ValueError(f"unknown kind {kind!r}")
         rows.append({
@@ -721,7 +740,7 @@ def prescribe_length_experiment(kind, triples=DEFAULT_PRESCRIPTION_GRID, k=2, d=
         })
     return ExperimentReport(
         name=f"prescribe-{kind}",
-        params={"kind": kind, "rank": k if kind == "free" else d,
+        params={"kind": kind, "rank": PRESCRIBE_RANK,
                 "triples": [list(t) for t in triples]},
         rows=rows,
         verdicts=[
@@ -738,9 +757,12 @@ def quotient_orbit_experiment(p=5, ks=None):
 
     Each k coprime to p (by default every unit 1..p-1) induces (rotation,
     reflection-part) -> (rotation^k, reflection-part); the experiment
-    validates every map exhaustively and measures the orbit of the image of
-    the translation.
+    validates each distinct map with :meth:`Automorphism.build` and measures
+    the orbit of the image of the translation.  Time and memory grow as p^2,
+    so p above ``QUOTIENT_ORBIT_MAX_P`` is refused before anything is built.
     """
+    if p > QUOTIENT_ORBIT_MAX_P:
+        raise UnsupportedFamilyError(f"p = {p} exceeds the bound {QUOTIENT_ORBIT_MAX_P}")
     if not _is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     if ks is None:
@@ -748,22 +770,22 @@ def quotient_orbit_experiment(p=5, ks=None):
     pi = dihedral_mod(p)
     D = pi.target
     rows = []
-    maps = []
+    maps = {}  # k mod p -> its automorphism
     for k in ks:
         if gcd(k, p) != 1:
             raise ValueError(f"{k} is not a unit modulo {p}")
-        mapping = {(m, e2): ((k * m) % p, e2) for m, e2 in D.elements()}
-        A = Automorphism.build(D, mapping)  # exhaustive pair check
-        maps.append(A)
+        if k % p not in maps:
+            mapping = {(m, e2): ((k * m) % p, e2) for m, e2 in D.elements()}
+            maps[k % p] = Automorphism.build(D, mapping)
         rows.append({"k": k, "automorphism": True})
     start = pi.apply((1, 0))
     orbit = {start}
     while True:
-        grown = {A.apply(g) for A in maps for g in orbit} | orbit
+        grown = {A.apply(g) for A in maps.values() for g in orbit} | orbit
         if grown == orbit:
             break
         orbit = grown
-    verdicts = [Verdict("maps-are-automorphisms", True, f"validated {len(maps)} maps")]
+    verdicts = [Verdict("maps-are-automorphisms", True, f"validated {len(rows)} maps")]
     full_units = set(k % p for k in ks) == set(range(1, p))
     if full_units:
         verdicts.append(Verdict(

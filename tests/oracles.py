@@ -151,6 +151,21 @@ def girth_reference(G, S, cap):
     return GirthResult(value=None, cap=cap)
 
 
+def is_automorphism_reference(G, mapping):
+    """Whether ``mapping`` is a bijection of the finite group G onto itself
+    with phi(ab) = phi(a)phi(b) on all |G|^2 pairs.
+    ``experiments.Automorphism.build`` checks generators only and must
+    accept exactly these maps."""
+    elems = list(G.elements())
+    if set(mapping) != set(elems) or set(mapping.values()) != set(elems):
+        return False
+    return all(
+        mapping[G.mul(a, b)] == G.mul(mapping[a], mapping[b])
+        for a in elems
+        for b in elems
+    )
+
+
 def aut_by_bijections(G):
     """Every automorphism of a tiny finite group, by filtering all
     bijections that fix the identity."""
@@ -161,11 +176,7 @@ def aut_by_bijections(G):
     for perm in itertools.permutations(rest):
         mapping = {e: e}
         mapping.update(zip(rest, perm))
-        if all(
-            mapping[G.mul(a, b)] == G.mul(mapping[a], mapping[b])
-            for a in elems
-            for b in elems
-        ):
+        if is_automorphism_reference(G, mapping):
             autos.append(Automorphism.build(G, mapping))
     return autos
 

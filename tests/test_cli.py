@@ -148,6 +148,31 @@ def test_unhashable_literal_is_usage_error(runner, genset, element):
     assert "unhashable" in result.output
 
 
+UNARY_RUNS = {
+    "minus": "-" * 10000 + "1",
+    "spaced-minus": "- " * 10000 + "1",
+    "tilde": "~" * 10000 + "1",
+    "not": "not " * 3000 + "1",
+    "commented-minus": "(" + "-#c\n" * 10000 + "1)",
+}
+
+
+@pytest.mark.parametrize("where", ["element", "genset"])
+@pytest.mark.parametrize("chain", UNARY_RUNS.values(), ids=UNARY_RUNS.keys())
+def test_unary_operator_run_is_usage_error(runner, chain, where):
+    """literal_eval never accepts two unary operators in a row, and a long
+    run overflows its parser (MemoryError, RecursionError); the CLI refuses
+    the run before parsing, in --element and inside a --genset list."""
+    genset, element = ("[1]", chain) if where == "element" else (f"[{chain}]", "(1,)")
+    result = runner.invoke(main, [
+        "length", "--group", "Z", "--genset", genset, "--element", element, "--cap", "3"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: malformed literal")
+
+
 @pytest.mark.parametrize("args", [
     ["girth", "--group", "Z", "--genset", "[2,3]", "--cap", "1"],
     ["length", "--group", "Z", "--genset", "[2,3]", "--element", "(1,)",
@@ -339,6 +364,18 @@ def test_experiment_samples_without_seed(runner):
     assert len(doc["rows"]) == 3
     assert doc["params"]["count"] == 3
     assert doc["seed"] == 0
+
+
+@pytest.mark.parametrize("p", [ex.QUOTIENT_ORBIT_MAX_P + 1, 1009, 1000000000000000009])
+def test_quotient_orbit_above_the_bound_is_usage_error(runner, p):
+    """p is refused before the primality test (trial division would take
+    hours at 10^18 + 9) and before any map is built."""
+    start = time.perf_counter()
+    result = runner.invoke(main, ["experiment", "quotient-orbit", "--p", str(p)])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert result.output == (
+        f"error: p = {p} exceeds the bound {ex.QUOTIENT_ORBIT_MAX_P}\n")
 
 
 def test_experiment_quotient_orbit_defaults_to_every_unit(runner):

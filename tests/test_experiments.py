@@ -1,5 +1,6 @@
 """Experiment layer: reports, automorphisms, uniform lengths, golden files."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import ceil, floor, gcd
@@ -7,6 +8,7 @@ from math import ceil, floor, gcd
 import pytest
 from oracles import (
     aut_by_bijections,
+    is_automorphism_reference,
     sample_zxd8_genset_reference,
     symmetric_generating_subsets_reference,
 )
@@ -99,7 +101,8 @@ def test_aut_group_sizes():
 
 
 def test_aut_group_methods_agree():
-    for G in [gr.FiniteCyclic(5), gr.DihedralFinite(3)]:
+    klein = gr.Product(gr.FiniteCyclic(2), gr.FiniteCyclic(2))
+    for G in [gr.FiniteCyclic(5), gr.DihedralFinite(3), klein, gr.DihedralFinite(4)]:
         search = ex.aut_group(G)
         brute = aut_by_bijections(G)
         assert {tuple(sorted(A.mapping.items())) for A in search} == {
@@ -129,6 +132,13 @@ def test_automorphism_build_rejects_bad_maps():
     D = gr.DihedralFinite(4)
     with pytest.raises(DomainError):
         ex.Automorphism.build(D, {g: (g[0] * 1.0, g[1]) for g in D.elements()})
+
+
+def test_automorphism_build_keys_by_the_group_elements():
+    """A key equal to an element but not one (1.0 == 1) names the same point;
+    the stored mapping is keyed by G's own elements, so no float reaches it."""
+    A = ex.Automorphism.build(gr.FiniteCyclic(5), {0: 0, 1.0: 1, 2: 2, 3: 3, 4: 4})
+    assert [type(x) for x in A.mapping] == [int] * 5
 
 
 # -- uniform lengths -----------------------------------------------------
@@ -196,6 +206,46 @@ def test_uniform_length_table_matches_reference(G, monkeypatch):
     table = ex.uniform_length_table(G)
     monkeypatch.setattr(ex, "symmetric_generating_subsets", symmetric_generating_subsets_reference)
     assert table == ex.uniform_length_table(G)
+
+
+def _builds(G, mapping):
+    try:
+        ex.Automorphism.build(G, mapping)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("G", ENUMERATION_GROUPS, ids=str)
+def test_generator_check_matches_all_pairs_oracle(G):
+    """Automorphism.build, which checks generators, agrees with the all-pairs
+    oracle on every automorphism and on seeded near-automorphisms: an
+    automorphism followed by one transposition, which the identity may be in."""
+    rng = random.Random(20)
+    elems = list(G.elements())
+    verdicts = []
+    for A in ex.aut_group(G):
+        assert is_automorphism_reference(G, A.mapping)
+        for _ in range(5):
+            a, b = rng.sample(elems, 2)
+            swap = {a: b, b: a}
+            near = {x: swap.get(y, y) for x, y in A.mapping.items()}
+            verdict = is_automorphism_reference(G, near)
+            assert _builds(G, near) == verdict
+            verdicts.append(verdict)
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("G", [gr.DihedralFinite(4), gr.Product(C2, C4)], ids=str)
+def test_generator_check_matches_all_pairs_oracle_on_every_bijection(G):
+    """Every bijection fixing the identity, 5040 for a group of order 8.
+    Near misses here pass a check on every other x, or (in Z/2 x Z/4) on
+    all but the last generator, and are still refused."""
+    e = G.identity()
+    rest = [x for x in G.elements() if x != e]
+    for perm in itertools.permutations(rest):
+        mapping = {e: e, **dict(zip(rest, perm))}
+        assert _builds(G, mapping) == is_automorphism_reference(G, mapping)
 
 
 def test_generating_subsets_run_one_closure_per_join(monkeypatch):
