@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import ast
 import inspect
+import io
 import re
 import sys
+import tokenize
 from itertools import chain, repeat
 
 import click
@@ -127,16 +129,63 @@ def _flat(value):
     return tuple(value) if isinstance(value, (tuple, list)) else (value,)
 
 
-# Two unary operators in a row, across whitespace, line joins and comments:
-# literal_eval never accepts them, but a long run overflows its parser.
-_UNARY_RUN = re.compile(r"(?:[-+~]|\bnot\b)(?:\s|\\|#[^\n]*\n)*(?:[-+~]|\bnot\b)")
+# ast.literal_eval accepts no name but these, no other operator, no call but
+# set(), no subscript, no two signs in a row and at most two signs in one
+# operand (-1-2j), yet its parser overflows on long runs of what it refuses
+# and on deep nesting: _literal refuses them token by token first.
+LITERAL_MAX_DEPTH = 100  # bracket nesting; the parser runs out of memory at 200
+_LITERAL_NAMES = frozenset({"True", "False", "None", "set"})
+_LITERAL_OPS = frozenset({"(", "[", "{", ")", "]", "}", ",", ":", "+", "-", "..."})
+_LAYOUT = frozenset({tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+                     tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER})
+
+
+def _literal_fault(tok, prev, operand, signs):
+    """Why ``tok`` cannot continue a literal, or None.  ``prev`` is the
+    previous token's text, ``operand`` whether it ends an operand and
+    ``signs`` the + and - counts of the operand in each open bracket."""
+    kind, text = tok.type, tok.string
+    if (kind == tokenize.ERRORTOKEN or kind == tokenize.NAME and text not in _LITERAL_NAMES
+            or kind == tokenize.OP and text not in _LITERAL_OPS):
+        return f"unexpected {text[:20]!r}"
+    if text in ("(", "[", "{"):
+        if operand and prev != "set":
+            return "a call or subscript"
+        if len(signs) > LITERAL_MAX_DEPTH:
+            return f"brackets nested deeper than {LITERAL_MAX_DEPTH}"
+        signs.append(0)
+    elif text in (")", "]", "}"):
+        if len(signs) > 1:
+            signs.pop()
+    elif text in (",", ":"):
+        signs[-1] = 0
+    elif text in ("+", "-"):
+        if prev in ("+", "-"):
+            return "signs in a row"
+        signs[-1] += 1
+        if signs[-1] > 2:
+            return "a chain of + and -"
+    return None
 
 
 def _literal(text):
-    """``ast.literal_eval``, raising a run of unary operators and its
-    ``TypeError`` (a set or dict key holding a list) as a ``ValueError``."""
-    if run := _UNARY_RUN.search(text):
-        raise ValueError(f"malformed literal: unary operators in a row at offset {run.start()}")
+    """``ast.literal_eval``, raising what it never accepts but could overflow
+    on (see ``_literal_fault``) and its ``TypeError`` (a set or dict key
+    holding a list) as a ``ValueError``."""
+    signs = [0]
+    prev, operand = "", False
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type in _LAYOUT:
+                continue
+            fault = _literal_fault(tok, prev, operand, signs)
+            if fault:
+                line, column = tok.start
+                raise ValueError(f"malformed literal: {fault} at line {line}, column {column + 1}")
+            prev = tok.string
+            operand = tok.type != tokenize.OP or prev in (")", "]", "}", "...")
+    except tokenize.TokenError:
+        pass  # unclosed at its end: literal_eval says what is missing
     try:
         return ast.literal_eval(text)
     except TypeError as exc:

@@ -757,9 +757,11 @@ def quotient_orbit_experiment(p=5, ks=None):
 
     Each k coprime to p (by default every unit 1..p-1) induces (rotation,
     reflection-part) -> (rotation^k, reflection-part); the experiment
-    validates each distinct map with :meth:`Automorphism.build` and measures
-    the orbit of the image of the translation.  Time and memory grow as p^2,
-    so p above ``QUOTIENT_ORBIT_MAX_P`` is refused before anything is built.
+    validates each distinct map with :meth:`Automorphism.build`'s check, on
+    one element list and greedy generating sequence of the quotient, and
+    measures the orbit of the image of the translation.  Time and memory
+    grow as p^2, so p above ``QUOTIENT_ORBIT_MAX_P`` is refused before
+    anything is built.
     """
     if p > QUOTIENT_ORBIT_MAX_P:
         raise UnsupportedFamilyError(f"p = {p} exceeds the bound {QUOTIENT_ORBIT_MAX_P}")
@@ -769,14 +771,16 @@ def quotient_orbit_experiment(p=5, ks=None):
         ks = range(1, p)
     pi = dihedral_mod(p)
     D = pi.target
+    elems = list(D.elements())
+    gens = _generating_sequence(D, elems)
     rows = []
     maps = {}  # k mod p -> its automorphism
     for k in ks:
         if gcd(k, p) != 1:
             raise ValueError(f"{k} is not a unit modulo {p}")
         if k % p not in maps:
-            mapping = {(m, e2): ((k * m) % p, e2) for m, e2 in D.elements()}
-            maps[k % p] = Automorphism.build(D, mapping)
+            mapping = {(m, e2): ((k * m) % p, e2) for m, e2 in elems}
+            maps[k % p] = Automorphism._checked(D, mapping, elems, gens)
         rows.append({"k": k, "automorphism": True})
     start = pi.apply((1, 0))
     orbit = {start}

@@ -11,6 +11,33 @@ from wordbound.girth import GirthResult, _validate_witness
 from wordbound.metric import word_length
 
 
+def quaternion_table():
+    """Q8 as a CayleyTableGroup, from unit quaternions as integer 4-tuples."""
+    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    elems = units + [tuple(-c for c in u) for u in units]
+    index = {x: i for i, x in enumerate(elems)}
+
+    def qmul(p, q):
+        a, b, c, d = p
+        w, x, y, z = q
+        return (a * w - b * x - c * y - d * z, a * x + b * w + c * z - d * y,
+                a * y - b * z + c * w + d * x, a * z + b * y - c * x + d * w)
+
+    return gr.CayleyTableGroup(
+        names=("1", "i", "j", "k", "-1", "-i", "-j", "-k"),
+        table=tuple(tuple(index[qmul(p, q)] for q in elems) for p in elems),
+    )
+
+
+_C2, _C4, _C6 = gr.FiniteCyclic(2), gr.FiniteCyclic(4), gr.FiniteCyclic(6)
+# The eight groups of perfbench's finite workload.
+FINITE_GROUPS = [
+    gr.DihedralFinite(4), gr.DihedralFinite(5), gr.DihedralFinite(6), gr.DihedralFinite(8),
+    gr.Product(_C2, _C4), gr.Product(_C2, _C6), gr.Product(gr.Product(_C2, _C2), _C2),
+    quaternion_table(),
+]
+
+
 def random_element(G, rng, size=10):
     """A pseudorandom element with coordinates bounded by ``size``."""
     if isinstance(G, gr.FiniteCyclic):
@@ -105,6 +132,43 @@ def reduce_letters(seq):
 def at_distance(B, r):
     """The elements of a ball at distance exactly ``r``, in table order."""
     return [g for g, (d, _) in B.table.items() if d == r]
+
+
+def ball_full_walk(G, S, radius):
+    """The ball's table by a layer walk that multiplies every node within
+    ``radius`` by every letter, even once it holds all of a finite group:
+    {element: (distance, symbol)} in discovery order.  ``metric.ball``
+    stops early and must build the same dict in the same order."""
+    table = {G.identity(): (0, None)}
+    frontier = [G.identity()]
+    for depth in range(1, radius + 1):
+        layer = []
+        for u in frontier:
+            for sym in S.symbols():
+                v = G.mul(u, S.element(sym))
+                if v not in table:
+                    table[v] = (depth, sym)
+                    layer.append(v)
+        frontier = layer
+    return table
+
+
+def closure_full_walk(G, elements):
+    """The subgroup ``elements`` generate in a finite group, by a walk that
+    runs until its frontier is empty.  ``groups.closure`` stops early and
+    must return the same set."""
+    seen = {G.identity()}
+    frontier = [G.identity()]
+    while frontier:
+        layer = []
+        for g in frontier:
+            for s in elements:
+                h = G.mul(g, s)
+                if h not in seen:
+                    seen.add(h)
+                    layer.append(h)
+        frontier = layer
+    return seen
 
 
 def length_profile(G, labeled_gensets, g, cap, mode="auto"):

@@ -1,5 +1,6 @@
 """CLI: grammar, exit codes, deterministic report bytes."""
 
+import ast
 import hashlib
 import inspect
 import json
@@ -14,6 +15,8 @@ from wordbound import experiments as ex
 from wordbound import groups as gr
 from wordbound.cli import (
     _LETTER_BYTES,
+    LITERAL_MAX_DEPTH,
+    _literal,
     experiment,
     main,
     parse_element,
@@ -163,7 +166,11 @@ def test_unary_operator_run_is_usage_error(runner, chain, where):
     """literal_eval never accepts two unary operators in a row, and a long
     run overflows its parser (MemoryError, RecursionError); the CLI refuses
     the run before parsing, in --element and inside a --genset list."""
-    genset, element = ("[1]", chain) if where == "element" else (f"[{chain}]", "(1,)")
+    _assert_malformed_literal(runner, chain, where)
+
+
+def _assert_malformed_literal(runner, text, where):
+    genset, element = ("[1]", text) if where == "element" else (f"[{text}]", "(1,)")
     result = runner.invoke(main, [
         "length", "--group", "Z", "--genset", genset, "--element", element, "--cap", "3"])
     assert result.exit_code == 2
@@ -171,6 +178,44 @@ def test_unary_operator_run_is_usage_error(runner, chain, where):
     lines = result.output.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: malformed literal")
+
+
+DEEP_LITERALS = {
+    "nested-lists": "[1," * 200 + "]" * 200,
+    "plus-chain": "1+" * 3000 + "1",
+    "power-chain": "1**" * 3000 + "1",
+    "attribute-chain": "1" + " .real" * 3000,
+    "conditional-chain": "1 if 1 else " * 3000 + "1",
+}
+
+
+@pytest.mark.parametrize("where", ["element", "genset"])
+@pytest.mark.parametrize("text", DEEP_LITERALS.values(), ids=DEEP_LITERALS.keys())
+def test_deep_literal_is_usage_error(runner, text, where):
+    """literal_eval never accepts these, but overflows on them (MemoryError,
+    RecursionError); the CLI refuses them before parsing, in --element and
+    inside a --genset list."""
+    _assert_malformed_literal(runner, text, where)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * LITERAL_MAX_DEPTH + "]" * LITERAL_MAX_DEPTH,
+    "(-1-2j, +3+4j, (1)+(2j), - 5)",
+    "{-1: 'a' 'b', None: [True, False, ...], 2: set()}",
+    " [1, # comment\n 2,\\\n 3]",
+    "{(1, 2), ()}",
+])
+def test_literal_guard_passes_what_literal_eval_accepts(text):
+    assert _literal(text) == ast.literal_eval(text)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * (LITERAL_MAX_DEPTH + 1) + "]" * (LITERAL_MAX_DEPTH + 1),
+    "1+2j+3j-4j", "(1)+(2)-(3)+(4j)", "--1", "1[0]", "set()()", "x", "1 .real", "~1", "1$",
+])
+def test_literal_guard_refuses_what_literal_eval_never_accepts(text):
+    with pytest.raises(ValueError, match="^malformed literal: "):
+        _literal(text)
 
 
 @pytest.mark.parametrize("args", [

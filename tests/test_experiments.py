@@ -7,6 +7,7 @@ from math import ceil, floor, gcd
 
 import pytest
 from oracles import (
+    FINITE_GROUPS,
     aut_by_bijections,
     is_automorphism_reference,
     sample_zxd8_genset_reference,
@@ -169,39 +170,16 @@ def test_uniform_length_cap():
         ex.uniform_length_table(gr.IntVector(1))
 
 
-def _quaternion_table():
-    """Q8 as a CayleyTableGroup, from unit quaternions as integer 4-tuples."""
-    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    elems = units + [tuple(-c for c in u) for u in units]
-    index = {x: i for i, x in enumerate(elems)}
-
-    def qmul(p, q):
-        a, b, c, d = p
-        w, x, y, z = q
-        return (a * w - b * x - c * y - d * z, a * x + b * w + c * z - d * y,
-                a * y - b * z + c * w + d * x, a * z + b * y - c * x + d * w)
-
-    return gr.CayleyTableGroup(
-        names=("1", "i", "j", "k", "-1", "-i", "-j", "-k"),
-        table=tuple(tuple(index[qmul(p, q)] for q in elems) for p in elems),
-    )
+C2, C4 = gr.FiniteCyclic(2), gr.FiniteCyclic(4)
 
 
-C2, C4, C6 = gr.FiniteCyclic(2), gr.FiniteCyclic(4), gr.FiniteCyclic(6)
-ENUMERATION_GROUPS = [
-    gr.DihedralFinite(4), gr.DihedralFinite(5), gr.DihedralFinite(6), gr.DihedralFinite(8),
-    gr.Product(C2, C4), gr.Product(C2, C6), gr.Product(gr.Product(C2, C2), C2),
-    _quaternion_table(),
-]
-
-
-@pytest.mark.parametrize("G", ENUMERATION_GROUPS, ids=str)
+@pytest.mark.parametrize("G", FINITE_GROUPS, ids=str)
 def test_generating_subsets_match_reference(G):
     """Same GenSets (letters, involution, order) as one closure per mask."""
     assert list(ex.symmetric_generating_subsets(G)) == list(symmetric_generating_subsets_reference(G))
 
 
-@pytest.mark.parametrize("G", ENUMERATION_GROUPS, ids=str)
+@pytest.mark.parametrize("G", FINITE_GROUPS, ids=str)
 def test_uniform_length_table_matches_reference(G, monkeypatch):
     table = ex.uniform_length_table(G)
     monkeypatch.setattr(ex, "symmetric_generating_subsets", symmetric_generating_subsets_reference)
@@ -216,7 +194,7 @@ def _builds(G, mapping):
     return True
 
 
-@pytest.mark.parametrize("G", ENUMERATION_GROUPS, ids=str)
+@pytest.mark.parametrize("G", FINITE_GROUPS, ids=str)
 def test_generator_check_matches_all_pairs_oracle(G):
     """Automorphism.build, which checks generators, agrees with the all-pairs
     oracle on every automorphism and on seeded near-automorphisms: an
@@ -476,6 +454,22 @@ def test_quotient_orbit_experiment():
         ex.quotient_orbit_experiment(5, [5])
     with pytest.raises(ValueError):
         ex.quotient_orbit_experiment(9, [1])
+
+
+def test_quotient_orbit_builds_one_generating_sequence(monkeypatch):
+    """The six power maps of p = 7 are checked against one greedy generating
+    sequence of the quotient, not one each."""
+    calls = []
+    real = ex._generating_sequence
+
+    def counting(G, elems):
+        calls.append(G)
+        return real(G, elems)
+
+    monkeypatch.setattr(ex, "_generating_sequence", counting)
+    rep = ex.quotient_orbit_experiment(7)
+    assert len(rep.rows) == 6 and rep.passed
+    assert len(calls) == 1
 
 
 # -- golden file ---------------------------------------------------------

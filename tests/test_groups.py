@@ -3,7 +3,13 @@
 import random
 
 import pytest
-from oracles import contains_reference, random_element, reduce_letters
+from oracles import (
+    FINITE_GROUPS,
+    closure_full_walk,
+    contains_reference,
+    random_element,
+    reduce_letters,
+)
 
 from wordbound import groups as gr
 from wordbound.errors import DomainError, UnsupportedFamilyError
@@ -448,6 +454,32 @@ def test_closure_of_proper_subgroup():
     assert sorted(gr.closure(G, [2])) == [0, 2, 4, 6]
     D = DihedralFinite(4)
     assert len(gr.closure(D, [(0, 1)])) == 2
+
+
+@pytest.mark.parametrize("G", FINITE_GROUPS, ids=str)
+def test_closure_matches_full_walk(G):
+    """Seeded lists of zero to four elements, repeats and the identity
+    allowed, and the whole group: the same set as a walk with no stop."""
+    rng = random.Random(G.size)
+    elems = list(G.elements())
+    lists = [elems] + [[rng.choice(elems) for _ in range(n % 5)] for n in range(30)]
+    for chosen in lists:
+        assert gr.closure(G, chosen) == closure_full_walk(G, chosen)
+
+
+def test_closure_stops_once_it_holds_the_whole_group(monkeypatch):
+    """D8 from all seven non-identity elements is whole after the identity's
+    7 products; the full walk makes 56.  From s and r it is whole at the
+    second product of layer 3: 8 products, where the full walk makes 16."""
+    G = DihedralFinite(4)
+    calls = []
+    real = DihedralFinite._mul
+    monkeypatch.setattr(DihedralFinite, "_mul", lambda self, g, h: calls.append(None) or real(self, g, h))
+    assert len(gr.closure(G, [x for x in G.elements() if x != G.identity()])) == 8
+    assert len(calls) == 7
+    calls.clear()
+    assert len(gr.closure(G, [(0, 1), (1, 0)])) == 8
+    assert len(calls) == 8
 
 
 def test_closure_checks_its_inputs():

@@ -4,7 +4,7 @@ import random
 from collections import deque
 
 import pytest
-from oracles import at_distance, length_profile, random_element
+from oracles import FINITE_GROUPS, at_distance, ball_full_walk, length_profile, random_element
 
 from wordbound import groups as gr
 from wordbound.errors import ResourceLimitExceeded
@@ -258,3 +258,46 @@ def test_invalid_arguments():
         ball(Z, S, -1)
     with pytest.raises(ValueError):
         word_length(Z, S, (1,), cap=3, mode="sideways")
+
+
+# -- the stop at a whole finite group ------------------------------------
+
+
+def _finite_alphabets(G, seed):
+    """Every non-identity element, the standard generators and six seeded
+    samples of one to three elements, as symmetric alphabets."""
+    rng = random.Random(seed)
+    rest = [x for x in G.elements() if x != G.identity()]
+    picks = [rest, list(G.standard_generators())]
+    picks += [rng.sample(rest, 1 + i % 3) for i in range(6)]
+    return [_symm(G, p) for p in picks]
+
+
+@pytest.mark.parametrize("G", FINITE_GROUPS, ids=str)
+def test_ball_matches_full_walk(G):
+    """Same table items in the same order, labels included, as a walk with
+    no stop, for generating and non-generating alphabets at radii 0 to |G|."""
+    alphabets = _finite_alphabets(G, seed=G.size)
+    assert {len(gr.closure(G, S.letters)) == G.size for S in alphabets} == {True, False}
+    for S in alphabets:
+        for radius in range(G.size + 1):
+            B = ball(G, S, radius)
+            assert list(B.table.items()) == list(ball_full_walk(G, S, radius).items())
+
+
+def test_ball_stops_once_it_holds_the_whole_group(monkeypatch):
+    """D8 under all seven non-identity elements is whole after the identity's
+    7 products; the full walk makes 56.  Under s, r, r^-1 the table fills at
+    the second letter of the first node of layer 3: 14 products, where
+    finishing that node would make 15 and the full walk 24."""
+    G = gr.DihedralFinite(4)
+    S_all = _symm(G, [x for x in G.elements() if x != G.identity()])
+    S_sr = _symm(G, [(0, 1), (1, 0)])
+    calls = []
+    real = gr.DihedralFinite.mul
+    monkeypatch.setattr(gr.DihedralFinite, "mul", lambda self, g, h: calls.append(None) or real(self, g, h))
+    assert len(ball(G, S_all, G.size)) == 8
+    assert len(calls) == 7
+    calls.clear()
+    assert len(ball(G, S_sr, G.size)) == 8
+    assert len(calls) == 14
