@@ -8,9 +8,9 @@ both word-length modes and the free-group witness search of
 ascending symbol id), so geodesic witnesses are reproducible across runs and
 platforms.
 
-In a finite group a search stops once its table holds all ``G.size``
-elements: ``_expand`` returns right after the insertion that fills the
-table, and ``ball`` runs no further layer.  The stop is exact.  From then
+In a finite group a ball stops once its table holds all ``G.size``
+elements: ``_expand`` returns after the frontier node whose products fill
+the table, and ``ball`` runs no further layer.  The stop is exact.  From then
 on every product is already in the table, so no later step of the old walk
 could store, label or charge anything; the table, its insertion order and
 labels, the frontier each layer returns and every budget charge are those
@@ -131,7 +131,7 @@ class _Budget:
         self.nodes += 1
 
 
-def _expand(G, letters, labels, table, frontier, depth, budget, stop=None):
+def _expand(G, letters, labels, table, frontier, depth, budget, stop=None, full=None):
     """Grow a search by one layer and return the nodes it first reached.
 
     Right-multiplies each node of ``frontier``, in order, by each letter, in
@@ -139,10 +139,12 @@ def _expand(G, letters, labels, table, frontier, depth, budget, stop=None):
     ``table[v] = (depth, label)`` with the label paired to its letter.
     Returns right after storing ``stop``, leaving the layer unfinished.
 
-    In a finite group it also returns right after the insertion that makes
-    ``table`` hold all of G.  That layer is then complete: the products it
-    skips are all in the table already, so they would store, label and
-    charge nothing.
+    Given ``full``, the order of a finite G, it also returns after the
+    frontier node whose products make ``table`` hold all of G.  That layer
+    is then complete: the products it skips are all in the table already,
+    so they would store, label and charge nothing.  The test runs once per
+    node, not per insertion.  Only ``ball`` passes ``full``: a breadth-first
+    search for ``stop`` stores it no later than its table fills.
     """
     # A list: one tuple per call lingered in CPython's per-size tuple free
     # lists and held 0.9 MB more after the D16 uniform-length table.
@@ -151,21 +153,6 @@ def _expand(G, letters, labels, table, frontier, depth, budget, stop=None):
     charge = budget.charge
     done = depth - 1
     layer = []
-    full = G.size
-    if full is None:
-        # An infinite table never fills: no size test per insertion, which
-        # cost the queries workload about 2% of its pass time.
-        for u in frontier:
-            for x, label in steps:
-                v = mul(u, x)
-                if v in table:
-                    continue
-                charge(v, done)
-                table[v] = (depth, label)
-                layer.append(v)
-                if v == stop:
-                    return layer
-        return layer
     for u in frontier:
         for x, label in steps:
             v = mul(u, x)
@@ -174,8 +161,10 @@ def _expand(G, letters, labels, table, frontier, depth, budget, stop=None):
             charge(v, done)
             table[v] = (depth, label)
             layer.append(v)
-            if v == stop or len(table) == full:
+            if v == stop:
                 return layer
+        if full is not None and len(table) == full:
+            return layer
     return layer
 
 
@@ -202,7 +191,7 @@ def ball(G, S, radius, mem_limit=None):
     for depth in range(1, radius + 1):
         if not frontier or len(table) == full:
             break
-        frontier = _expand(G, S.letters, S.symbols(), table, frontier, depth, budget)
+        frontier = _expand(G, S.letters, S.symbols(), table, frontier, depth, budget, full=full)
     return Ball(group=G, genset=S, radius=radius, table=table)
 
 

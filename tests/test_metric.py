@@ -288,8 +288,9 @@ def test_ball_matches_full_walk(G):
 def test_ball_stops_once_it_holds_the_whole_group(monkeypatch):
     """D8 under all seven non-identity elements is whole after the identity's
     7 products; the full walk makes 56.  Under s, r, r^-1 the table fills at
-    the second letter of the first node of layer 3: 14 products, where
-    finishing that node would make 15 and the full walk 24."""
+    the second letter of the first node of layer 3, and the search returns
+    once that node's letters are done: 15 products, where the full walk
+    makes 24."""
     G = gr.DihedralFinite(4)
     S_all = _symm(G, [x for x in G.elements() if x != G.identity()])
     S_sr = _symm(G, [(0, 1), (1, 0)])
@@ -300,4 +301,4 @@ def test_ball_stops_once_it_holds_the_whole_group(monkeypatch):
     assert len(calls) == 7
     calls.clear()
     assert len(ball(G, S_sr, G.size)) == 8
-    assert len(calls) == 14
+    assert len(calls) == 15
