@@ -16,10 +16,11 @@ import random
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
+from types import MappingProxyType
 
 from . import groups as gr
 from .errors import NotGeneratingError, UnsupportedFamilyError
-from .gensets import GenSet, dihedral_mod, generates, make_symmetric
+from .gensets import GenSet, _generates_split, dihedral_mod, generates, make_symmetric
 from .metric import ball, word_length
 from .reports import ExperimentReport, Verdict
 
@@ -570,6 +571,7 @@ def heisenberg_center_experiment(samples=100, seed=0):
 
 
 _ZXD8 = gr.Product(gr.IntVector(1), gr.DihedralFinite(4))
+_ZXD8_SPLIT = _ZXD8.lattice_split()  # Z x| D8: one translation, D8 acting trivially
 
 
 @functools.lru_cache(maxsize=None)
@@ -581,16 +583,44 @@ def _zxd8_pool(radius):
     return tuple(g for g in pool if g != e)
 
 
+@functools.lru_cache(maxsize=None)
+def _zxd8_inverses(radius):
+    """Each element of ``_zxd8_pool(radius)`` mapped to its inverse, by the
+    checked ``inv``; the pool is closed under inverses.  Read-only, since
+    every caller shares the cached map."""
+    return MappingProxyType({g: _ZXD8.inv(g) for g in _zxd8_pool(radius)})
+
+
 def sample_zxd8_genset(rng, radius=10):
     """A generating alphabet of Z x D8, rejection sampled from 2 to 4
     elements with translation part bounded by ``radius``; sets whose
-    generation certificate is not a definite yes are discarded."""
-    G = _ZXD8
+    generation certificate is not a definite yes are discarded.
+
+    Each draw's alphabet is built as ``make_symmetric`` builds it: a drawn
+    element already present (as an earlier draw's inverse) is skipped, and
+    each new one is followed by its inverse unless it is an involution.  The
+    pool was enumerated from the group and holds no identity, so nothing is
+    checked again, and the Schreier decision runs on the split computed
+    once.
+    """
     pool = _zxd8_pool(radius)
+    inverse = _zxd8_inverses(radius)
     for _ in range(ZXD8_MAX_ATTEMPTS):
-        chosen = rng.sample(pool, rng.randint(2, 4))
-        S = make_symmetric(G, chosen)
-        if generates(G, S).is_yes:
+        letters = []
+        involution = []
+        for x in rng.sample(pool, rng.randint(2, 4)):
+            if x in letters:
+                continue
+            a = len(letters)
+            xi = inverse[x]
+            if xi == x:
+                letters.append(x)
+                involution.append(a)
+            else:
+                letters += (x, xi)
+                involution += (a + 1, a)
+        S = GenSet(group=_ZXD8, letters=tuple(letters), involution=tuple(involution))
+        if _generates_split(S, *_ZXD8_SPLIT).is_yes:
             return S
     raise NotGeneratingError(
         f"sampler found no generating set within {ZXD8_MAX_ATTEMPTS} attempts")

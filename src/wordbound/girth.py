@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .metric import ball
+from .metric import _check_int, ball
 
 
 def _check_word(S, w):
@@ -104,8 +104,7 @@ def girth(G, S, cap, mem_limit=None):
     Minimality forces the witness path to be a simple loop.  Requires the
     alphabet to be deduplicated (make_symmetric guarantees this).
     """
-    if cap < 2:
-        raise ValueError("cap must be >= 2")
+    _check_int("cap", cap, 2)
     if len(set(S.letters)) != len(S.letters):
         raise DomainError("alphabet carries duplicate elements")
     radius = (cap + 1) // 2

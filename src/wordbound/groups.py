@@ -617,11 +617,27 @@ class Product(Group):
 
     def lattice_split(self):
         """Z^(k1+k2) x| (F1 x F2) from the factors' splits, translations of
-        the left factor first."""
+        the left factor first.  A finite factor of size 1 is dropped: Z x D8
+        splits over D8, not Z/1 x D8.  Its one element acts trivially, so
+        the other factor's action is the whole action."""
         halves = (self.left.lattice_split(), self.right.lattice_split())
         if None in halves:
             return None
         (k1, F1, s1, a1), (k2, F2, s2, a2) = halves
+        if F1.size == 1:
+            def split(g):
+                (t, _), (u, f2) = s1(g[0]), s2(g[1])
+                return t + u, f2
+
+            act = None if a2 is None else lambda f, v: v[:k1] + a2(f, v[k1:])
+            return k1 + k2, F2, split, act
+        if F2.size == 1:
+            def split(g):
+                (t, f1), (u, _) = s1(g[0]), s2(g[1])
+                return t + u, f1
+
+            act = None if a1 is None else lambda f, v: a1(f, v[:k1]) + v[k1:]
+            return k1 + k2, F1, split, act
 
         def split(g):
             (t, f1), (u, f2) = s1(g[0]), s2(g[1])

@@ -29,13 +29,22 @@ DEFAULT_MEM_LIMIT = 1 << 30  # 1 GiB
 _ENTRY_OVERHEAD = 160  # rough dict-entry + value-tuple bytes per visited node
 
 
+def _check_int(name, value, least):
+    """Raise ValueError unless value is an int >= ``least``; a bool is not
+    one.  An explicit raise, not an assert, so it holds under ``python -O``."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def memory_limit(explicit=None):
     """Resolve the BFS memory budget in bytes.
 
     Priority: explicit argument, then the WORDBOUND_MEM_LIMIT environment
-    variable, which must be a positive integer, then 1 GiB.
+    variable, then 1 GiB.  Either must be a positive integer, or ValueError
+    is raised before any search starts.
     """
     if explicit is not None:
+        _check_int("mem_limit", explicit, 1)
         return explicit
     env = os.environ.get("WORDBOUND_MEM_LIMIT")
     if env:
@@ -181,8 +190,7 @@ def ball(G, S, radius, mem_limit=None):
     ResourceLimitExceeded (carrying the last completed radius) if the
     memory budget runs out.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    _check_int("radius", radius, 0)
     budget = _Budget(memory_limit(mem_limit))
     e = G.identity()
     table = _root(budget, e)
@@ -202,17 +210,17 @@ def word_length(G, S, g, cap, mode="auto", mem_limit=None):
     bidirectional search for deep queries (cap > 8) in infinite groups; the
     two modes always agree on the computed length.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    _check_int("cap", cap, 1)
+    limit = memory_limit(mem_limit)
     G.check(g)
     if g == G.identity():
         return LengthCert(element=g, length=0, witness=(), cap=cap, explored=1)
     if mode == "auto":
         mode = "bidirectional" if cap > 8 and not G.is_finite else "bfs"
     if mode == "bfs":
-        return _length_bfs(G, S, g, cap, memory_limit(mem_limit))
+        return _length_bfs(G, S, g, cap, limit)
     if mode == "bidirectional":
-        return _length_bidirectional(G, S, g, cap, memory_limit(mem_limit))
+        return _length_bidirectional(G, S, g, cap, limit)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -2,11 +2,18 @@
 tests compare the library against."""
 
 import itertools
+import os
+import subprocess
+import sys
+from math import prod
+from operator import add, sub
+from pathlib import Path
 
+import wordbound
 from wordbound import groups as gr
 from wordbound.errors import NotGeneratingError, UnsupportedFamilyError
 from wordbound.experiments import Automorphism
-from wordbound.gensets import generates, make_symmetric
+from wordbound.gensets import generates, make_symmetric, smith_normal_form
 from wordbound.girth import GirthResult, _validate_witness
 from wordbound.metric import word_length
 
@@ -281,3 +288,72 @@ def symmetric_generating_subsets_reference(G):
         ]
         if len(gr.closure(G, chosen)) == G.size:
             yield make_symmetric(G, chosen)
+
+
+def product_split_reference(G):
+    """``G.lattice_split()``, except that a product keeps both finite
+    factors even when one has a single element: Z x D8 splits over
+    Z/1 x D8.  ``Product.lattice_split`` drops such a factor and must reach
+    the same decisions."""
+    if not isinstance(G, gr.Product):
+        return G.lattice_split()
+    halves = (product_split_reference(G.left), product_split_reference(G.right))
+    if None in halves:
+        return None
+    (k1, F1, s1, a1), (k2, F2, s2, a2) = halves
+
+    def split(g):
+        (t, f1), (u, f2) = s1(g[0]), s2(g[1])
+        return t + u, (f1, f2)
+
+    def act(f, v):
+        return ((v[:k1] if a1 is None else a1(f[0], v[:k1]))
+                + (v[k1:] if a2 is None else a2(f[1], v[k1:])))
+
+    return k1 + k2, gr.Product(F1, F2), split, None if a1 is None and a2 is None else act
+
+
+def generates_split_reference(G, S):
+    """The Schreier decision over ``product_split_reference(G)``, walking
+    every letter with the checked law and reading the kernel's invariant
+    factors off the full ``smith_normal_form``: a dict of ``status``,
+    ``closure_size``, ``kernel_index`` and ``invariant_factors``, as
+    ``gensets.generates`` reports them."""
+    k, F, split, act = product_split_reference(G)
+    parts = [split(x) for x in S.letters]
+    origin = (0,) * k
+    rep = {F.identity(): origin}
+    frontier = [F.identity()]
+    kernel = set()
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for a, u in parts:
+                f2 = F.mul(f, u)
+                t2 = tuple(map(add, rep[f], a if act is None else act(f, a)))
+                if f2 in rep:
+                    kernel.add(tuple(map(sub, t2, rep[f2])))
+                else:
+                    rep[f2] = t2
+                    nxt.append(f2)
+        frontier = nxt
+    kernel.discard(origin)
+    factors = []
+    if kernel:
+        D, _, _ = smith_normal_form(list(zip(*kernel)))
+        factors = [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i]]
+    index = prod(factors) if len(factors) == k else 0
+    return {"status": "yes" if len(rep) == F.size and index == 1 else "no",
+            "closure_size": len(rep), "kernel_index": index,
+            "invariant_factors": factors}
+
+
+def run_optimized(args):
+    """Run ``python -O`` with ``args`` and the library's source on
+    PYTHONPATH; the completed process, its output captured as text."""
+    src = str(Path(wordbound.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-O", *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)

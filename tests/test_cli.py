@@ -10,6 +10,7 @@ import tracemalloc
 
 import pytest
 from click.testing import CliRunner
+from oracles import run_optimized
 
 from wordbound import experiments as ex
 from wordbound import groups as gr
@@ -374,6 +375,13 @@ def test_experiment_all_bytes_are_pinned(runner):
     result = runner.invoke(main, ["experiment", "all", "--format", "json"])
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest() == EXPERIMENT_ALL_SHA256
+
+
+def test_experiment_all_bytes_are_pinned_under_optimize_flag():
+    """With asserts stripped by ``python -O`` the report bytes are the same:
+    no check the output rests on is an assert."""
+    out = run_optimized(["-m", "wordbound.cli", "experiment", "all", "--format", "json"])
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == EXPERIMENT_ALL_SHA256
 
 
 def test_experiment_pairs_option(runner):

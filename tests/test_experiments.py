@@ -360,11 +360,20 @@ def test_prescribe_certificates_match_bfs(kind):
 
 
 def test_zxd8_sampler_matches_a_per_call_pool():
-    """Building the pool once per radius draws the same alphabets."""
-    fast, slow = random.Random(42), random.Random(42)
-    for _ in range(20):
-        assert ex.sample_zxd8_genset(fast) == sample_zxd8_genset_reference(slow)
-    assert fast.getstate() == slow.getstate()
+    """Building the pool once per radius, each alphabet straight from it and
+    deciding on the split computed once draws the same alphabets as
+    ``make_symmetric`` and ``generates`` on a fresh pool: over the whole
+    default draw (seed 42, 200 samples, radius 10: 375 candidates rejected),
+    at radius 3 (362 rejected) and at radius 2, where a larger share is
+    rejected (412 of 612)."""
+    for radius in (10, 3, 2):
+        fast, slow = random.Random(42), random.Random(42)
+        for _ in range(200):
+            assert ex.sample_zxd8_genset(fast, radius) == sample_zxd8_genset_reference(slow, radius)
+        assert fast.getstate() == slow.getstate()
+        inverse = ex._zxd8_inverses(radius)
+        assert list(inverse) == list(ex._zxd8_pool(radius))
+        assert all(inverse[g] == ex._ZXD8.inv(g) for g in inverse)
     assert len(ex._zxd8_pool(10)) == 167
 
 

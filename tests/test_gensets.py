@@ -7,7 +7,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as snf_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import random_element
+from oracles import generates_split_reference, random_element
 
 from wordbound import groups as gr
 from wordbound.errors import (
@@ -18,6 +18,7 @@ from wordbound.errors import (
 )
 from wordbound.gensets import (
     GenSet,
+    _smith,
     dihedral_mod,
     generates,
     heisenberg_abelianization,
@@ -167,6 +168,32 @@ def test_invariant_factors_match_both_smith_forms():
         assert factors == [d for d in diag if d], M
         ref = snf_reference(sympy.Matrix(M))
         assert factors == sorted(abs(int(ref[i, i])) for i in range(min(ref.shape)) if ref[i, i])
+
+
+def _one_rows(rng):
+    """Seeded 1 x n matrices: all-zero rows, single entries, negative
+    entries, entries of size 2^80 and mixtures of them."""
+    big = 1 << 80
+    rows = [[0], [0] * 7, [5], [-5], [1], [-1], [big], [-big], [big, 0, -big],
+            [0, 0, 3 * big], [6 * big, -10 * big, 15 * big], [big, big + 1]]
+    for i in range(200):
+        n = rng.randint(1, 12)
+        lo, hi = [(-30, 30), (0, 0), (-big, big), (-4, 4)][i % 4]
+        rows.append([rng.randint(lo, hi) * rng.choice([1, 2, 6]) for _ in range(n)])
+    return [[row] for row in rows]
+
+
+def test_one_row_invariant_factors_is_the_gcd():
+    """On one row, invariant_factors takes the gcd and skips the
+    elimination; it must agree with the elimination and with sympy."""
+    for M in _one_rows(random.Random(30)):
+        factors = invariant_factors(M)
+        D, _, _ = _smith(M, transforms=False)
+        assert factors == ([D[0][0]] if D[0][0] else []), M
+        ref = snf_reference(sympy.Matrix(M))
+        assert factors == ([abs(int(ref[0, 0]))] if ref[0, 0] else []), M
+    with pytest.raises(ValueError):
+        invariant_factors([[]])
 
 
 # -- generation decisions ------------------------------------------------
@@ -354,6 +381,48 @@ def test_generation_verdicts_match_a_search_oracle(G):
             assert rest == []
             assert word_length(G, S, target, cap=24, mode="bidirectional").length is not None
     assert verdicts == {"yes", "no"}
+
+
+@pytest.mark.parametrize("G", [
+    gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
+    gr.Product(gr.IntVector(1), gr.FiniteCyclic(2)),
+    gr.Product(gr.IntVector(1), gr.FiniteCyclic(3)),
+    gr.Product(gr.IntVector(2), gr.DihedralInfinite()),
+], ids=str)
+def test_generates_matches_the_split_that_keeps_trivial_factors(G):
+    """Dropping the trivial finite factor changes neither the verdict nor
+    the closure, kernel index and invariant factors, against a Schreier walk
+    over the split that keeps it and a full Smith normal form."""
+    rng = random.Random(str(G))
+    statuses = set()
+    for _ in range(80):
+        letters = [random_element(G, rng, size=3) for _ in range(rng.randint(1, 4))]
+        if all(x == G.identity() for x in letters):
+            continue
+        S = make_symmetric(G, letters)
+        res = generates(G, S)
+        got = {"status": res.status, **{key: res.evidence[key] for key in (
+            "closure_size", "kernel_index", "invariant_factors")}}
+        assert got == generates_split_reference(G, S), S.letters
+        statuses.add(res.status)
+    assert statuses == {"yes", "no"}
+
+
+@pytest.mark.parametrize("budget", [0, -1, 2.5, "3", True])
+def test_generates_budget_must_be_a_positive_int(budget):
+    G = gr.Free(2)
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        generates(G, make_symmetric(G, [(1, 2), (2,)]), budget=budget)
+
+
+def test_zxd8_reasons_name_d8():
+    G = gr.Product(gr.IntVector(1), gr.DihedralFinite(4))
+    no = generates(G, make_symmetric(G, [((1,), (0, 0)), ((0,), (1, 0))]))
+    assert no.reason == "the finite parts generate a proper subgroup of D8"
+    assert no.evidence["finite_group_size"] == 8
+    assert no.evidence["missing"] == (0, 1)
+    yes = generates(G, make_symmetric(G, [((1,), (0, 0)), ((0,), (1, 0)), ((0,), (0, 1))]))
+    assert yes.reason == "the finite parts generate D8 and the translation kernel is Z^1"
 
 
 @pytest.mark.parametrize("G", [

@@ -1,15 +1,10 @@
 """Girth of Cayley graphs: word reduction, search agreement, torsion loops."""
 
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import pytest
-from oracles import girth_reference
+from oracles import girth_reference, run_optimized
 
-import wordbound
 from wordbound import groups as gr
 from wordbound.errors import DomainError
 from wordbound.gensets import make_symmetric
@@ -212,10 +207,5 @@ def test_witness_validation_survives_optimize_flag():
                 rejected += 1
         print(rejected, len(corrupted))
     """)
-    src = str(Path(wordbound.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60, check=True)
+    out = run_optimized(["-c", script])
     assert out.stdout.split() == ["4", "4"]

@@ -419,6 +419,11 @@ def _has_no_split(G):
     Product(IntVector(2), DihedralInfinite()),
     Product(DihedralInfinite(), DihedralFinite(3)),
     Product(Product(IntVector(1), FiniteCyclic(2)), DihedralInfinite()),
+    # a trivial finite factor on either side, under a nontrivial action
+    Product(DihedralFinite(4), IntVector(1)),
+    Product(DihedralInfinite(), IntVector(2)),
+    Product(FiniteCyclic(1), DihedralInfinite()),
+    Product(IntVector(1), IntVector(1)),
 ], ids=str)
 def test_lattice_split_is_a_homomorphism(G):
     """split(gh) = (a + act(f, b), fu) on seeded pairs, the split is
@@ -441,6 +446,23 @@ def test_lattice_split_is_a_homomorphism(G):
         moved = b if act is None else act(f, b)
         assert split(G.mul(g, h)) == (tuple(x + y for x, y in zip(a, moved)), F.mul(f, u))
         assert seen.setdefault(split(g), g) == g
+
+
+@pytest.mark.parametrize("G, F", [
+    (Product(IntVector(1), DihedralFinite(4)), DihedralFinite(4)),
+    (Product(DihedralFinite(4), IntVector(1)), DihedralFinite(4)),
+    (Product(IntVector(2), DihedralInfinite()), FiniteCyclic(2)),
+    (Product(DihedralInfinite(), IntVector(2)), FiniteCyclic(2)),
+    (Product(IntVector(1), IntVector(1)), FiniteCyclic(1)),
+    (Product(FiniteCyclic(1), FiniteCyclic(1)), FiniteCyclic(1)),
+    (Product(Product(IntVector(1), FiniteCyclic(2)), DihedralInfinite()),
+     Product(FiniteCyclic(2), FiniteCyclic(2))),
+    (Product(FiniteCyclic(2), FiniteCyclic(4)), Product(FiniteCyclic(2), FiniteCyclic(4))),
+], ids=str)
+def test_product_split_drops_a_trivial_finite_factor(G, F):
+    """A product splits over its factors' finite parts with every part of
+    size 1 dropped, unless nothing else is left."""
+    assert G.lattice_split()[1] == F
 
 
 def test_standard_generators_generate():

@@ -1,14 +1,23 @@
 """BFS word lengths: frozen oracles, mode agreement, resource limits."""
 
 import random
+import textwrap
 from collections import deque
 
 import pytest
-from oracles import FINITE_GROUPS, at_distance, ball_full_walk, length_profile, random_element
+from oracles import (
+    FINITE_GROUPS,
+    at_distance,
+    ball_full_walk,
+    length_profile,
+    random_element,
+    run_optimized,
+)
 
 from wordbound import groups as gr
 from wordbound.errors import ResourceLimitExceeded
 from wordbound.gensets import make_symmetric
+from wordbound.girth import girth
 from wordbound.metric import (
     Ball,
     ball,
@@ -258,6 +267,68 @@ def test_invalid_arguments():
         ball(Z, S, -1)
     with pytest.raises(ValueError):
         word_length(Z, S, (1,), cap=3, mode="sideways")
+
+
+@pytest.mark.parametrize("value", [0, -5, 2500.0, "abc", True, "4096"])
+def test_explicit_memory_limit_must_be_a_positive_int(value):
+    """An explicit budget obeys the rule of WORDBOUND_MEM_LIMIT: a positive
+    int, or ValueError before any search starts."""
+    Z = gr.IntVector(1)
+    S = _symm(Z, [(1,)])
+    with pytest.raises(ValueError, match="mem_limit"):
+        memory_limit(value)
+    with pytest.raises(ValueError, match="mem_limit"):
+        ball(Z, S, 3, mem_limit=value)
+    for mode in ("auto", "bfs", "bidirectional"):
+        with pytest.raises(ValueError, match="mem_limit"):
+            word_length(Z, S, (2,), cap=3, mode=mode, mem_limit=value)
+    with pytest.raises(ValueError, match="mem_limit"):
+        girth(Z, S, 4, mem_limit=value)
+
+
+@pytest.mark.parametrize("value", [3.5, 9.5, 3.0, "3", True, None])
+def test_caps_and_radii_must_be_ints(value):
+    """A cap or radius that is not an int is refused in every mode, also
+    where the comparison with the least allowed value would pass."""
+    Z = gr.IntVector(1)
+    S = _symm(Z, [(2,), (3,)])
+    for mode in ("auto", "bfs", "bidirectional"):
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            word_length(Z, S, (1,), value, mode=mode)
+    with pytest.raises(ValueError, match="radius must be an integer"):
+        ball(Z, S, value)
+    with pytest.raises(ValueError, match="cap must be an integer"):
+        girth(Z, S, value)
+
+
+def test_integer_checks_survive_optimize_flag():
+    """The checks above are explicit raises, so ``python -O`` keeps them."""
+    script = textwrap.dedent("""
+        from wordbound import groups as gr
+        from wordbound.gensets import make_symmetric
+        from wordbound.girth import girth
+        from wordbound.metric import ball, word_length
+
+        if __debug__:
+            raise SystemExit("expected to run under python -O")
+        Z = gr.IntVector(1)
+        S = make_symmetric(Z, [(2,), (3,)])
+        calls = [
+            lambda: ball(Z, S, 2.0),
+            lambda: ball(Z, S, 3, mem_limit=0),
+            lambda: word_length(Z, S, (1,), 3.5, mode="bidirectional"),
+            lambda: word_length(Z, S, (1,), 9.5),
+            lambda: girth(Z, S, 4.0),
+        ]
+        refused = 0
+        for call in calls:
+            try:
+                call()
+            except ValueError:
+                refused += 1
+        print(refused, len(calls))
+    """)
+    assert run_optimized(["-c", script]).stdout.split() == ["5", "5"]
 
 
 # -- the stop at a whole finite group ------------------------------------
