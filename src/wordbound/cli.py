@@ -253,14 +253,13 @@ def main():
 @click.option("--genset", "genset_text", required=True, help="Generator list, e.g. '[(5,1),(3,0)]'.")
 @click.option("--element", "element_text", required=True, help="Target element, e.g. '(0,1)'.")
 @click.option("--cap", type=click.IntRange(min=1), required=True, help="Search radius bound.")
-@click.option("--mode", type=click.Choice(["auto", "bfs", "bidirectional"]), default="auto")
-def length(group_text, genset_text, element_text, cap, mode):
+def length(group_text, genset_text, element_text, cap):
     """Exact word length of an element, searched out to --cap."""
     limit = memory_limit()
     G = parse_group(group_text)
     S = parse_genset(G, genset_text)
     g = parse_element(G, element_text)
-    cert = word_length(G, S, g, cap=cap, mode=mode, mem_limit=limit)
+    cert = word_length(G, S, g, cap=cap, mem_limit=limit)
     if cert.length is None:
         click.echo(f"> {cap}")
         sys.exit(EXIT_FAIL)

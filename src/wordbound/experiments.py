@@ -2,9 +2,9 @@
 
 Unboundedness ladders, boundedness certificates, automorphism orbits, FC
 witnesses, prescribed-length constructions and quotient-orbit growth.  Every
-length in a report row comes from an exact search (BFS, or its
-meet-in-the-middle form for fixed-cap certificates); formula columns are
-compared against the search, never substituted for it.
+length in a report row comes from an exact search (``word_length``, which
+meets in the middle, or a BFS ball); formula columns are compared against
+the search, never substituted for it.
 """
 
 from __future__ import annotations
@@ -455,7 +455,7 @@ def unbounded_witness_heisenberg(n=1, pairs=((2, 3), (3, 5), (5, 7))):
             cost = 2 * min_coefficients(p, q, u)[0] + 2 * v
             if bound is None or cost < bound:
                 bound = cost
-        cert = word_length(G, S, (0, 0, n), cap=bound, mode="bidirectional")
+        cert = word_length(G, S, (0, 0, n), cap=bound)
         rows.append({"p": p, "q": q, "length": cert.length, "upper_bound": bound})
         lengths.append(cert.length)
     return ExperimentReport(
@@ -518,7 +518,7 @@ def heisenberg_center_certificate(x, y):
         raise RuntimeError(
             f"generating pair hits the central power {exponent}, not a generator")
     S = make_symmetric(G, [x, y])
-    cert = word_length(G, S, (0, 0, 1), cap=4, mode="bidirectional")
+    cert = word_length(G, S, (0, 0, 1), cap=4)
     if cert.length is None:
         raise RuntimeError("central generator not within radius 4")
     return exponent, cert
@@ -638,7 +638,7 @@ def bound_witness_zxd8(samples=200, seed=42, radius=10):
     rows = []
     for i in range(samples):
         S = sample_zxd8_genset(rng, radius)
-        cert = word_length(G, S, target, cap=4, mode="bidirectional")
+        cert = word_length(G, S, target, cap=4)
         rows.append({
             "sample": i,
             "letters": str([G.element_to_obj(g) for g in S.letters]),
@@ -709,7 +709,7 @@ def _prescribe_length(G, g, l, u, v, n_bound):
     res = generates(G, S, witnesses=witnesses)
     if not res.is_yes:
         raise NotGeneratingError(f"prescribed alphabet: {res.reason}")
-    cert = word_length(G, S, g, cap=l + 1, mode="bidirectional")
+    cert = word_length(G, S, g, cap=l + 1)
     return S, cert
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 from . import groups as gr
 from .errors import DomainError, EmptyGenSetError, UnsupportedFamilyError
-from .metric import Ball, _Budget, _check_int, _expand, _root, memory_limit
+from .metric import _Budget, _check_alphabet, _check_int, _length_bidirectional, memory_limit
 
 
 @dataclass(frozen=True)
@@ -258,14 +258,14 @@ def generates(G, S, budget=8, witnesses=None):
     Exact for every family with a ``lattice_split`` (finite groups, lattices,
     the infinite dihedral group and their products) by Schreier's lemma, and
     for the Heisenberg group by its abelianization.  Free groups fall back to
-    a breadth-first witness search out to radius ``budget`` and may return
-    "inconclusive".  ``witnesses`` optionally maps a free-group basis index
-    to a word (symbol ids) evaluating to that basis letter.  Both searches
-    are charged to the memory budget and raise ResourceLimitExceeded past it.
+    ``word_length``'s search for each basis letter out to radius ``budget``
+    and may return "inconclusive".  ``witnesses`` optionally maps a
+    free-group basis index to a word (symbol ids) evaluating to that basis
+    letter.  Both searches are charged to the memory budget and raise
+    ResourceLimitExceeded past it.
     """
     _check_int("budget", budget, 1)
-    if S.group != G:
-        raise DomainError("alphabet belongs to a different group")
+    _check_alphabet(G, S)
     # A GenSet trusts its letters: check them once, since the Schreier walk
     # multiplies unchecked.
     for x in S.letters:
@@ -375,19 +375,13 @@ def _generates_free(G, S, budget, witnesses):
             found[i] = tuple(word)
     missing = [i for i in targets if i not in found]
     if missing:
-        # budget-bounded breadth-first search for the remaining basis letters
-        mem = _Budget(memory_limit())
-        table = _root(mem, G.identity())
-        frontier = [G.identity()]
-        for depth in range(1, budget + 1):
-            if not missing:
-                break
-            frontier = _expand(G, S.letters, S.symbols(), table, frontier, depth, mem)
-            B = Ball(group=G, genset=S, radius=depth, table=table)
-            for i in list(missing):
-                if targets[i] in B:
-                    found[i] = B.word_to(targets[i])
-                    missing.remove(i)
+        # word_length's meet-in-the-middle search, out to radius budget
+        limit = memory_limit()
+        for i in list(missing):
+            cert = _length_bidirectional(G, S, targets[i], budget, limit)
+            if cert.length is not None:
+                found[i] = cert.witness
+                missing.remove(i)
         if missing:
             return GenerationResult(
                 "inconclusive",

@@ -1,12 +1,12 @@
 """Word length and ball enumeration over the implicit Cayley graph.
 
-Distances are computed by hash-based breadth-first search from the identity,
-with an optional bidirectional mode for deep queries in infinite groups.
-Every search grows its layers with one kernel, :func:`_expand`: the ball,
-both word-length modes and the free-group witness search of
-``gensets.generates``.  Frontier order is deterministic (FIFO, letters in
-ascending symbol id), so geodesic witnesses are reproducible across runs and
-platforms.
+Distances are computed by hash-based breadth-first search.  ``ball`` and
+``girth`` grow one search from the identity; ``word_length`` always meets in
+the middle, growing a search from the identity and one from the target,
+whichever frontier is smaller, until they meet.  Every search grows its
+layers with one kernel, :func:`_expand`.  Frontier order is deterministic
+(FIFO, letters in ascending symbol id), so geodesic witnesses are
+reproducible across runs and platforms.
 
 In a finite group a ball stops once its table holds all ``G.size``
 elements: ``_expand`` returns after the frontier node whose products fill
@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .errors import ResourceLimitExceeded
+from .errors import DomainError, ResourceLimitExceeded
 
 DEFAULT_MEM_LIMIT = 1 << 30  # 1 GiB
 _ENTRY_OVERHEAD = 160  # rough dict-entry + value-tuple bytes per visited node
@@ -34,6 +34,12 @@ def _check_int(name, value, least):
     one.  An explicit raise, not an assert, so it holds under ``python -O``."""
     if type(value) is not int or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_alphabet(G, S):
+    """DomainError unless S is over G; ``is`` first spares a dataclass ==."""
+    if S.group is not G and S.group != G:
+        raise DomainError("alphabet belongs to a different group")
 
 
 def memory_limit(explicit=None):
@@ -191,6 +197,7 @@ def ball(G, S, radius, mem_limit=None):
     memory budget runs out.
     """
     _check_int("radius", radius, 0)
+    _check_alphabet(G, S)
     budget = _Budget(memory_limit(mem_limit))
     e = G.identity()
     table = _root(budget, e)
@@ -203,40 +210,38 @@ def ball(G, S, radius, mem_limit=None):
     return Ball(group=G, genset=S, radius=radius, table=table)
 
 
-def word_length(G, S, g, cap, mode="auto", mem_limit=None):
+def word_length(G, S, g, cap, mem_limit=None):
     """Exact word length of g over S, searched up to ``cap``.
 
-    ``mode`` is "auto", "bfs" or "bidirectional".  Auto switches to the
-    bidirectional search for deep queries (cap > 8) in infinite groups; the
-    two modes always agree on the computed length.
+    Always meets in the middle (:func:`_length_bidirectional`), in finite
+    and infinite groups alike; the length is that of a breadth-first search
+    out to ``cap``, and the witness is a geodesic word.
     """
     _check_int("cap", cap, 1)
+    _check_alphabet(G, S)
     limit = memory_limit(mem_limit)
     G.check(g)
     if g == G.identity():
         return LengthCert(element=g, length=0, witness=(), cap=cap, explored=1)
-    if mode == "auto":
-        mode = "bidirectional" if cap > 8 and not G.is_finite else "bfs"
-    if mode == "bfs":
-        return _length_bfs(G, S, g, cap, limit)
-    if mode == "bidirectional":
-        return _length_bidirectional(G, S, g, cap, limit)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _length_bidirectional(G, S, g, cap, limit)
 
 
 def _length_bfs(G, S, g, cap, limit):
+    """Word length by one BFS from the identity: the reference the tests hold
+    ``word_length`` to, called by no library code.  perfbench's tracer looks
+    it up by name, and its traced runs end in KeyError without it."""
     budget = _Budget(limit)
     e = G.identity()
     table = _root(budget, e)
     frontier = [e]
     for depth in range(1, cap + 1):
-        frontier = _expand(G, S.letters, S.symbols(), table, frontier, depth, budget, stop=g)
         if g in table:
-            b = Ball(group=G, genset=S, radius=depth, table=table)
-            return LengthCert(element=g, length=depth, witness=b.word_to(g),
-                              cap=cap, explored=len(table))
-    return LengthCert(element=g, length=None, witness=None, cap=cap,
-                      explored=len(table))
+            break
+        frontier = _expand(G, S.letters, S.symbols(), table, frontier, depth, budget, stop=g)
+    if g not in table:
+        return LengthCert(element=g, length=None, witness=None, cap=cap, explored=len(table))
+    witness = Ball(group=G, genset=S, radius=cap, table=table).word_to(g)
+    return LengthCert(element=g, length=table[g][0], witness=witness, cap=cap, explored=len(table))
 
 
 def _length_bidirectional(G, S, g, cap, limit):

@@ -178,7 +178,7 @@ def closure_full_walk(G, elements):
     return seen
 
 
-def length_profile(G, labeled_gensets, g, cap, mode="auto"):
+def length_profile(G, labeled_gensets, g, cap):
     """Word length of g across a parameterized family of alphabets.
 
     ``labeled_gensets`` is an iterable of (label, GenSet) pairs; returns
@@ -186,7 +186,7 @@ def length_profile(G, labeled_gensets, g, cap, mode="auto"):
     """
     out = []
     for label, S in labeled_gensets:
-        cert = word_length(G, S, g, cap, mode=mode)
+        cert = word_length(G, S, g, cap)
         out.append((label, cert.length))
     return out
 

@@ -134,6 +134,15 @@ def test_length_not_in_ball_exits_one(runner):
     assert result.output == "> 3\n"
 
 
+def test_length_has_no_mode_option(runner):
+    """word_length has one search, so --mode is an unknown option."""
+    result = runner.invoke(main, [
+        "length", "--group", "Z x Z/2", "--genset", "[(5,1),(3,0)]",
+        "--element", "(0,1)", "--cap", "12", "--mode", "bfs"])
+    assert result.exit_code == 2
+    assert "--mode" in result.output
+
+
 def test_length_usage_error(runner):
     result = runner.invoke(main, [
         "length", "--group", "Q8", "--genset", "[1]",

@@ -18,7 +18,7 @@ from wordbound import experiments as ex
 from wordbound import groups as gr
 from wordbound.errors import DomainError, NotGeneratingError, UnsupportedFamilyError
 from wordbound.gensets import make_symmetric
-from wordbound.metric import word_length
+from wordbound.metric import _length_bfs, memory_limit, word_length
 from wordbound.reports import ExperimentReport, Verdict, render_report
 
 
@@ -337,7 +337,7 @@ def test_heisenberg_center_experiment_deterministic():
 
 
 def _assert_certificate_matches_bfs(S, target, cert):
-    bfs = word_length(S.group, S, target, cap=cert.cap, mode="bfs")
+    bfs = _length_bfs(S.group, S, target, cert.cap, memory_limit())
     assert cert.length is not None
     assert cert.length == bfs.length
     assert len(cert.witness) == cert.length
@@ -382,7 +382,7 @@ def test_zxd8_certificates_match_bfs():
     target = ((0,), (2, 0))
     for _ in range(20):
         S = ex.sample_zxd8_genset(rng)
-        cert = word_length(S.group, S, target, cap=4, mode="bidirectional")
+        cert = word_length(S.group, S, target, cap=4)
         _assert_certificate_matches_bfs(S, target, cert)
 
 

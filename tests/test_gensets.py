@@ -30,7 +30,7 @@ from wordbound.gensets import (
     project_right,
     smith_normal_form,
 )
-from wordbound.metric import word_length
+from wordbound.metric import ball, word_length
 
 
 # -- make_symmetric ------------------------------------------------------
@@ -273,6 +273,50 @@ def test_generates_free():
         generates(G, S, witnesses={1: (S.symbol_of((2,)),)})
 
 
+def _nielsen_basis(G, rng, moves):
+    """A basis of the free group G: random Nielsen moves x_i -> x_i x_j^+-1
+    or x_j^+-1 x_i applied to the standard one."""
+    basis = [G.generator(i) for i in range(1, G.k + 1)]
+    for _ in range(moves):
+        i, j = rng.sample(range(G.k), 2)
+        y = basis[j] if rng.randrange(2) else G.inv(basis[j])
+        basis[i] = G.mul(basis[i], y) if rng.randrange(2) else G.mul(y, basis[i])
+    return basis
+
+
+def test_generates_free_decides_within_budget_as_a_ball():
+    """The witness search finds a basis letter exactly when it lies in the
+    ball of radius ``budget``: "yes" once the ball holds every basis letter,
+    with geodesic witnesses spelling them, and "inconclusive" below that
+    radius, naming the letters the ball misses."""
+    rng = random.Random(61)
+    statuses = set()
+    for G in (gr.Free(2), gr.Free(3)):
+        for trial in range(24):
+            letters = _nielsen_basis(G, rng, rng.randint(0, 3))
+            if trial % 3 == 0:
+                letters = letters[1:]  # a proper subset of a basis: never "yes"
+            elif trial % 3 == 1:
+                letters.append(random_element(G, rng, size=3))
+            S = make_symmetric(G, letters)
+            for budget in range(1, 5):
+                B = ball(G, S, budget)
+                inside = [i for i in range(1, G.k + 1) if G.generator(i) in B]
+                missing = [i for i in range(1, G.k + 1) if i not in inside]
+                res = generates(G, S, budget=budget)
+                statuses.add(res.status)
+                assert res.status == ("inconclusive" if missing else "yes"), (letters, budget)
+                if missing:
+                    assert res.reason == (
+                        f"no witness for basis letters {missing} within budget {budget}")
+                witnesses = res.evidence["witnesses"]
+                assert sorted(witnesses) == inside
+                for i, word in witnesses.items():
+                    assert len(word) == B.length(G.generator(i))
+                    assert S.eval_word(word) == G.generator(i)
+    assert statuses == {"yes", "inconclusive"}
+
+
 def test_generates_free_witness_search_respects_memory_limit(monkeypatch):
     G = gr.Free(2)
     S = make_symmetric(G, [(1, 2), (2,)])  # x1 needs a witness search
@@ -366,7 +410,7 @@ def test_generation_verdicts_match_a_search_oracle(G):
         verdicts.add(res.status)
         if res.is_yes:
             for x in G.standard_generators():
-                assert word_length(G, S, x, cap=24, mode="bidirectional").length is not None
+                assert word_length(G, S, x, cap=24).length is not None
             continue
         assert res.is_no
         whole = G.standard_generators()
@@ -379,7 +423,7 @@ def test_generation_verdicts_match_a_search_oracle(G):
         for v in units if m else []:
             target, rest = _translation(G, [m * x for x in v])
             assert rest == []
-            assert word_length(G, S, target, cap=24, mode="bidirectional").length is not None
+            assert word_length(G, S, target, cap=24).length is not None
     assert verdicts == {"yes", "no"}
 
 

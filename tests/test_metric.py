@@ -1,4 +1,5 @@
-"""BFS word lengths: frozen oracles, mode agreement, resource limits."""
+"""Word lengths and balls: frozen oracles, agreement with the BFS reference,
+resource limits."""
 
 import random
 import textwrap
@@ -15,11 +16,12 @@ from oracles import (
 )
 
 from wordbound import groups as gr
-from wordbound.errors import ResourceLimitExceeded
+from wordbound.errors import DomainError, ResourceLimitExceeded
 from wordbound.gensets import make_symmetric
 from wordbound.girth import girth
 from wordbound.metric import (
     Ball,
+    _length_bfs,
     ball,
     memory_limit,
     word_length,
@@ -163,8 +165,8 @@ def test_z2_sphere_sizes():
     (gr.Free(2), 3),
 ], ids=lambda v: str(v)[:24])
 def test_searches_match_naive_bfs(G, radius):
-    """Ball tables, insertion order included, and both word-length modes
-    agree with a textbook BFS on seeded alphabets."""
+    """Ball tables, insertion order included, word_length and its BFS
+    reference agree with a textbook BFS on seeded alphabets."""
     rng = random.Random(53)
     for _ in range(4):
         letters = []
@@ -175,13 +177,13 @@ def test_searches_match_naive_bfs(G, radius):
         expected = _naive_ball(G, S, radius)
         assert list(ball(G, S, radius).table.items()) == list(expected.items())
         for g in rng.sample(sorted(expected, key=repr), min(30, len(expected))):
-            for mode in ("bfs", "bidirectional"):
-                cert = word_length(G, S, g, cap=radius, mode=mode)
-                assert cert.length == expected[g][0], (g, mode)
+            for cert in (_length_bfs(G, S, g, radius, memory_limit()),
+                         word_length(G, S, g, cap=radius)):
+                assert cert.length == expected[g][0], (g, cert)
                 assert S.eval_word(cert.witness) == g
 
 
-# -- mode agreement ------------------------------------------------------
+# -- agreement with the BFS reference ------------------------------------
 
 
 @pytest.mark.parametrize("G,elems,size", [
@@ -196,15 +198,15 @@ def test_bidirectional_matches_bfs(G, elems, size):
     rng = random.Random(41)
     for _ in range(60):
         g = random_element(G, rng, size=size)
-        a = word_length(G, S, g, cap=10, mode="bfs")
-        b = word_length(G, S, g, cap=10, mode="bidirectional")
+        a = _length_bfs(G, S, g, 10, memory_limit())
+        b = word_length(G, S, g, cap=10)
         assert a.length == b.length, (g, a.length, b.length)
         if b.length is not None:
             assert S.eval_word(b.witness) == g
             assert len(b.witness) == b.length
 
 
-def test_auto_mode_is_deterministic():
+def test_word_length_is_deterministic():
     G = gr.Heisenberg()
     S = _symm(G, [(1, 0, 0), (0, 1, 0)])
     runs = [word_length(G, S, (3, -2, 5), cap=14).witness for _ in range(3)]
@@ -255,7 +257,9 @@ def test_word_length_memory_budget_exhaustion():
     G = gr.Free(2)
     S = _symm(G, [(1,), (2,)])
     with pytest.raises(ResourceLimitExceeded):
-        word_length(G, S, (1,) * 12, cap=12, mode="bfs", mem_limit=20_000)
+        _length_bfs(G, S, (1,) * 12, 12, memory_limit(20_000))
+    with pytest.raises(ResourceLimitExceeded):
+        word_length(G, S, (1,) * 12, cap=12, mem_limit=20_000)
 
 
 def test_invalid_arguments():
@@ -265,8 +269,21 @@ def test_invalid_arguments():
         word_length(Z, S, (1,), cap=0)
     with pytest.raises(ValueError):
         ball(Z, S, -1)
-    with pytest.raises(ValueError):
-        word_length(Z, S, (1,), cap=3, mode="sideways")
+
+
+def test_alphabet_over_another_group_is_refused():
+    """An alphabet of Z/5 is refused over Z/7 before any search, also for
+    the identity; an equal group built anew is the same group."""
+    S = _symm(gr.FiniteCyclic(5), [1])
+    G = gr.FiniteCyclic(7)
+    for call in (lambda: word_length(G, S, 3, 6), lambda: word_length(G, S, 0, 6),
+                 lambda: ball(G, S, 3), lambda: girth(G, S, 8)):
+        with pytest.raises(DomainError, match="alphabet belongs to a different group"):
+            call()
+    same = gr.FiniteCyclic(5)
+    assert word_length(same, S, 3, 6).length == 2
+    assert len(ball(same, S, 3)) == 5
+    assert girth(same, S, 8).value == 5
 
 
 @pytest.mark.parametrize("value", [0, -5, 2500.0, "abc", True, "4096"])
@@ -279,22 +296,20 @@ def test_explicit_memory_limit_must_be_a_positive_int(value):
         memory_limit(value)
     with pytest.raises(ValueError, match="mem_limit"):
         ball(Z, S, 3, mem_limit=value)
-    for mode in ("auto", "bfs", "bidirectional"):
-        with pytest.raises(ValueError, match="mem_limit"):
-            word_length(Z, S, (2,), cap=3, mode=mode, mem_limit=value)
+    with pytest.raises(ValueError, match="mem_limit"):
+        word_length(Z, S, (2,), cap=3, mem_limit=value)
     with pytest.raises(ValueError, match="mem_limit"):
         girth(Z, S, 4, mem_limit=value)
 
 
 @pytest.mark.parametrize("value", [3.5, 9.5, 3.0, "3", True, None])
 def test_caps_and_radii_must_be_ints(value):
-    """A cap or radius that is not an int is refused in every mode, also
-    where the comparison with the least allowed value would pass."""
+    """A cap or radius that is not an int is refused, also where the
+    comparison with the least allowed value would pass."""
     Z = gr.IntVector(1)
     S = _symm(Z, [(2,), (3,)])
-    for mode in ("auto", "bfs", "bidirectional"):
-        with pytest.raises(ValueError, match="cap must be an integer"):
-            word_length(Z, S, (1,), value, mode=mode)
+    with pytest.raises(ValueError, match="cap must be an integer"):
+        word_length(Z, S, (1,), value)
     with pytest.raises(ValueError, match="radius must be an integer"):
         ball(Z, S, value)
     with pytest.raises(ValueError, match="cap must be an integer"):
@@ -316,7 +331,7 @@ def test_integer_checks_survive_optimize_flag():
         calls = [
             lambda: ball(Z, S, 2.0),
             lambda: ball(Z, S, 3, mem_limit=0),
-            lambda: word_length(Z, S, (1,), 3.5, mode="bidirectional"),
+            lambda: word_length(Z, S, (1,), 3.5),
             lambda: word_length(Z, S, (1,), 9.5),
             lambda: girth(Z, S, 4.0),
         ]
@@ -354,6 +369,26 @@ def test_ball_matches_full_walk(G):
         for radius in range(G.size + 1):
             B = ball(G, S, radius)
             assert list(B.table.items()) == list(ball_full_walk(G, S, radius).items())
+
+
+@pytest.mark.parametrize("G", FINITE_GROUPS, ids=str)
+def test_word_length_matches_ball_on_finite_groups(G):
+    """word_length meets in the middle in finite groups too.  For every
+    element, over generating and non-generating alphabets, its length is the
+    ball's, None outside the subgroup, and its witness spells the element
+    with that many letters."""
+    alphabets = _finite_alphabets(G, seed=G.size)
+    assert {len(gr.closure(G, S.letters)) == G.size for S in alphabets} == {True, False}
+    for S in alphabets:
+        B = ball(G, S, G.size)
+        for g in G.elements():
+            cert = word_length(G, S, g, G.size)
+            if g not in B:
+                assert (cert.length, cert.witness) == (None, None), (S.letters, g)
+                continue
+            assert cert.length == B.length(g), (S.letters, g)
+            assert len(cert.witness) == cert.length
+            assert S.eval_word(cert.witness) == g
 
 
 def test_ball_stops_once_it_holds_the_whole_group(monkeypatch):
