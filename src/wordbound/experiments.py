@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 from . import groups as gr
 from .errors import NotGeneratingError, UnsupportedFamilyError
-from .gensets import GenSet, _generates_split, dihedral_mod, generates, make_symmetric
+from .gensets import GenSet, _generates_split, dihedral_mod, generates, inverse_pair_classes, make_symmetric
 from .metric import ball, word_length
 from .reports import ExperimentReport, Verdict
 
@@ -68,8 +68,11 @@ def min_coefficients(p, q, u):
     general solution (a0 + t*step_a, b0 - t*step_b).  The cost is convex and
     piecewise linear in t with breakpoints -a0/step_a and b0/step_b, so an
     integer minimum lies at the floor or ceiling of one of them; both are
-    found exactly with integer division.
+    found exactly with integer division.  A zero step has no breakpoint: its
+    term does not move with t.
     """
+    if p == q == 0:
+        raise ValueError("p and q must not both be 0")
     g, x, y = _ext_gcd(p, q)
     if u % g:
         raise ValueError(f"{u} is not a multiple of gcd({p},{q})")
@@ -78,6 +81,8 @@ def min_coefficients(p, q, u):
     step_a, step_b = q // g, p // g
     candidates = set()
     for num, den in ((-a0, step_a), (b0, step_b)):
+        if den == 0:
+            continue
         candidates.add(num // den)  # floor
         candidates.add(-(-num // den))  # ceiling
     best = None
@@ -212,22 +217,13 @@ def symmetric_generating_subsets(G):
     subgroup of m without its top class and that class (P. Hall's lattice
     view), so ``closure`` runs once per distinct (subgroup, class) pair,
     cached for the call: D16's 4095 masks need 111 closures.  A generating
-    mask's letters are its classes in order, each inverse right after its
-    letter, which is what ``make_symmetric`` returns for them; the group
-    enumerated them, so they are not checked again.
+    mask's alphabet is ``GenSet.from_classes`` of its classes in order; the
+    group enumerated them, so they are not checked again.
     """
     if not G.is_finite:
         raise UnsupportedFamilyError("need a finite group")
     e = G.identity()
-    classes = []
-    seen = set()
-    for x in G.elements():
-        if x == e or x in seen:
-            continue
-        seen.add(x)
-        xi = G.inv(x)
-        seen.add(xi)
-        classes.append((x,) if xi == x else (x, xi))
+    classes = inverse_pair_classes(G, G.elements())
     subgroups = [frozenset((e,))]  # subgroups[m]: generated by the classes of mask m
     joins = {}
     for mask in range(1, 1 << len(classes)):
@@ -238,14 +234,7 @@ def symmetric_generating_subsets(G):
             J = joins[key] = frozenset(gr.closure(G, [*key[0], *classes[top]]))
         subgroups.append(J)
         if len(J) == G.size:
-            letters = []
-            involution = []
-            for i, cls in enumerate(classes):
-                if mask >> i & 1:
-                    a = len(letters)
-                    letters += cls
-                    involution += (a,) if len(cls) == 1 else (a + 1, a)
-            yield GenSet(group=G, letters=tuple(letters), involution=tuple(involution))
+            yield GenSet.from_classes(G, [c for i, c in enumerate(classes) if mask >> i & 1])
 
 
 def uniform_length_table(G):
@@ -596,30 +585,17 @@ def sample_zxd8_genset(rng, radius=10):
     elements with translation part bounded by ``radius``; sets whose
     generation certificate is not a definite yes are discarded.
 
-    Each draw's alphabet is built as ``make_symmetric`` builds it: a drawn
-    element already present (as an earlier draw's inverse) is skipped, and
-    each new one is followed by its inverse unless it is an involution.  The
-    pool was enumerated from the group and holds no identity, so nothing is
-    checked again, and the Schreier decision runs on the split computed
-    once.
+    Each draw's alphabet is ``GenSet.from_classes`` of its inverse-pair
+    classes, with inverses read from the cached map: a drawn element already
+    present (as an earlier draw's inverse) is skipped.  The pool was
+    enumerated from the group and holds no identity, so nothing is checked
+    again, and the Schreier decision runs on the split computed once.
     """
     pool = _zxd8_pool(radius)
-    inverse = _zxd8_inverses(radius)
+    inverse = _zxd8_inverses(radius).__getitem__
     for _ in range(ZXD8_MAX_ATTEMPTS):
-        letters = []
-        involution = []
-        for x in rng.sample(pool, rng.randint(2, 4)):
-            if x in letters:
-                continue
-            a = len(letters)
-            xi = inverse[x]
-            if xi == x:
-                letters.append(x)
-                involution.append(a)
-            else:
-                letters += (x, xi)
-                involution += (a + 1, a)
-        S = GenSet(group=_ZXD8, letters=tuple(letters), involution=tuple(involution))
+        draws = rng.sample(pool, rng.randint(2, 4))
+        S = GenSet.from_classes(_ZXD8, inverse_pair_classes(_ZXD8, draws, inverse))
         if _generates_split(S, *_ZXD8_SPLIT).is_yes:
             return S
     raise NotGeneratingError(

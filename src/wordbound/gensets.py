@@ -29,7 +29,9 @@ from .metric import _Budget, _check_alphabet, _check_int, _length_bidirectional,
 class GenSet:
     """Symmetric generating alphabet over a group.
 
-    Build with :func:`make_symmetric`; the constructor trusts its inputs.
+    Build with :func:`make_symmetric`, or with :meth:`from_classes` from
+    classes of :func:`inverse_pair_classes`; neither the constructor nor
+    ``from_classes`` checks its inputs.
     """
 
     group: gr.Group
@@ -73,33 +75,54 @@ class GenSet:
             raise DomainError(f"a genset's elements must be a list, got {elems!r}")
         return make_symmetric(G, [G.element_from_obj(o) for o in elems])
 
+    @classmethod
+    def from_classes(cls, G, classes):
+        """The alphabet laid out from inverse-pair classes: each class's
+        element, then its inverse unless the class is an involution alone."""
+        letters = []
+        involution = []
+        for c in classes:
+            a = len(letters)
+            letters += c
+            involution += (a,) if len(c) == 1 else (a + 1, a)
+        return cls(group=G, letters=tuple(letters), involution=tuple(involution))
+
+
+def inverse_pair_classes(G, elements, inv=None):
+    """The inverse-pair classes of ``elements``, in order of first appearance.
+
+    Skips the identity and each element of an earlier class; a new element x
+    gives the class (x, x^-1), or (x,) when x is an involution.  ``inv`` maps
+    an element to its inverse and defaults to ``G.inv``.
+    """
+    inv = inv or G.inv
+    seen = {G.identity()}
+    classes = []
+    for x in elements:
+        if x not in seen:
+            xi = inv(x)
+            seen.update((x, xi))
+            classes.append((x,) if xi == x else (x, xi))
+    return classes
+
 
 def make_symmetric(G, elements):
     """Canonicalize elements into a symmetric generating alphabet.
 
-    Drops identities, merges duplicates, and inserts missing inverses right
-    after the letter they invert.  Idempotent on already-symmetric input.
+    Checks every element, drops identities, merges duplicates, and inserts
+    missing inverses right after the letter they invert.  Idempotent on
+    already-symmetric input.
     """
-    index = {}
-    order = []
-    involution = []
-    for x in elements:
-        G.check(x)
-        if x == G.identity() or x in index:
-            continue
-        # x is new, so its inverse is too unless x is an involution.
-        a = index[x] = len(order)
-        order.append(x)
-        xi = G.inv(x)
-        if xi == x:
-            involution.append(a)
-        else:
-            index[xi] = a + 1
-            order.append(xi)
-            involution += [a + 1, a]
-    if not order:
+    # One pass: ``elements`` may be an iterator.
+    def checked():
+        for x in elements:
+            G.check(x)
+            yield x
+
+    classes = inverse_pair_classes(G, checked())
+    if not classes:
         raise EmptyGenSetError("all proposed generators were the identity")
-    return GenSet(group=G, letters=tuple(order), involution=tuple(involution))
+    return GenSet.from_classes(G, classes)
 
 
 # -- Smith normal form ---------------------------------------------------

@@ -146,20 +146,18 @@ class _Budget:
         self.nodes += 1
 
 
-def _expand(G, letters, labels, table, frontier, depth, budget, stop=None, full=None):
+def _expand(G, letters, labels, table, frontier, depth, budget, full=None):
     """Grow a search by one layer and return the nodes it first reached.
 
     Right-multiplies each node of ``frontier``, in order, by each letter, in
     order; a new node v is charged to ``budget`` and stored as
     ``table[v] = (depth, label)`` with the label paired to its letter.
-    Returns right after storing ``stop``, leaving the layer unfinished.
 
-    Given ``full``, the order of a finite G, it also returns after the
-    frontier node whose products make ``table`` hold all of G.  That layer
-    is then complete: the products it skips are all in the table already,
-    so they would store, label and charge nothing.  The test runs once per
-    node, not per insertion.  Only ``ball`` passes ``full``: a breadth-first
-    search for ``stop`` stores it no later than its table fills.
+    Given ``full``, the order of a finite G, it returns after the frontier
+    node whose products make ``table`` hold all of G.  That layer is then
+    complete: the products it skips are all in the table already, so they
+    would store, label and charge nothing.  The test runs once per node, not
+    per insertion.  Only ``ball`` passes ``full``.
     """
     # A list: one tuple per call lingered in CPython's per-size tuple free
     # lists and held 0.9 MB more after the D16 uniform-length table.
@@ -176,8 +174,6 @@ def _expand(G, letters, labels, table, frontier, depth, budget, stop=None, full=
             charge(v, done)
             table[v] = (depth, label)
             layer.append(v)
-            if v == stop:
-                return layer
         if full is not None and len(table) == full:
             return layer
     return layer
@@ -228,8 +224,10 @@ def word_length(G, S, g, cap, mem_limit=None):
 
 def _length_bfs(G, S, g, cap, limit):
     """Word length by one BFS from the identity: the reference the tests hold
-    ``word_length`` to, called by no library code.  perfbench's tracer looks
-    it up by name, and its traced runs end in KeyError without it."""
+    ``word_length`` to, called by no library code.  Each layer is finished
+    before g is looked up, so ``explored`` counts the whole last layer.
+    perfbench's tracer looks it up by name, and its traced runs end in
+    KeyError without it."""
     budget = _Budget(limit)
     e = G.identity()
     table = _root(budget, e)
@@ -237,7 +235,7 @@ def _length_bfs(G, S, g, cap, limit):
     for depth in range(1, cap + 1):
         if g in table:
             break
-        frontier = _expand(G, S.letters, S.symbols(), table, frontier, depth, budget, stop=g)
+        frontier = _expand(G, S.letters, S.symbols(), table, frontier, depth, budget)
     if g not in table:
         return LengthCert(element=g, length=None, witness=None, cap=cap, explored=len(table))
     witness = Ball(group=G, genset=S, radius=cap, table=table).word_to(g)

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import wordbound
 from wordbound import groups as gr
-from wordbound.errors import NotGeneratingError, UnsupportedFamilyError
+from wordbound.errors import EmptyGenSetError, NotGeneratingError, UnsupportedFamilyError
 from wordbound.experiments import Automorphism
-from wordbound.gensets import generates, make_symmetric, smith_normal_form
+from wordbound.gensets import GenSet, generates, smith_normal_form
 from wordbound.girth import GirthResult, _validate_witness
 from wordbound.metric import word_length
 
@@ -252,6 +252,33 @@ def aut_by_bijections(G):
     return autos
 
 
+def make_symmetric_reference(G, elements):
+    """``make_symmetric`` as first written, one loop that checks each element
+    and lays out its letters and involution as it goes; the library, which
+    builds inverse-pair classes and lays them out apart, must return the
+    same alphabet."""
+    index = {}
+    order = []
+    involution = []
+    for x in elements:
+        G.check(x)
+        if x == G.identity() or x in index:
+            continue
+        # x is new, so its inverse is too unless x is an involution.
+        a = index[x] = len(order)
+        order.append(x)
+        xi = G.inv(x)
+        if xi == x:
+            involution.append(a)
+        else:
+            index[xi] = a + 1
+            order.append(xi)
+            involution += [a + 1, a]
+    if not order:
+        raise EmptyGenSetError("all proposed generators were the identity")
+    return GenSet(group=G, letters=tuple(order), involution=tuple(involution))
+
+
 def sample_zxd8_genset_reference(rng, radius=10, max_attempts=500):
     """The zxd8 sampler as first written, building its pool of Z x D8 on
     every call; ``experiments.sample_zxd8_genset`` must draw the same
@@ -261,7 +288,7 @@ def sample_zxd8_genset_reference(rng, radius=10, max_attempts=500):
     pool = [((n,), f) for n in range(-radius, radius + 1) for f in G.right.elements()]
     pool = [g for g in pool if g != e]
     for _ in range(max_attempts):
-        S = make_symmetric(G, rng.sample(pool, rng.randint(2, 4)))
+        S = make_symmetric_reference(G, rng.sample(pool, rng.randint(2, 4)))
         if generates(G, S).is_yes:
             return S
     raise NotGeneratingError(f"no generating set within {max_attempts} attempts")
@@ -269,7 +296,7 @@ def sample_zxd8_genset_reference(rng, radius=10, max_attempts=500):
 
 def symmetric_generating_subsets_reference(G):
     """The generating-set enumeration as first written: one ``closure`` and
-    one ``make_symmetric`` per inverse-pair mask.
+    one ``make_symmetric_reference`` per inverse-pair mask.
     ``experiments.symmetric_generating_subsets`` must yield equal GenSets in
     the same order."""
     e = G.identity()
@@ -287,7 +314,7 @@ def symmetric_generating_subsets_reference(G):
             x for i, cls in enumerate(classes) if mask >> i & 1 for x in cls
         ]
         if len(gr.closure(G, chosen)) == G.size:
-            yield make_symmetric(G, chosen)
+            yield make_symmetric_reference(G, chosen)
 
 
 def product_split_reference(G):

@@ -402,6 +402,20 @@ def test_experiment_pairs_option(runner):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("args, lengths", [
+    (["zd", "--pairs", "1:0,2:3,3:5"], [1, 2, 3]),
+    (["heisenberg", "--pairs", "0:1"], [4]),
+])
+def test_experiment_pairs_with_a_zero(runner, args, lengths):
+    """A pair with a zero p or q is coprime when the other is 1: its row is
+    searched like any other, with no ZeroDivisionError."""
+    result = runner.invoke(main, ["experiment", *args, "--format", "json"])
+    assert result.exit_code == 0
+    assert result.exception is None
+    assert "Traceback" not in result.output
+    assert [r["length"] for r in json.loads(result.output)["rows"]] == lengths
+
+
 @pytest.mark.parametrize("args, named", [
     (["zd", "--q", "9"], "--q"),
     (["fc-witness", "--seed", "5"], "--seed"),

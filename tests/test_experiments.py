@@ -42,6 +42,22 @@ def test_min_coefficients_against_brute_force():
             if (u - x * p) % q == 0
         )
         assert cost == brute
+    # A zero p or q is coprime to +-1 only; that term's coefficient is free.
+    for p, q in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        for u in range(-20, 21):
+            cost, (a, b) = ex.min_coefficients(p, q, u)
+            assert a * p + b * q == u
+            assert cost == abs(a) + abs(b)
+            brute = min(
+                abs(x) + abs(y)
+                for x in range(-25, 26)
+                for y in range(-25, 26)
+                if x * p + y * q == u
+            )
+            assert cost == brute
+    for u in (0, 1):
+        with pytest.raises(ValueError, match="both be 0"):
+            ex.min_coefficients(0, 0, u)
 
 
 def _scan_min_coefficients(p, q, u):

@@ -7,7 +7,13 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as snf_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import generates_split_reference, random_element
+from oracles import (
+    FINITE_GROUPS,
+    generates_split_reference,
+    make_symmetric_reference,
+    quaternion_table,
+    random_element,
+)
 
 from wordbound import groups as gr
 from wordbound.errors import (
@@ -24,6 +30,7 @@ from wordbound.gensets import (
     heisenberg_abelianization,
     int_mod,
     invariant_factors,
+    inverse_pair_classes,
     make_symmetric,
     project_genset,
     project_left,
@@ -56,6 +63,75 @@ def test_make_symmetric_drops_identity_and_duplicates():
     assert S.letters == ((2,), (-2,))
     with pytest.raises(EmptyGenSetError):
         make_symmetric(Z, [(0,)])
+
+
+ALPHABET_GROUPS = [
+    gr.FiniteCyclic(1), gr.FiniteCyclic(8), gr.IntVector(1), gr.IntVector(3),
+    gr.DihedralFinite(4), gr.DihedralInfinite(), gr.Heisenberg(), gr.Free(1), gr.Free(2),
+    gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
+    gr.Product(gr.Free(2), gr.FiniteCyclic(2)),
+    gr.Product(gr.DihedralInfinite(), gr.Product(gr.FiniteCyclic(2), gr.FiniteCyclic(2))),
+    gr.CayleyTableGroup.from_json({"elements": ["e", "g", "g2"],
+                                   "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}),
+    quaternion_table(),
+]
+
+
+@pytest.mark.parametrize("G", ALPHABET_GROUPS, ids=str)
+def test_make_symmetric_matches_reference(G):
+    """Same letters and involution as the single-loop original on seeded
+    lists of fresh elements, repeats, identities and inverses of earlier
+    elements, in every family."""
+    rng = random.Random(16)
+    for _ in range(80):
+        elements = []
+        for _ in range(rng.randint(1, 8)):
+            kind = rng.randrange(4) if elements else 0
+            if kind == 0:
+                elements.append(random_element(G, rng, 3))
+            elif kind == 1:
+                elements.append(rng.choice(elements))
+            elif kind == 2:
+                elements.append(G.inv(rng.choice(elements)))
+            else:
+                elements.append(G.identity())
+        try:
+            expected = make_symmetric_reference(G, elements)
+        except EmptyGenSetError:
+            with pytest.raises(EmptyGenSetError):
+                make_symmetric(G, elements)
+            continue
+        S = make_symmetric(G, elements)
+        assert (S.letters, S.involution) == (expected.letters, expected.involution)
+
+
+def test_make_symmetric_checks_every_element():
+    """An element is checked even where an earlier copy or the identity
+    would have it skipped."""
+    Z = gr.IntVector(1)
+    for bad in ([2], (2.0,), [0], (0.0,)):
+        with pytest.raises(DomainError):
+            make_symmetric(Z, [(2,), bad])
+
+
+@pytest.mark.parametrize("G", FINITE_GROUPS, ids=str)
+def test_inverse_pair_classes_partition_the_group(G):
+    """The classes of G's elements, in any order, partition G minus the
+    identity into sets closed under inversion; ``GenSet.from_classes`` pairs
+    each letter with the letter of its inverse."""
+    elements = list(G.elements())
+    rng = random.Random(16)
+    for _ in range(4):
+        classes = inverse_pair_classes(G, elements + elements)
+        members = [x for c in classes for x in c]
+        assert len(members) == len(set(members)) == G.size - 1
+        assert set(members) == set(elements) - {G.identity()}
+        assert all({G.inv(x) for x in c} == set(c) for c in classes)
+        S = GenSet.from_classes(G, classes)
+        assert S.letters == tuple(members)
+        assert all(S.element(S.inv_symbol(i)) == G.inv(S.element(i)) for i in S.symbols())
+        assert all(S.inv_symbol(S.inv_symbol(i)) == i for i in S.symbols())
+        rng.shuffle(elements)
 
 
 def test_cardinality_counts_distinct_elements():

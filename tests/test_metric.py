@@ -183,6 +183,24 @@ def test_searches_match_naive_bfs(G, radius):
                 assert S.eval_word(cert.witness) == g
 
 
+@pytest.mark.parametrize("G,elems", [
+    (gr.IntVector(2), [(1, 0), (0, 1)]),
+    (gr.Free(2), [(1,), (2,)]),
+    (gr.DihedralFinite(5), [(1, 0), (0, 1)]),
+], ids=lambda v: str(v)[:24])
+def test_length_bfs_finishes_its_last_layer(G, elems):
+    """The BFS reference explores the whole ball of radius length(g), or of
+    radius cap when g lies outside it, and its witness is that ball's word."""
+    S = _symm(G, elems)
+    rng = random.Random(16)
+    for _ in range(20):
+        g = random_element(G, rng, size=3)
+        cert = _length_bfs(G, S, g, 5, memory_limit())
+        B = ball(G, S, 5 if cert.length is None else cert.length)
+        assert cert.explored == len(B.table)
+        assert cert.witness == (None if cert.length is None else B.word_to(g))
+
+
 # -- agreement with the BFS reference ------------------------------------
 
 

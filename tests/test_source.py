@@ -1,5 +1,6 @@
 """Source-wide guards: exact integers only, checks that survive
-``python -O``, and a group law of each family's own."""
+``python -O``, a group law of each family's own, and one module that lays
+out a ``GenSet``."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,29 @@ def test_guard_flags_an_inherited_law():
 
 def test_every_family_defines_both_laws():
     assert _laws_not_in_own_body(gr.REGISTRY.values()) == []
+
+
+def _genset_constructions(source):
+    """Line numbers of calls to the ``GenSet`` constructor itself, by name or
+    as an attribute; ``GenSet.from_classes(...)`` is not one."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "GenSet" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_guard_flags_a_genset_built_by_hand():
+    source = ("S = GenSet(G, letters, involution)\n"
+              "T = gensets.GenSet(group=G, letters=(), involution=())\n"
+              "U = GenSet.from_classes(G, classes)\n"
+              "V = make_symmetric(G, elements)\n")
+    assert _genset_constructions(source) == [1, 2]
+
+
+def test_only_gensets_lays_out_a_genset():
+    """Letters and involution are laid out by ``GenSet.from_classes`` alone,
+    so no other module may call the constructor."""
+    found = {p.name: _genset_constructions(p.read_text(encoding="utf-8"))
+             for p in SOURCES if p.name != "gensets.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
