@@ -286,13 +286,14 @@ def generates(G, S, budget=8, witnesses=None):
     free-group basis index to a word (symbol ids) evaluating to that basis
     letter.  Both searches are charged to the memory budget and raise
     ResourceLimitExceeded past it.
+
+    The alphabet is checked once, at entry, by ``metric._check_alphabet``
+    (its group and every letter).  The Schreier walk then multiplies with
+    the trusted ``_mul``; the free-group search keeps the checked law of
+    ``word_length``'s kernel.
     """
     _check_int("budget", budget, 1)
     _check_alphabet(G, S)
-    # A GenSet trusts its letters: check them once, since the Schreier walk
-    # multiplies unchecked.
-    for x in S.letters:
-        G.check(x)
     if isinstance(G, gr.Heisenberg):
         return _generates_heisenberg(G, S)
     if isinstance(G, gr.Free):

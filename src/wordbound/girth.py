@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .metric import _check_int, ball
+from .metric import _check_alphabet, _check_int, ball
 
 
 def _check_word(S, w):
@@ -102,19 +102,25 @@ def girth(G, S, cap, mem_limit=None):
     """Least length <= cap of a nonempty cyclically reduced relation over S.
 
     Minimality forces the witness path to be a simple loop.  Requires the
-    alphabet to be deduplicated (make_symmetric guarantees this).
+    alphabet to be deduplicated (make_symmetric guarantees this).  The
+    alphabet is checked first (``metric._check_alphabet``), so a foreign
+    letter is a DomainError, never a TypeError from the duplicate test; the
+    ball and the scan over it then multiply with the trusted ``G._mul``,
+    and the witness is validated with the checked law.
     """
     _check_int("cap", cap, 2)
+    _check_alphabet(G, S)
     if len(set(S.letters)) != len(S.letters):
         raise DomainError("alphabet carries duplicate elements")
     radius = (cap + 1) // 2
     B = ball(G, S, radius, mem_limit=mem_limit)
     table = B.table
+    mul = G._mul  # the ball's nodes and the letters are checked elements
     best = None  # (length, u, sym, v)
     for u in table:  # insertion order == BFS discovery order: deterministic
         du, u_last = table[u]
         for sym in S.symbols():
-            v = G.mul(u, S.element(sym))
+            v = mul(u, S.element(sym))
             if v not in table:
                 continue
             # The letters are distinct, so the edge u -sym-> v is a BFS tree

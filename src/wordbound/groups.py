@@ -34,9 +34,10 @@ tests both operands with ``contains``, raises the ``DomainError`` that
 ``check`` would and otherwise returns ``self._mul(g, h)``; it is defined in
 the family's own class body, because perfbench traces ``mul`` class by
 class.  ``_mul`` is only called on operands that were already checked:
-``closure``, the Schreier walk of ``gensets.generates`` and the generator
-check of ``experiments.Automorphism`` check their inputs once where they come
-in and then multiply unchecked.
+``closure``, the Schreier walk of ``gensets.generates``, ``metric.ball``,
+the scan of ``girth.girth`` and the generator check of
+``experiments.Automorphism`` check their inputs once where they come in and
+then multiply unchecked.
 """
 
 from __future__ import annotations

@@ -8,6 +8,13 @@ layers with one kernel, :func:`_expand`.  Frontier order is deterministic
 (FIFO, letters in ascending symbol id), so geodesic witnesses are
 reproducible across runs and platforms.
 
+Every search checks its alphabet once, at entry, in
+:func:`_check_alphabet`: the alphabet must be over ``G`` and each letter an
+element of it.  The root is the identity or a checked target, so every node
+a search reaches is a product of elements.  ``ball``, and ``girth`` through
+it, therefore multiply with the trusted law ``G._mul``.  ``word_length``'s
+searches and its witness, like ``Ball.word_to``, keep the checked ``G.mul``.
+
 In a finite group a ball stops once its table holds all ``G.size``
 elements: ``_expand`` returns after the frontier node whose products fill
 the table, and ``ball`` runs no further layer.  The stop is exact.  From then
@@ -37,9 +44,17 @@ def _check_int(name, value, least):
 
 
 def _check_alphabet(G, S):
-    """DomainError unless S is over G; ``is`` first spares a dataclass ==."""
+    """DomainError unless S is over G and every letter is an element of G.
+
+    The one boundary check of every search over S: ``ball``, ``girth``,
+    ``word_length`` and ``generates`` call it before they multiply, and the
+    kernels behind ``ball`` and ``girth`` then trust the letters.  ``is``
+    first spares a dataclass ==.
+    """
     if S.group is not G and S.group != G:
         raise DomainError("alphabet belongs to a different group")
+    for x in S.letters:
+        G.check(x)
 
 
 def memory_limit(explicit=None):
@@ -146,12 +161,15 @@ class _Budget:
         self.nodes += 1
 
 
-def _expand(G, letters, labels, table, frontier, depth, budget, full=None):
+def _expand(mul, letters, labels, table, frontier, depth, budget, full=None):
     """Grow a search by one layer and return the nodes it first reached.
 
     Right-multiplies each node of ``frontier``, in order, by each letter, in
-    order; a new node v is charged to ``budget`` and stored as
-    ``table[v] = (depth, label)`` with the label paired to its letter.
+    order, with the caller's law ``mul``; a new node v is charged to
+    ``budget`` and stored as ``table[v] = (depth, label)`` with the label
+    paired to its letter.  ``ball`` passes the trusted ``G._mul``, whose
+    operands its entry check vouches for; the word-length searches pass the
+    checked ``G.mul``.
 
     Given ``full``, the order of a finite G, it returns after the frontier
     node whose products make ``table`` hold all of G.  That layer is then
@@ -162,7 +180,6 @@ def _expand(G, letters, labels, table, frontier, depth, budget, full=None):
     # A list: one tuple per call lingered in CPython's per-size tuple free
     # lists and held 0.9 MB more after the D16 uniform-length table.
     steps = list(zip(letters, labels))
-    mul = G.mul
     charge = budget.charge
     done = depth - 1
     layer = []
@@ -188,6 +205,8 @@ def _root(budget, root):
 def ball(G, S, radius, mem_limit=None):
     """BFS ball of the given radius around the identity.
 
+    Checks the alphabet at entry (:func:`_check_alphabet`), then multiplies
+    with the trusted ``G._mul``: every node is a product of checked letters.
     Stops early once the ball is the whole of a finite group.  Raises
     ResourceLimitExceeded (carrying the last completed radius) if the
     memory budget runs out.
@@ -202,7 +221,7 @@ def ball(G, S, radius, mem_limit=None):
     for depth in range(1, radius + 1):
         if not frontier or len(table) == full:
             break
-        frontier = _expand(G, S.letters, S.symbols(), table, frontier, depth, budget, full=full)
+        frontier = _expand(G._mul, S.letters, S.symbols(), table, frontier, depth, budget, full=full)
     return Ball(group=G, genset=S, radius=radius, table=table)
 
 
@@ -235,7 +254,7 @@ def _length_bfs(G, S, g, cap, limit):
     for depth in range(1, cap + 1):
         if g in table:
             break
-        frontier = _expand(G, S.letters, S.symbols(), table, frontier, depth, budget)
+        frontier = _expand(G.mul, S.letters, S.symbols(), table, frontier, depth, budget)
     if g not in table:
         return LengthCert(element=g, length=None, witness=None, cap=cap, explored=len(table))
     witness = Ball(group=G, genset=S, radius=cap, table=table).word_to(g)
@@ -265,11 +284,11 @@ def _length_bidirectional(G, S, g, cap, limit):
             break
         if not b_frontier or (f_frontier and len(f_frontier) <= len(b_frontier)):
             df += 1
-            f_frontier = _expand(G, S.letters, S.symbols(), fwd, f_frontier, df, budget)
+            f_frontier = _expand(G.mul, S.letters, S.symbols(), fwd, f_frontier, df, budget)
             layer, depth, other = f_frontier, df, bwd
         else:
             db += 1
-            b_frontier = _expand(G, S.letters, S.involution, bwd, b_frontier, db, budget)
+            b_frontier = _expand(G.mul, S.letters, S.involution, bwd, b_frontier, db, budget)
             layer, depth, other = b_frontier, db, fwd
         for v in layer:
             if v in other:

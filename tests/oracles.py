@@ -13,9 +13,9 @@ import wordbound
 from wordbound import groups as gr
 from wordbound.errors import EmptyGenSetError, NotGeneratingError, UnsupportedFamilyError
 from wordbound.experiments import Automorphism
-from wordbound.gensets import GenSet, generates, smith_normal_form
-from wordbound.girth import GirthResult, _validate_witness
-from wordbound.metric import word_length
+from wordbound.gensets import GenSet, generates, inverse_pair_classes, smith_normal_form
+from wordbound.girth import GirthResult, _validate_witness, girth
+from wordbound.metric import ball, word_length
 
 
 def quaternion_table():
@@ -43,6 +43,39 @@ FINITE_GROUPS = [
     gr.Product(_C2, _C4), gr.Product(_C2, _C6), gr.Product(gr.Product(_C2, _C2), _C2),
     quaternion_table(),
 ]
+
+
+def foreign_alphabets():
+    """Hand-built alphabets, each with one letter outside its group after a
+    class of real letters: (name, group, alphabet, a real letter)."""
+    Z2, D8 = gr.IntVector(2), gr.DihedralFinite(4)
+    cases = [
+        ("Z^2 float coordinate", Z2, (1.5, 0)),
+        ("F2 unreduced word", gr.Free(2), (1, -1, 2)),
+        ("D8 rotation out of range", D8, (5, 0)),
+        ("Z x D8 bad component", gr.Product(gr.IntVector(1), D8), ((0,), (0, 2))),
+        ("Cayley table index out of range", quaternion_table(), 8),
+        ("list letter", Z2, [1, 0]),
+    ]
+    out = []
+    for name, G, bad in cases:
+        good = G.standard_generators()[0]
+        S = GenSet.from_classes(G, inverse_pair_classes(G, [good]) + [(bad,)])
+        out.append((name, G, S, good))
+    return out
+
+
+def search_calls(G, S, g):
+    """Every entry point that searches over S, each as a (name, call) pair;
+    ``g`` is a non-identity element of G."""
+    return [
+        ("word_length to the identity", lambda: word_length(G, S, G.identity(), 4)),
+        ("word_length to g", lambda: word_length(G, S, g, 4)),
+        ("ball of radius 0", lambda: ball(G, S, 0)),
+        ("ball of radius 1", lambda: ball(G, S, 1)),
+        ("girth", lambda: girth(G, S, 4)),
+        ("generates", lambda: generates(G, S)),
+    ]
 
 
 def random_element(G, rng, size=10):

@@ -4,15 +4,19 @@ resource limits."""
 import random
 import textwrap
 from collections import deque
+from pathlib import Path
 
 import pytest
 from oracles import (
     FINITE_GROUPS,
     at_distance,
     ball_full_walk,
+    foreign_alphabets,
+    girth_reference,
     length_profile,
     random_element,
     run_optimized,
+    search_calls,
 )
 
 from wordbound import groups as gr
@@ -266,9 +270,8 @@ def test_ball_memory_budget_exhaustion():
     S = _symm(G, [(1,), (2,)])
     with pytest.raises(ResourceLimitExceeded) as exc:
         ball(G, S, 12, mem_limit=20_000)
-    assert exc.value.partial_radius is not None
-    assert exc.value.partial_radius < 12
-    assert exc.value.explored > 0
+    # Exact, so that a check at entry that charged the budget would show.
+    assert (exc.value.partial_radius, exc.value.explored) == (3, 88)
 
 
 def test_word_length_memory_budget_exhaustion():
@@ -302,6 +305,51 @@ def test_alphabet_over_another_group_is_refused():
     assert word_length(same, S, 3, 6).length == 2
     assert len(ball(same, S, 3)) == 5
     assert girth(same, S, 8).value == 5
+
+
+FOREIGN = foreign_alphabets()
+
+
+@pytest.mark.parametrize("G,S,g", [c[1:] for c in FOREIGN], ids=[c[0] for c in FOREIGN])
+def test_foreign_letter_is_refused_before_any_search(G, S, g):
+    """A letter outside G is refused at entry, whether or not the search
+    would reach it: also for the identity target, at radius 0 and, for an
+    unhashable letter, before girth's duplicate test."""
+    missed = []
+    for name, call in search_calls(G, S, g):
+        try:
+            call()
+        except DomainError as exc:
+            assert "is not an element of" in str(exc), name
+        else:
+            missed.append(name)
+    assert missed == []
+
+
+def test_foreign_letter_refusals_survive_optimize_flag():
+    """The entry check is the only one ball and girth make, so it must hold
+    under ``python -O`` too."""
+    script = textwrap.dedent("""
+        import sys
+
+        sys.path.insert(0, sys.argv[1])
+        from oracles import foreign_alphabets, search_calls
+        from wordbound.errors import DomainError
+
+        if __debug__:
+            raise SystemExit("expected to run under python -O")
+        calls = [call for _, G, S, g in foreign_alphabets()
+                 for _, call in search_calls(G, S, g)]
+        refused = 0
+        for call in calls:
+            try:
+                call()
+            except DomainError:
+                refused += 1
+        print(refused, len(calls))
+    """)
+    tests = str(Path(__file__).resolve().parent)
+    assert run_optimized(["-c", script, tests]).stdout.split() == ["36", "36"]
 
 
 @pytest.mark.parametrize("value", [0, -5, 2500.0, "abc", True, "4096"])
@@ -389,6 +437,34 @@ def test_ball_matches_full_walk(G):
             assert list(B.table.items()) == list(ball_full_walk(G, S, radius).items())
 
 
+# ball and girth multiply with the trusted law; these alphabets hold them to
+# walks that multiply with the checked one outside finite groups.
+INFINITE_ALPHABETS = [
+    (gr.IntVector(2), [(1, 0), (0, 1), (1, 1)]),
+    (gr.Heisenberg(), [(1, 0, 0), (0, 1, 0)]),
+    (gr.Heisenberg(), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    (gr.DihedralInfinite(), [(0, 1), (2, 1), (3, 1)]),
+    (gr.Free(2), [(1,), (2,), (1, 2)]),
+    (gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
+     [((1,), (1, 0)), ((0,), (0, 1)), ((2,), (1, 1))]),
+]
+
+
+@pytest.mark.parametrize("G,elems", INFINITE_ALPHABETS, ids=lambda v: str(v)[:24])
+def test_trusted_ball_matches_full_walk_in_infinite_groups(G, elems):
+    S = _symm(G, elems)
+    for radius in range(5):
+        B = ball(G, S, radius)
+        assert list(B.table.items()) == list(ball_full_walk(G, S, radius).items())
+
+
+@pytest.mark.parametrize("G,elems", INFINITE_ALPHABETS, ids=lambda v: str(v)[:24])
+def test_trusted_girth_matches_reference_in_infinite_groups(G, elems):
+    S = _symm(G, elems)
+    for cap in range(2, 7):
+        assert girth(G, S, cap).value == girth_reference(G, S, cap).value, cap
+
+
 @pytest.mark.parametrize("G", FINITE_GROUPS, ids=str)
 def test_word_length_matches_ball_on_finite_groups(G):
     """word_length meets in the middle in finite groups too.  For every
@@ -419,8 +495,8 @@ def test_ball_stops_once_it_holds_the_whole_group(monkeypatch):
     S_all = _symm(G, [x for x in G.elements() if x != G.identity()])
     S_sr = _symm(G, [(0, 1), (1, 0)])
     calls = []
-    real = gr.DihedralFinite.mul
-    monkeypatch.setattr(gr.DihedralFinite, "mul", lambda self, g, h: calls.append(None) or real(self, g, h))
+    real = gr.DihedralFinite._mul
+    monkeypatch.setattr(gr.DihedralFinite, "_mul", lambda self, g, h: calls.append(None) or real(self, g, h))
     assert len(ball(G, S_all, G.size)) == 8
     assert len(calls) == 7
     calls.clear()
