@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from itertools import repeat
 from math import gcd
 from operator import add, neg
 
@@ -98,7 +97,8 @@ class Group:
         the same on every call.  "Integer" means ``isinstance(x, int)``:
         ``True``, ``False`` and other ``int`` subclasses count as integers,
         while ``1.0`` does not.  ``check`` runs it on every operand of the
-        checked ``mul`` and ``inv``.
+        checked ``mul`` and ``inv``, so it is one pass of plain loops, with
+        no ``map``, ``all`` or generator chain.
         """
         raise NotImplementedError
 
@@ -287,11 +287,12 @@ class IntVector(Group):
         return (0,) * self.d
 
     def contains(self, g):
-        return (
-            isinstance(g, tuple)
-            and len(g) == self.d
-            and all(map(isinstance, g, repeat(int)))
-        )
+        if not isinstance(g, tuple) or len(g) != self.d:
+            return False
+        for x in g:
+            if not isinstance(x, int):
+                return False
+        return True
 
     def element_order(self, g):
         self.check(g)
@@ -530,12 +531,17 @@ class Free(Group):
         return g[:i] + core * abs(n) + g[j:]
 
     def contains(self, g):
+        # One pass: each letter is a nonzero int of rank at most k that does
+        # not cancel the one before it (the first is held against 0).
         if not isinstance(g, tuple):
             return False
+        k = self.k
+        prev = 0
         for x in g:
-            if not isinstance(x, int) or x == 0 or abs(x) > self.k:
+            if not isinstance(x, int) or x == 0 or x == -prev or not -k <= x <= k:
                 return False
-        return all(g[i] != -g[i + 1] for i in range(len(g) - 1))
+            prev = x
+        return True
 
     def element_order(self, g):
         self.check(g)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     FINITE_GROUPS,
     closure_full_walk,
@@ -214,6 +216,68 @@ def test_contains_matches_reference(G):
         assert verdict is contains_reference(G, g), g
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _reduced_word(k, n, rng, tail):
+    """A reduced word of ``n`` letters over F_k that ends with ``tail``,
+    grown leftwards so that no letter cancels the one after it."""
+    letters = [s * i for i in range(1, k + 1) for s in (1, -1)]
+    word = list(reversed(tail))
+    while len(word) < n:
+        x = rng.choice(letters)
+        if x != -word[-1]:
+            word.append(x)
+    return tuple(reversed(word))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_free_contains_long_words_faulted_at_the_tail(k):
+    """Words of 40 to 80 letters whose only fault is the last letter or the
+    last pair: 0, a letter beyond the rank, a bool, a float, an int subclass
+    or a letter that cancels the ``-1`` before it."""
+    G = Free(k)
+    rng = random.Random(70 + k)
+    faults = [0, k + 1, -(k + 1), True, 1.0, _IntSub(1), _IntSub(k + 1), 1]
+    verdicts = []
+    for n in range(40, 81, 4):
+        stem = _reduced_word(k, n - 1, rng, tail=(-1,))
+        last = rng.choice([x for x in (-1, 2, -2) if abs(x) <= k])
+        words = [stem + (last,)]
+        words += [stem + (a,) for a in faults]
+        words += [stem[:-1] + (a, last) for a in faults]
+        for g in words:
+            assert len(g) == n
+            verdict = G.contains(g)
+            assert verdict is contains_reference(G, g), g
+            verdicts.append(verdict)
+        assert all(G.contains(stem + (a,)) is False for a in faults)
+    assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_int_vector_contains_with_the_bad_slot_last(d):
+    G = IntVector(d)
+    rng = random.Random(80 + d)
+    atoms = [1.0, 0.0, None, "a", [], (1,), True, _IntSub(2), 10**30, -(10**30)]
+    for _ in range(10):
+        g = tuple(rng.randint(-9, 9) for _ in range(d))
+        for h in [g] + [g[:-1] + (a,) for a in atoms]:
+            assert G.contains(h) is contains_reference(G, h), h
+        assert G.contains(g[:-1] + (1.0,)) is False
+
+
+_LETTER_ATOMS = [1, -1, 2, -2, 3, -3] * 3 + [0, 4, -4, True, False, 1.0, _IntSub(1),
+                                             _IntSub(-2), None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize(
+    "G", [Free(2), Free(3), IntVector(1), IntVector(2), IntVector(3)], ids=str)
+def test_contains_matches_reference_on_drawn_tuples(G, data):
+    size = 80 if isinstance(G, Free) else G.d + 1
+    g = tuple(data.draw(st.lists(st.sampled_from(_LETTER_ATOMS), max_size=size)))
+    assert G.contains(g) is contains_reference(G, g)
 
 
 PRODUCTS = [

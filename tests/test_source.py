@@ -1,8 +1,10 @@
 """Source-wide guards: exact integers only, checks that survive
-``python -O``, a group law of each family's own, and one module that lays
-out a ``GenSet``."""
+``python -O``, a group law of each family's own, membership tests without
+iterator chains, and one module that lays out a ``GenSet``."""
 
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 from wordbound import groups as gr
@@ -54,6 +56,66 @@ def test_guard_flags_an_inherited_law():
 
 def test_every_family_defines_both_laws():
     assert _laws_not_in_own_body(gr.REGISTRY.values()) == []
+
+
+
+CHAIN_CALLS = {"map", "all", "any", "zip", "filter"}
+CHAIN_NODES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _chained_membership_tests(classes):
+    """Names of the classes whose ``contains`` calls ``map``, ``all``,
+    ``any``, ``zip`` or ``filter``, or holds a comprehension or generator
+    expression.
+
+    ``contains`` runs on both operands of every checked product, and a plain
+    ``for`` loop is several times faster there than an iterator chain.
+    """
+    def chained(func):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        return any(
+            isinstance(node, CHAIN_NODES)
+            or (isinstance(node, ast.Call) and getattr(node.func, "id", None) in CHAIN_CALLS)
+            for node in ast.walk(tree))
+
+    return sorted(cls.__name__ for cls in classes if chained(cls.contains))
+
+
+def test_guard_flags_an_iterator_chain_in_contains():
+    class Mapped(gr.IntVector):
+        def contains(self, g):
+            return isinstance(g, tuple) and all(map(isinstance, g, [int] * len(g)))
+
+    class Generated(gr.Free):
+        def contains(self, g):
+            return all(g[i] != -g[i + 1] for i in range(len(g) - 1))
+
+    class Listed(gr.Free):
+        def contains(self, g):
+            return [x for x in g if x == 0] == []
+
+    class Zipped(gr.Free):
+        def contains(self, g):
+            return not any(x == -y for x, y in zip(g, g[1:]))
+
+    class Filtered(gr.IntVector):
+        def contains(self, g):
+            return not list(filter(None, g))
+
+    class Looped(gr.IntVector):
+        def contains(self, g):
+            for x in g:
+                if not isinstance(x, int):
+                    return False
+            return True
+
+    classes = [Mapped, Generated, Listed, Zipped, Filtered, Looped, gr.Free]
+    assert _chained_membership_tests(classes) == [
+        "Filtered", "Generated", "Listed", "Mapped", "Zipped"]
+
+
+def test_no_family_tests_membership_with_an_iterator_chain():
+    assert _chained_membership_tests(gr.REGISTRY.values()) == []
 
 
 def _genset_constructions(source):
