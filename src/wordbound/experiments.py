@@ -217,8 +217,8 @@ def symmetric_generating_subsets(G):
     subgroup of m without its top class and that class (P. Hall's lattice
     view), so ``closure`` runs once per distinct (subgroup, class) pair,
     cached for the call: D16's 4095 masks need 111 closures.  A generating
-    mask's alphabet is ``GenSet.from_classes`` of its classes in order; the
-    group enumerated them, so they are not checked again.
+    mask's alphabet is ``GenSet.from_classes`` of its classes in order,
+    checked by the constructor like every alphabet.
     """
     if not G.is_finite:
         raise UnsupportedFamilyError("need a finite group")
@@ -588,8 +588,9 @@ def sample_zxd8_genset(rng, radius=10):
     Each draw's alphabet is ``GenSet.from_classes`` of its inverse-pair
     classes, with inverses read from the cached map: a drawn element already
     present (as an earlier draw's inverse) is skipped.  The pool was
-    enumerated from the group and holds no identity, so nothing is checked
-    again, and the Schreier decision runs on the split computed once.
+    enumerated from the group and holds no identity; the constructor checks
+    each alphabet, and the Schreier decision runs on the split computed
+    once.
     """
     pool = _zxd8_pool(radius)
     inverse = _zxd8_inverses(radius).__getitem__

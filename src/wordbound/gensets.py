@@ -30,13 +30,45 @@ class GenSet:
     """Symmetric generating alphabet over a group.
 
     Build with :func:`make_symmetric`, or with :meth:`from_classes` from
-    classes of :func:`inverse_pair_classes`; neither the constructor nor
-    ``from_classes`` checks its inputs.
+    classes of :func:`inverse_pair_classes`.  Every construction path ends
+    in the check of ``__post_init__``, so a GenSet is valid where it is
+    built and no search checks its letters again.
     """
 
     group: gr.Group
     letters: tuple
     involution: tuple
+
+    def __post_init__(self):
+        """Raise DomainError unless this is an alphabet over ``group``.
+
+        ``letters`` and ``involution`` are tuples, every letter is an
+        element of the group and no element is a letter twice.  The
+        involution maps each symbol id, an int in ``range(len(letters))``, to
+        the symbol id of its letter's inverse: it is its own inverse, and
+        each pair it makes multiplies to the identity.  That costs one
+        ``contains`` pass, one set and one ``_mul`` per inverse pair, since
+        the exhaustive table and the zxd8 sampler build alphabets in bulk.
+        The raises are explicit, so they hold under ``python -O``.
+        """
+        G, letters, involution = self.group, self.letters, self.involution
+        if type(letters) is not tuple or type(involution) is not tuple:
+            raise DomainError("an alphabet's letters and involution must be tuples")
+        for x in letters:
+            G.check(x)
+        n = len(letters)
+        if len(set(letters)) != n:
+            raise DomainError("alphabet carries duplicate elements")
+        if len(involution) != n:
+            raise DomainError(f"involution {involution!r} does not have {n} entries")
+        e = G.identity()
+        for i, j in enumerate(involution):
+            if type(j) is not int or not 0 <= j < n or involution[j] != i:
+                raise DomainError(
+                    f"involution {involution!r} is not a self-inverse map of the symbol ids")
+            if i <= j and G._mul(letters[i], letters[j]) != e:
+                raise DomainError(
+                    f"the involution pairs letters {i} and {j}, which are not inverses")
 
     @property
     def cardinality(self):
@@ -54,8 +86,18 @@ class GenSet:
     def symbol_of(self, element):
         return self.letters.index(element)
 
+    def check_word(self, word):
+        """Raise DomainError unless every symbol id of the sequence ``word``
+        is an int in ``range(len(letters))``; a bool is not one, and a
+        negative id would index from the end."""
+        n = len(self.letters)
+        for sym in word:
+            if type(sym) is not int or not 0 <= sym < n:
+                raise DomainError(f"unknown symbol id {sym!r}")
+
     def eval_word(self, word):
         """Multiply out a sequence of symbol ids."""
+        self.check_word(word)
         g = self.group.identity()
         for sym in word:
             g = self.group.mul(g, self.letters[sym])
@@ -78,7 +120,8 @@ class GenSet:
     @classmethod
     def from_classes(cls, G, classes):
         """The alphabet laid out from inverse-pair classes: each class's
-        element, then its inverse unless the class is an involution alone."""
+        element, then its inverse unless the class is an involution alone.
+        The constructor checks the result like any other alphabet."""
         letters = []
         involution = []
         for c in classes:
@@ -287,9 +330,9 @@ def generates(G, S, budget=8, witnesses=None):
     letter.  Both searches are charged to the memory budget and raise
     ResourceLimitExceeded past it.
 
-    The alphabet is checked once, at entry, by ``metric._check_alphabet``
-    (its group and every letter).  The Schreier walk then multiplies with
-    the trusted ``_mul``; the free-group search keeps the checked law of
+    ``metric._check_alphabet`` tests that S is over G; S checked its letters
+    when it was built.  The Schreier walk then multiplies with the trusted
+    ``_mul``; the free-group search keeps the checked law of
     ``word_length``'s kernel.
     """
     _check_int("budget", budget, 1)
@@ -320,7 +363,7 @@ def _generates_split(S, k, F, split, act):
     """
     parts = [split(x) for sym, x in enumerate(S.letters) if S.involution[sym] >= sym]
     mem = _Budget(memory_limit())
-    mul = F._mul  # the letters were checked, so their F-parts are in F
+    mul = F._mul  # S checked its letters, so their F-parts are in F
     e = F.identity()
     origin = (0,) * k
     rep = {e: origin}
@@ -394,6 +437,9 @@ def _generates_free(G, S, budget, witnesses):
     found = {}
     if witnesses:
         for i, word in witnesses.items():
+            if i not in targets:
+                raise DomainError(
+                    f"a witness names basis letter {i!r}, but {G} has basis letters 1 to {G.k}")
             if S.eval_word(word) != targets[i]:
                 raise DomainError(f"witness for basis letter {i} is wrong")
             found[i] = tuple(word)
@@ -469,7 +515,7 @@ def project_genset(pi, S):
     """
     if S.group != pi.source:
         raise DomainError("alphabet is not over the source of the quotient")
-    images = [pi.apply(x) for x in S.letters]
+    images = [pi.image_of(x) for x in S.letters]  # S checked its letters
     nontrivial = [y for y in images if y != pi.target.identity()]
     if not nontrivial:
         raise RuntimeError(

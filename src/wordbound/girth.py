@@ -1,8 +1,11 @@
 """Girth of Cayley graphs: shortest simple loop at the identity.
 
-Words are tuples of symbol ids over a GenSet alphabet.  An involution letter
-is its own formal inverse, so an involution edge is a single undirected edge
-and never counts as a 2-cycle.  The search prunes with a half-radius ball
+Words are tuples of symbol ids over a GenSet alphabet, and every function
+here that takes one refuses an id outside the alphabet with DomainError
+(``GenSet.check_word``).  The alphabet itself was checked where it was
+built, so ``girth`` trusts its letters.  An involution letter is its own
+formal inverse, so an involution edge is a single undirected edge and never
+counts as a 2-cycle.  The search prunes with a half-radius ball
 (meet-in-the-middle over BFS tree edges); the tests keep a plain
 iterative-deepening search over cyclically reduced words as its reference,
 and the two must agree.
@@ -12,19 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .metric import _check_alphabet, _check_int, ball
-
-
-def _check_word(S, w):
-    for sym in w:
-        if not 0 <= sym < len(S.letters):
-            raise DomainError(f"unknown symbol id {sym}")
+from .metric import _check_int, ball
 
 
 def reduce_word(S, w):
-    """Freely reduce: drop adjacent (x, involution(x)) pairs."""
-    _check_word(S, w)
+    """Freely reduce: drop adjacent (x, involution(x)) pairs.  DomainError
+    names a symbol id that is not one of S (``GenSet.check_word``)."""
+    S.check_word(w)
     out = []
     for sym in w:
         if out and sym == S.inv_symbol(out[-1]):
@@ -101,21 +98,17 @@ def _validate_witness(G, S, w):
 def girth(G, S, cap, mem_limit=None):
     """Least length <= cap of a nonempty cyclically reduced relation over S.
 
-    Minimality forces the witness path to be a simple loop.  Requires the
-    alphabet to be deduplicated (make_symmetric guarantees this).  The
-    alphabet is checked first (``metric._check_alphabet``), so a foreign
-    letter is a DomainError, never a TypeError from the duplicate test; the
-    ball and the scan over it then multiply with the trusted ``G._mul``,
-    and the witness is validated with the checked law.
+    Minimality forces the witness path to be a simple loop.  S checked
+    when it was built that its letters are distinct elements of its group,
+    and ``ball`` checks that S is over G; the ball and the scan over it
+    then multiply with the trusted ``G._mul``, and the witness is validated
+    with the checked law.
     """
     _check_int("cap", cap, 2)
-    _check_alphabet(G, S)
-    if len(set(S.letters)) != len(S.letters):
-        raise DomainError("alphabet carries duplicate elements")
     radius = (cap + 1) // 2
     B = ball(G, S, radius, mem_limit=mem_limit)
     table = B.table
-    mul = G._mul  # the ball's nodes and the letters are checked elements
+    mul = G._mul  # the ball's nodes and S's letters are elements
     best = None  # (length, u, sym, v)
     for u in table:  # insertion order == BFS discovery order: deterministic
         du, u_last = table[u]
@@ -154,9 +147,9 @@ def simple_loop_check(G, S, g, w):
     """Walk the cyclically reduced form of w, order(g) times, from the
     identity, and verify the path is a simple loop.
 
-    Returns LoopVerdict(ok=True, loop_length=n*|w'|) on success.
+    Returns LoopVerdict(ok=True, loop_length=n*|w'|) on success; a symbol
+    id that is not one of S is a DomainError (``GenSet.check_word``).
     """
-    _check_word(S, w)
     if S.eval_word(w) != g:
         return LoopVerdict(ok=False, reason="word does not evaluate to the element")
     n = G.element_order(g)

@@ -33,11 +33,13 @@ they do not fit.
 tests both operands with ``contains``, raises the ``DomainError`` that
 ``check`` would and otherwise returns ``self._mul(g, h)``; it is defined in
 the family's own class body, because perfbench traces ``mul`` class by
-class.  ``_mul`` is only called on operands that were already checked:
-``closure``, the Schreier walk of ``gensets.generates``, ``metric.ball``,
-the scan of ``girth.girth`` and the generator check of
-``experiments.Automorphism`` check their inputs once where they come in and
-then multiply unchecked.
+class.  ``_mul`` is only called on operands that were already checked.
+``closure`` and the generator check of ``experiments.Automorphism`` check
+their inputs once where they come in and then multiply unchecked.  A
+``gensets.GenSet`` checks its letters once where it is built, so the
+Schreier walk of ``gensets.generates``, ``metric.ball`` and the scan of
+``girth.girth`` multiply its letters unchecked, and so does the
+constructor's own test that each inverse pair multiplies to the identity.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ layers with one kernel, :func:`_expand`.  Frontier order is deterministic
 (FIFO, letters in ascending symbol id), so geodesic witnesses are
 reproducible across runs and platforms.
 
-Every search checks its alphabet once, at entry, in
-:func:`_check_alphabet`: the alphabet must be over ``G`` and each letter an
-element of it.  The root is the identity or a checked target, so every node
-a search reaches is a product of elements.  ``ball``, and ``girth`` through
+A ``GenSet`` checks its letters where it is built, so every search only
+tests, at entry in :func:`_check_alphabet`, that its alphabet is over ``G``.
+The root is the identity or a checked target, so every node a search
+reaches is a product of elements.  ``ball``, and ``girth`` through
 it, therefore multiply with the trusted law ``G._mul``.  ``word_length``'s
 searches and its witness, like ``Ball.word_to``, keep the checked ``G.mul``.
 
@@ -44,17 +44,16 @@ def _check_int(name, value, least):
 
 
 def _check_alphabet(G, S):
-    """DomainError unless S is over G and every letter is an element of G.
+    """DomainError unless S is over G.
 
-    The one boundary check of every search over S: ``ball``, ``girth``,
-    ``word_length`` and ``generates`` call it before they multiply, and the
-    kernels behind ``ball`` and ``girth`` then trust the letters.  ``is``
-    first spares a dataclass ==.
+    The one boundary check of every search over S: ``ball`` (and ``girth``
+    through it), ``word_length`` and ``generates`` call it before they
+    multiply.  S checked its letters when it was built, so the kernels
+    behind ``ball`` and ``girth`` trust them.  ``is`` first spares a
+    dataclass ==.
     """
     if S.group is not G and S.group != G:
         raise DomainError("alphabet belongs to a different group")
-    for x in S.letters:
-        G.check(x)
 
 
 def memory_limit(explicit=None):
@@ -168,8 +167,8 @@ def _expand(mul, letters, labels, table, frontier, depth, budget, full=None):
     order, with the caller's law ``mul``; a new node v is charged to
     ``budget`` and stored as ``table[v] = (depth, label)`` with the label
     paired to its letter.  ``ball`` passes the trusted ``G._mul``, whose
-    operands its entry check vouches for; the word-length searches pass the
-    checked ``G.mul``.
+    operands are products of the alphabet's letters; the word-length
+    searches pass the checked ``G.mul``.
 
     Given ``full``, the order of a finite G, it returns after the frontier
     node whose products make ``table`` hold all of G.  That layer is then
@@ -205,8 +204,9 @@ def _root(budget, root):
 def ball(G, S, radius, mem_limit=None):
     """BFS ball of the given radius around the identity.
 
-    Checks the alphabet at entry (:func:`_check_alphabet`), then multiplies
-    with the trusted ``G._mul``: every node is a product of checked letters.
+    Checks that the alphabet is over G (:func:`_check_alphabet`), then
+    multiplies with the trusted ``G._mul``: every node is a product of
+    letters, which S checked when it was built.
     Stops early once the ball is the whole of a finite group.  Raises
     ResourceLimitExceeded (carrying the last completed radius) if the
     memory budget runs out.

@@ -14,8 +14,8 @@ from wordbound import groups as gr
 from wordbound.errors import EmptyGenSetError, NotGeneratingError, UnsupportedFamilyError
 from wordbound.experiments import Automorphism
 from wordbound.gensets import GenSet, generates, inverse_pair_classes, smith_normal_form
-from wordbound.girth import GirthResult, _validate_witness, girth
-from wordbound.metric import ball, word_length
+from wordbound.girth import GirthResult, _validate_witness
+from wordbound.metric import word_length
 
 
 def quaternion_table():
@@ -47,7 +47,9 @@ FINITE_GROUPS = [
 
 def foreign_alphabets():
     """Hand-built alphabets, each with one letter outside its group after a
-    class of real letters: (name, group, alphabet, a real letter)."""
+    class of real letters: (name, group, letters, involution), laid out as
+    ``GenSet.from_classes`` lays out the classes ``letters[:-1]`` and
+    ``letters[-1:]``."""
     Z2, D8 = gr.IntVector(2), gr.DihedralFinite(4)
     cases = [
         ("Z^2 float coordinate", Z2, (1.5, 0)),
@@ -59,23 +61,91 @@ def foreign_alphabets():
     ]
     out = []
     for name, G, bad in cases:
-        good = G.standard_generators()[0]
-        S = GenSet.from_classes(G, inverse_pair_classes(G, [good]) + [(bad,)])
-        out.append((name, G, S, good))
+        [good] = inverse_pair_classes(G, G.standard_generators()[:1])
+        a = len(good)
+        involution = (0,) if a == 1 else (1, 0)
+        out.append((name, G, (*good, bad), involution + (a,)))
     return out
 
 
-def search_calls(G, S, g):
-    """Every entry point that searches over S, each as a (name, call) pair;
-    ``g`` is a non-identity element of G."""
-    return [
-        ("word_length to the identity", lambda: word_length(G, S, G.identity(), 4)),
-        ("word_length to g", lambda: word_length(G, S, g, 4)),
-        ("ball of radius 0", lambda: ball(G, S, 0)),
-        ("ball of radius 1", lambda: ball(G, S, 1)),
-        ("girth", lambda: girth(G, S, 4)),
-        ("generates", lambda: generates(G, S)),
-    ]
+# Groups whose alphabets the construction check is held to the oracle on.
+MUTATION_GROUPS = FINITE_GROUPS + [
+    gr.IntVector(2), gr.Heisenberg(), gr.DihedralInfinite(), gr.Free(2),
+    gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
+]
+
+
+def genset_is_valid_reference(G, letters, involution):
+    """Whether ``GenSet(G, letters, involution)`` is an alphabet, straight
+    from the definition: two tuples, letters that are pairwise different
+    elements of G, and an involution whose entries are ints naming letters,
+    which sends each letter to one that multiplies with it to the identity
+    and is its own inverse."""
+    if type(letters) is not tuple or type(involution) is not tuple:
+        return False
+    n = len(letters)
+    if not all(contains_reference(G, x) for x in letters):
+        return False
+    if any(letters[a] == letters[b] for a in range(n) for b in range(a + 1, n)):
+        return False
+    if len(involution) != n or not all(type(j) is int and j in range(n) for j in involution):
+        return False
+    return all(involution[involution[i]] == i
+               and G.mul(letters[i], letters[involution[i]]) == G.identity()
+               for i in range(n))
+
+
+def _near_miss(x):
+    """x with its first integer made a float, so no longer an element."""
+    return float(x) if isinstance(x, int) else (_near_miss(x[0]), *x[1:])
+
+
+def _without(letters, involution, gone):
+    """The alphabet without the symbol ids in ``gone``, renumbered; an id
+    whose partner is gone is paired with itself."""
+    keep = [k for k in range(len(letters)) if k not in gone]
+    new = {k: a for a, k in enumerate(keep)}
+    return tuple(letters[k] for k in keep), tuple(new.get(involution[k], new[k]) for k in keep)
+
+
+def alphabet_mutations(S):
+    """Copies of the alphabet S, each altered in one way, as (name, letters,
+    involution): two involution entries swapped, an entry sent to another
+    letter, an inverse letter dropped (its partner left paired with
+    itself), a class repeated, a letter made a non-element or a list, an
+    involution entry made a float, a bool, out of range or negative, the
+    involution one entry short, and letters or involution given as a list.
+    The one change that keeps an alphabet valid, a whole class dropped, is
+    there too."""
+    letters, inv = S.letters, S.involution
+    n = len(letters)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            swapped = list(inv)
+            swapped[i], swapped[j] = inv[j], inv[i]
+            out.append((f"entries {i} and {j} swapped", letters, tuple(swapped)))
+        j = inv[i]
+        for k in range(n):
+            if k != j:
+                out.append((f"entry {i} sent to {k}", letters, inv[:i] + (k,) + inv[i + 1:]))
+        out.append((f"class of {i} dropped", *_without(letters, inv, {i, j})))
+        if j != i:
+            out.append((f"inverse of {i} dropped", *_without(letters, inv, {j})))
+        copy = (i,) if j == i else (i, j)
+        out.append((f"class of {i} repeated", letters + tuple(letters[k] for k in copy),
+                    inv + ((n,) if j == i else (n + 1, n))))
+        for name, bad in (("a non-element", _near_miss(letters[i])),
+                          ("a list", list(letters[i]) if isinstance(letters[i], tuple)
+                           else [letters[i]])):
+            out.append((f"letter {i} made {name}", letters[:i] + (bad,) + letters[i + 1:], inv))
+        for name, bad in (("a float", float(j)), ("a bool", j == 1), ("out of range", n),
+                          ("negative", j - n)):
+            out.append((f"entry {i} made {name}", letters, inv[:i] + (bad,) + inv[i + 1:]))
+    out.append(("involution one short", letters, inv[:-1]))
+    out.append(("letters as a list", list(letters), inv))
+    out.append(("involution as a list", letters, list(inv)))
+    return out
 
 
 def random_element(G, rng, size=10):

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     FINITE_GROUPS,
+    MUTATION_GROUPS,
+    alphabet_mutations,
     generates_split_reference,
+    genset_is_valid_reference,
     make_symmetric_reference,
     quaternion_table,
     random_element,
@@ -37,6 +40,7 @@ from wordbound.gensets import (
     project_right,
     smith_normal_form,
 )
+from wordbound.experiments import sample_zxd8_genset, symmetric_generating_subsets
 from wordbound.metric import ball, word_length
 
 
@@ -579,21 +583,87 @@ def test_generates_rejects_foreign_alphabet():
         generates(gr.IntVector(2), S)
 
 
-def test_generates_checks_letters_of_a_raw_genset():
-    """GenSet's constructor trusts its letters, and the Schreier walk
-    multiplies unchecked, so generates checks every letter first."""
-    G = gr.Product(gr.IntVector(1), gr.DihedralFinite(4))
-    S = GenSet(G, (((1.5,), (1, 0)), ((-1.5,), (3, 0)), ((1,), (0, 1))), (1, 0, 2))
-    with pytest.raises(DomainError):
-        generates(G, S)
+def test_raw_genset_with_a_foreign_letter_is_refused_at_construction():
+    """The constructor checks every letter, so an alphabet with a letter
+    outside its group never reaches the unchecked Schreier walk."""
     for G, letters, involution in [
+        (gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
+         (((1.5,), (1, 0)), ((-1.5,), (3, 0)), ((1,), (0, 1))), (1, 0, 2)),
         (gr.DihedralFinite(4), ((1, 0), (3, 0), (4, 1)), (1, 0, 2)),
         (gr.FiniteCyclic(5), (1, 4, 5), (1, 0, 2)),
         (gr.Heisenberg(), ((1, 0, 0), (-1, 0, 0), (0, 1)), (1, 0, 2)),
         (gr.Free(2), ((1,), (-1,), (3,)), (1, 0, 2)),
     ]:
-        with pytest.raises(DomainError):
-            generates(G, GenSet(G, letters, involution))
+        with pytest.raises(DomainError, match="is not an element of"):
+            GenSet(G, letters, involution)
+
+
+@pytest.mark.parametrize("G", MUTATION_GROUPS, ids=str)
+def test_construction_check_matches_reference_on_mutated_alphabets(G):
+    """The constructor refuses each mutation of a valid alphabet with
+    DomainError exactly when the reference predicate says it is no alphabet,
+    and keeps the letters and involution of each one it accepts."""
+    rng = random.Random(17)
+    bases = [make_symmetric(G, G.standard_generators()),
+             make_symmetric(G, [random_element(G, rng, 3) for _ in range(3)]
+                            + [G.standard_generators()[-1]])]
+    verdicts = set()
+    for S in bases:
+        assert genset_is_valid_reference(G, S.letters, S.involution)
+        for name, letters, involution in alphabet_mutations(S):
+            valid = genset_is_valid_reference(G, letters, involution)
+            try:
+                T = GenSet(G, letters, involution)
+            except DomainError:
+                assert not valid, name
+            else:
+                assert valid, name
+                assert (T.letters, T.involution) == (letters, involution)
+            verdicts.add(valid)
+    assert verdicts == {True, False}
+
+
+def test_library_alphabets_are_valid():
+    """Every alphabet the library builds passes the reference predicate:
+    ``make_symmetric``'s, every set of ``symmetric_generating_subsets`` on
+    the finite groups, and 50 draws of the zxd8 sampler."""
+    rng = random.Random(5)
+    built = [make_symmetric(G, [random_element(G, rng, 4) for _ in range(4)]
+                            + list(G.standard_generators()))
+             for G in MUTATION_GROUPS for _ in range(5)]
+    built += [S for G in FINITE_GROUPS for S in symmetric_generating_subsets(G)]
+    built += [sample_zxd8_genset(rng) for _ in range(50)]
+    assert len(built) > 4000
+    bad = [S for S in built if not genset_is_valid_reference(S.group, S.letters, S.involution)]
+    assert bad == []
+
+
+def test_symbol_ids_are_ints_in_range():
+    """A symbol id is an int in ``range(len(letters))``: a negative id is no
+    longer read from the end, and a float or bool is no id at all."""
+    S = make_symmetric(gr.IntVector(1), [(2,), (3,)])
+    for word in [(-1,), (0, -4), (4,), (1.0,), (True,), ("0",)]:
+        with pytest.raises(DomainError, match="unknown symbol id"):
+            S.eval_word(word)
+    assert S.eval_word((0, 3)) == (-1,)
+
+
+def test_generates_refuses_a_witness_with_a_bad_symbol_id():
+    """``(-4,)`` once spelled the first basis letter of F2 from the end."""
+    G = gr.Free(2)
+    S = make_symmetric(G, [(1,), (2,)])
+    assert S.letters[-4] == G.generator(1)
+    with pytest.raises(DomainError, match="unknown symbol id -4"):
+        generates(G, S, witnesses={1: (-4,), 2: (2,)})
+    assert generates(G, S, witnesses={1: (0,), 2: (2,)}).is_yes
+
+
+def test_generates_refuses_a_witness_for_no_basis_letter():
+    G = gr.Free(2)
+    S = make_symmetric(G, [(1,), (2,)])
+    for i in (3, 0, -1):
+        with pytest.raises(DomainError, match=f"basis letter {i}"):
+            generates(G, S, witnesses={i: (0,)})
 
 
 # -- quotient maps -------------------------------------------------------

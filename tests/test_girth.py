@@ -44,6 +44,19 @@ def test_reduce_word():
         reduce_word(S, (99,))
 
 
+@pytest.mark.parametrize("word", [(1.0,), (-1,), (0, -4), (4,), (True,), (0, None)])
+def test_word_functions_refuse_bad_symbol_ids(word):
+    """Every function that takes a word refuses an id that is not an int in
+    ``range(len(letters))``: ``(1.0,)`` once reduced to itself and ``(-1,)``
+    once walked the last letter."""
+    Z, S = _z_genset(2, 3)
+    for call in (reduce_word, cyclic_reduce, is_cyclically_reduced):
+        with pytest.raises(DomainError, match="unknown symbol id"):
+            call(S, word)
+    with pytest.raises(DomainError, match="unknown symbol id"):
+        simple_loop_check(Z, S, (0,), word)
+
+
 def test_involution_letters_are_self_inverse():
     D = gr.DihedralFinite(4)
     S = _symm(D, [(1, 0), (0, 1)])
@@ -107,13 +120,14 @@ def test_girth_at_least_three_without_involutions():
         assert result.value is None or result.value >= 3
 
 
-def test_girth_rejects_degenerate_alphabet():
+def test_degenerate_alphabet_never_reaches_girth():
+    """A repeated letter is refused where the alphabet is built, so girth's
+    scan, which tells tree edges apart by letter, needs no test of its own."""
     Z = gr.IntVector(1)
     S = _symm(Z, [(2,), (3,)])
-    doubled = type(S)(group=Z, letters=S.letters + ((2,),),
-                      involution=S.involution + (1,))
-    with pytest.raises(DomainError):
-        girth(Z, doubled, cap=6)
+    with pytest.raises(DomainError, match="duplicate"):
+        type(S)(group=Z, letters=S.letters + ((2,), (-2,)),
+                involution=S.involution + (5, 4))
     with pytest.raises(ValueError):
         girth(Z, S, cap=1)
 

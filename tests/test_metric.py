@@ -16,12 +16,11 @@ from oracles import (
     length_profile,
     random_element,
     run_optimized,
-    search_calls,
 )
 
 from wordbound import groups as gr
 from wordbound.errors import DomainError, ResourceLimitExceeded
-from wordbound.gensets import make_symmetric
+from wordbound.gensets import GenSet, make_symmetric
 from wordbound.girth import girth
 from wordbound.metric import (
     Ball,
@@ -310,46 +309,52 @@ def test_alphabet_over_another_group_is_refused():
 FOREIGN = foreign_alphabets()
 
 
-@pytest.mark.parametrize("G,S,g", [c[1:] for c in FOREIGN], ids=[c[0] for c in FOREIGN])
-def test_foreign_letter_is_refused_before_any_search(G, S, g):
-    """A letter outside G is refused at entry, whether or not the search
-    would reach it: also for the identity target, at radius 0 and, for an
-    unhashable letter, before girth's duplicate test."""
-    missed = []
-    for name, call in search_calls(G, S, g):
-        try:
-            call()
-        except DomainError as exc:
-            assert "is not an element of" in str(exc), name
-        else:
-            missed.append(name)
-    assert missed == []
+@pytest.mark.parametrize("G,letters,involution", [c[1:] for c in FOREIGN],
+                         ids=[c[0] for c in FOREIGN])
+def test_foreign_letter_is_refused_before_any_search(G, letters, involution):
+    """A letter outside G is refused where its alphabet is built, by the
+    constructor and by ``from_classes`` alike, so no search ever sees it; an
+    unhashable letter too, before the distinctness test hashes it."""
+    classes = [letters[:-1], letters[-1:]]
+    for build in (lambda: GenSet(G, letters, involution),
+                  lambda: GenSet.from_classes(G, classes)):
+        with pytest.raises(DomainError, match="is not an element of"):
+            build()
 
 
 def test_foreign_letter_refusals_survive_optimize_flag():
-    """The entry check is the only one ball and girth make, so it must hold
-    under ``python -O`` too."""
+    """The construction check is the only one an alphabet's letters get, so
+    it must hold under ``python -O`` too, and there agree with the oracle on
+    every mutated alphabet."""
     script = textwrap.dedent("""
         import sys
 
         sys.path.insert(0, sys.argv[1])
-        from oracles import foreign_alphabets, search_calls
+        from oracles import (MUTATION_GROUPS, alphabet_mutations, foreign_alphabets,
+                             genset_is_valid_reference)
         from wordbound.errors import DomainError
+        from wordbound.gensets import GenSet, make_symmetric
 
         if __debug__:
             raise SystemExit("expected to run under python -O")
-        calls = [call for _, G, S, g in foreign_alphabets()
-                 for _, call in search_calls(G, S, g)]
-        refused = 0
-        for call in calls:
+
+        def accepted(G, letters, involution):
             try:
-                call()
+                GenSet(G, letters, involution)
             except DomainError:
-                refused += 1
-        print(refused, len(calls))
+                return False
+            return True
+
+        cases = foreign_alphabets()
+        print(sum(not accepted(*case[1:]) for case in cases), len(cases))
+        wrong = [(G, name) for G in MUTATION_GROUPS
+                 for name, *alphabet in alphabet_mutations(
+                     make_symmetric(G, G.standard_generators()))
+                 if accepted(G, *alphabet) != genset_is_valid_reference(G, *alphabet)]
+        print(len(wrong))
     """)
     tests = str(Path(__file__).resolve().parent)
-    assert run_optimized(["-c", script, tests]).stdout.split() == ["36", "36"]
+    assert run_optimized(["-c", script, tests]).stdout.split() == ["6", "6", "0"]
 
 
 @pytest.mark.parametrize("value", [0, -5, 2500.0, "abc", True, "4096"])

@@ -1,6 +1,7 @@
 """Source-wide guards: exact integers only, checks that survive
 ``python -O``, a group law of each family's own, membership tests without
-iterator chains, and one module that lays out a ``GenSet``."""
+iterator chains, one module that lays out a ``GenSet`` and one place that
+checks its letters."""
 
 import ast
 import inspect
@@ -142,3 +143,79 @@ def test_only_gensets_lays_out_a_genset():
     found = {p.name: _genset_constructions(p.read_text(encoding="utf-8"))
              for p in SOURCES if p.name != "gensets.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+MEMBERSHIP_TESTS = {"check", "contains"}
+
+
+def _letter_rechecks(source):
+    """Names of the functions, outside class ``GenSet``, that loop over an
+    alphabet's ``letters`` and call ``check`` or ``contains`` in the loop,
+    or map either over them.
+
+    A GenSet checks its letters where it is built, so any other pass over
+    them with a membership test repeats that check.  A loop over raw
+    elements, like ``make_symmetric``'s, is not flagged.
+    """
+    tree = ast.parse(source)
+    in_genset = {id(node) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name == "GenSet"
+                 for node in ast.walk(cls)}
+
+    def reads_letters(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "letters" for n in ast.walk(node))
+
+    def names_test(node):
+        return isinstance(node, ast.Attribute) and node.attr in MEMBERSHIP_TESTS
+
+    def recheck(node):
+        if isinstance(node, ast.For):
+            return reads_letters(node.iter) and any(
+                isinstance(n, ast.Call) and names_test(n.func)
+                for stmt in node.body for n in ast.walk(stmt))
+        if isinstance(node, CHAIN_NODES):
+            return any(reads_letters(g.iter) for g in node.generators) and any(
+                isinstance(n, ast.Call) and names_test(n.func) for n in ast.walk(node))
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map"
+                and any(names_test(a) for a in node.args)
+                and any(reads_letters(a) for a in node.args))
+
+    return sorted({func.name for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef) and id(func) not in in_genset
+                   and any(recheck(node) for node in ast.walk(func))})
+
+
+def test_guard_flags_a_recheck_of_letters():
+    source = textwrap.dedent("""
+        class GenSet:
+            def __post_init__(self):
+                for x in self.letters:
+                    self.group.check(x)
+
+        def looped(G, S):
+            for sym, x in enumerate(S.letters):
+                G.check(x)
+
+        def generated(G, S):
+            return all(G.contains(x) for x in S.letters)
+
+        def mapped(G, S):
+            list(map(G.check, S.letters))
+
+        def make_symmetric(G, elements):
+            def checked():
+                for x in elements:
+                    G.check(x)
+                    yield x
+            return classes(checked())
+
+        def split(S):
+            return [part(x) for x in S.letters]
+    """)
+    assert _letter_rechecks(source) == ["generated", "looped", "mapped"]
+
+
+def test_no_search_rechecks_an_alphabets_letters():
+    found = {p.name: _letter_rechecks(p.read_text(encoding="utf-8"))
+             for p in SOURCES if p.name in ("metric.py", "girth.py", "gensets.py")}
+    assert found == {"gensets.py": [], "girth.py": [], "metric.py": []}
