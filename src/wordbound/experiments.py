@@ -21,7 +21,7 @@ from types import MappingProxyType
 from . import groups as gr
 from .errors import NotGeneratingError, UnsupportedFamilyError
 from .gensets import GenSet, _generates_split, dihedral_mod, generates, inverse_pair_classes, make_symmetric
-from .metric import ball, word_length
+from .metric import ball, memory_limit, word_length
 from .reports import ExperimentReport, Verdict
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -241,17 +241,19 @@ def uniform_length_table(G):
     """For every element, the max word length over ALL generating sets.
 
     Returns an ordered dict element -> (max length, first argmax GenSet).
+    The memory budget is resolved once, for every ball.
     """
     if not G.is_finite or G.size > UNIFORM_LENGTH_CAP:
         raise UnsupportedFamilyError(
             f"exhaustive enumeration is capped at {UNIFORM_LENGTH_CAP} elements")
     table = {g: (0, None) for g in G.elements()}
     found_any = False
+    limit = memory_limit()
     for S in symmetric_generating_subsets(G):
         found_any = True
-        B = ball(G, S, G.size)
+        lengths = ball(G, S, G.size, mem_limit=limit).table
         for g in table:
-            d = B.length(g)
+            d = lengths[g][0]
             if table[g][1] is None or d > table[g][0]:
                 table[g] = (d, S)
     if not found_any:
@@ -580,25 +582,39 @@ def _zxd8_inverses(radius):
     return MappingProxyType({g: _ZXD8.inv(g) for g in _zxd8_pool(radius)})
 
 
-def sample_zxd8_genset(rng, radius=10):
+@functools.lru_cache(maxsize=None)
+def _zxd8_parts(radius):
+    """Each element of ``_zxd8_pool(radius)`` mapped to its part in the
+    split of Z x D8, (translation, element of D8).  Read-only, like
+    ``_zxd8_inverses``."""
+    split = _ZXD8_SPLIT[2]
+    return MappingProxyType({g: split(g) for g in _zxd8_pool(radius)})
+
+
+def sample_zxd8_genset(rng, radius=10, mem_limit=None):
     """A generating alphabet of Z x D8, rejection sampled from 2 to 4
     elements with translation part bounded by ``radius``; sets whose
     generation certificate is not a definite yes are discarded.
 
-    Each draw's alphabet is ``GenSet.from_classes`` of its inverse-pair
-    classes, with inverses read from the cached map: a drawn element already
-    present (as an earlier draw's inverse) is skipped.  The pool was
-    enumerated from the group and holds no identity; the constructor checks
-    each alphabet, and the Schreier decision runs on the split computed
-    once.
+    Each draw becomes inverse-pair classes, with inverses read from the
+    cached map: a drawn element already present (as an earlier draw's
+    inverse) is skipped.  The Schreier decision runs on the split computed
+    once, on the cached parts of the classes' first elements, so only the
+    accepted draw is built, by ``GenSet.from_classes``, whose constructor
+    checks it like any other alphabet.  The pool was enumerated from the
+    group and holds no identity.  The walk's memory budget is resolved once
+    per call, from ``mem_limit`` as ``word_length`` resolves it.
     """
     pool = _zxd8_pool(radius)
     inverse = _zxd8_inverses(radius).__getitem__
+    part = _zxd8_parts(radius)
+    k, F, _, act = _ZXD8_SPLIT
+    limit = memory_limit(mem_limit)
     for _ in range(ZXD8_MAX_ATTEMPTS):
         draws = rng.sample(pool, rng.randint(2, 4))
-        S = GenSet.from_classes(_ZXD8, inverse_pair_classes(_ZXD8, draws, inverse))
-        if _generates_split(S, *_ZXD8_SPLIT).is_yes:
-            return S
+        classes = inverse_pair_classes(_ZXD8, draws, inverse)
+        if _generates_split([part[c[0]] for c in classes], k, F, act, limit).is_yes:
+            return GenSet.from_classes(_ZXD8, classes)
     raise NotGeneratingError(
         f"sampler found no generating set within {ZXD8_MAX_ATTEMPTS} attempts")
 
@@ -607,15 +623,17 @@ def bound_witness_zxd8(samples=200, seed=42, radius=10):
     """Sampled generating sets of Z x D8 all place (0, z) within radius 4.
 
     z is the central rotation of order 2; the alphabets come from
-    :func:`sample_zxd8_genset`.
+    :func:`sample_zxd8_genset`.  The memory budget is resolved once, for
+    every draw and search.
     """
     G = _ZXD8
     target = ((0,), (2, 0))
     rng = random.Random(seed)
+    limit = memory_limit()
     rows = []
     for i in range(samples):
-        S = sample_zxd8_genset(rng, radius)
-        cert = word_length(G, S, target, cap=4)
+        S = sample_zxd8_genset(rng, radius, limit)
+        cert = word_length(G, S, target, cap=4, mem_limit=limit)
         rows.append({
             "sample": i,
             "letters": str([G.element_to_obj(g) for g in S.letters]),

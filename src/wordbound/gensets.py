@@ -344,26 +344,33 @@ def generates(G, S, budget=8, witnesses=None):
     split = G.lattice_split()
     if split is None:
         return GenerationResult("inconclusive", f"no decision procedure for {G}")
-    return _generates_split(S, *split)
+    k, F, part, act = split
+    # One representative of each inverse pair: its first letter.
+    parts = [part(x) for sym, x in enumerate(S.letters) if S.involution[sym] >= sym]
+    return _generates_split(parts, k, F, act, memory_limit())
 
 
-def _generates_split(S, k, F, split, act):
+def _generates_split(parts, k, F, act, limit):
     """Exact decision on G = Z^k x| F by Schreier's lemma (Holt, Eick and
-    O'Brien, Handbook of Computational Group Theory, 2005).
+    O'Brien, Handbook of Computational Group Theory, 2005), for the alphabet
+    whose inverse-pair classes have representatives with the split parts
+    ``parts``, pairs (translation, element of F).
 
-    S generates G iff the F-parts of its letters generate F and the Schreier
-    generators, which generate the intersection of <S> with Z^k, span a
-    lattice of index 1 in Z^k.  The walk over F keeps, for each f reached,
-    the translation of one word of S ending at f; an edge from f by a letter
-    (a, u) into an f' reached before closes the Schreier generator with
-    translation rep[f] + act(f, a) - rep[f'].  F is finite, so the monoid
-    the F-parts generate is already a subgroup and one letter of each
-    inverse pair suffices.  The walk stores O(|F|) entries, each charged to
-    the memory budget like a search node.
+    The alphabet generates G iff the F-parts of its letters generate F and
+    the Schreier generators, which generate the intersection of the subgroup
+    with Z^k, span a lattice of index 1 in Z^k.  The walk over F keeps, for
+    each f reached, the translation of one word ending at f; an edge from f
+    by a letter (a, u) into an f' reached before closes the Schreier
+    generator with translation rep[f] + act(f, a) - rep[f'].  F is finite,
+    so the monoid the F-parts generate is already a subgroup and one letter
+    of each inverse pair suffices.  The walk stores O(|F|) entries, each
+    charged to a memory budget of ``limit`` bytes like a search node.
+
+    Taking parts, not a ``GenSet``, lets the zxd8 sampler decide a draw
+    before it builds the alphabet.
     """
-    parts = [split(x) for sym, x in enumerate(S.letters) if S.involution[sym] >= sym]
-    mem = _Budget(memory_limit())
-    mul = F._mul  # S checked its letters, so their F-parts are in F
+    mem = _Budget(limit)
+    mul = F._mul  # the parts come from checked elements, so they are in F
     e = F.identity()
     origin = (0,) * k
     rep = {e: origin}

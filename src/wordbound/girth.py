@@ -43,6 +43,9 @@ def cyclic_reduce(S, w):
 
 
 def is_cyclically_reduced(S, w):
+    """Whether the word w (any sequence of symbol ids) is freely and
+    cyclically reduced."""
+    w = tuple(w)
     if w != reduce_word(S, w):
         return False
     return len(w) < 2 or w[0] != S.inv_symbol(w[-1])

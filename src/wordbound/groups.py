@@ -574,8 +574,14 @@ class Product(Group):
             raise DomainError(f"{g!r} is not an element of {self}")
 
     def mul(self, g, h):
-        if self.contains(g) and self.contains(h):
-            return self._mul(g, h)
+        """The checked product in one pass: the pair shape of both operands,
+        then each component with its factor's ``contains``, then the
+        factors' ``_mul``.  It accepts exactly what ``contains`` accepts."""
+        L, R = self.left, self.right
+        if (isinstance(g, tuple) and isinstance(h, tuple) and len(g) == 2 and len(h) == 2
+                and L.contains(g[0]) and R.contains(g[1])
+                and L.contains(h[0]) and R.contains(h[1])):
+            return (L._mul(g[0], h[0]), R._mul(g[1], h[1]))
         raise self._foreign(g, h)
 
     def _mul(self, g, h):

@@ -12,8 +12,15 @@ A ``GenSet`` checks its letters where it is built, so every search only
 tests, at entry in :func:`_check_alphabet`, that its alphabet is over ``G``.
 The root is the identity or a checked target, so every node a search
 reaches is a product of elements.  ``ball``, and ``girth`` through
-it, therefore multiply with the trusted law ``G._mul``.  ``word_length``'s
-searches and its witness, like ``Ball.word_to``, keep the checked ``G.mul``.
+it, therefore multiply with the trusted law ``G._mul``, and so do the walks
+back through a search table (``Ball.word_to`` and ``word_length``'s witness
+tail), whose entries and letters are elements.  ``word_length``'s two
+searches keep the checked ``G.mul``.
+
+Every stored node is charged to a memory budget by one size rule,
+:meth:`_Budget.cost`.  ``_expand`` charges a layer's nodes in a local
+counter and writes it back to the budget when it returns or refuses, so a
+search pays no call per node to the budget object.
 
 In a finite group a ball stops once its table holds all ``G.size``
 elements: ``_expand`` returns after the frontier node whose products fill
@@ -127,12 +134,13 @@ class Ball:
         S = self.genset
         G = self.group
         syms = []
+        mul = G._mul  # table entries and S's letters are elements
         while True:
             _, sym = self.table[g]
             if sym is None:
                 break
             syms.append(sym)
-            g = G.mul(g, S.element(S.inv_symbol(sym)))
+            g = mul(g, S.element(S.inv_symbol(sym)))
         return tuple(reversed(syms))
 
 
@@ -141,7 +149,9 @@ class _Budget:
 
     A search's roots are charged without a radius and never refused; any
     later node that overdraws the budget raises ResourceLimitExceeded with
-    the last completed radius and the nodes stored so far.
+    the last completed radius and the nodes stored so far.  ``charge``
+    serves roots and the Schreier walk; ``_expand`` charges its layers by
+    the same :meth:`cost` and writes ``used`` and ``nodes`` back here.
     """
 
     def __init__(self, limit):
@@ -149,15 +159,25 @@ class _Budget:
         self.used = 0
         self.nodes = 0
 
+    @staticmethod
+    def cost(key):
+        """Bytes charged for storing ``key``: its own size and a flat
+        allowance for the table entry."""
+        return sys.getsizeof(key) + _ENTRY_OVERHEAD
+
     def charge(self, key, radius=None):
-        self.used += sys.getsizeof(key) + _ENTRY_OVERHEAD
+        self.used += self.cost(key)
         if radius is not None and self.used > self.limit:
-            raise ResourceLimitExceeded(
-                f"search memory budget exhausted at radius {radius}",
-                partial_radius=radius,
-                explored=self.nodes,
-            )
+            raise self.exhausted(radius, self.nodes)
         self.nodes += 1
+
+    @staticmethod
+    def exhausted(radius, explored):
+        return ResourceLimitExceeded(
+            f"search memory budget exhausted at radius {radius}",
+            partial_radius=radius,
+            explored=explored,
+        )
 
 
 def _expand(mul, letters, labels, table, frontier, depth, budget, full=None):
@@ -170,6 +190,12 @@ def _expand(mul, letters, labels, table, frontier, depth, budget, full=None):
     operands are products of the alphabet's letters; the word-length
     searches pass the checked ``G.mul``.
 
+    The layer is charged in a local counter by ``_Budget.cost``, node by
+    node, and refused at the same node, with the same ``partial_radius``
+    and ``explored``, as charging each node to the budget would be.  The
+    counter and the nodes stored are written back to ``budget`` on every
+    exit.
+
     Given ``full``, the order of a finite G, it returns after the frontier
     node whose products make ``table`` hold all of G.  That layer is then
     complete: the products it skips are all in the table already, so they
@@ -179,20 +205,27 @@ def _expand(mul, letters, labels, table, frontier, depth, budget, full=None):
     # A list: one tuple per call lingered in CPython's per-size tuple free
     # lists and held 0.9 MB more after the D16 uniform-length table.
     steps = list(zip(letters, labels))
-    charge = budget.charge
-    done = depth - 1
+    cost = budget.cost
+    limit = budget.limit
+    used = budget.used
     layer = []
-    for u in frontier:
-        for x, label in steps:
-            v = mul(u, x)
-            if v in table:
-                continue
-            charge(v, done)
-            table[v] = (depth, label)
-            layer.append(v)
-        if full is not None and len(table) == full:
-            return layer
-    return layer
+    try:
+        for u in frontier:
+            for x, label in steps:
+                v = mul(u, x)
+                if v in table:
+                    continue
+                used += cost(v)
+                if used > limit:
+                    raise budget.exhausted(depth - 1, budget.nodes + len(layer))
+                table[v] = (depth, label)
+                layer.append(v)
+            if full is not None and len(table) == full:
+                return layer
+        return layer
+    finally:
+        budget.used = used
+        budget.nodes += len(layer)
 
 
 def _root(budget, root):
@@ -303,10 +336,11 @@ def _length_bidirectional(G, S, g, cap, limit):
     head = Ball(group=G, genset=S, radius=df, table=fwd).word_to(meet)
     tail = []
     v = meet
+    mul = G._mul  # bwd's entries and S's letters are elements
     while v != g:
         _, sym = bwd[v]
         tail.append(sym)
-        v = G.mul(v, S.element(sym))
+        v = mul(v, S.element(sym))
     witness = head + tuple(tail)
     return LengthCert(element=g, length=total, witness=witness, cap=cap,
                       explored=explored)

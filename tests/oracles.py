@@ -263,6 +263,25 @@ def ball_full_walk(G, S, radius):
     return table
 
 
+def expand_per_node(mul, letters, labels, table, frontier, depth, budget, full=None):
+    """``metric._expand`` charging each stored node to ``budget`` by its
+    own ``_Budget.charge`` call: the reference the layer-local charge is
+    held to, with the same signature, table, labels, early stop and
+    refusals."""
+    layer = []
+    for u in frontier:
+        for x, label in zip(letters, labels):
+            v = mul(u, x)
+            if v in table:
+                continue
+            budget.charge(v, depth - 1)
+            table[v] = (depth, label)
+            layer.append(v)
+        if full is not None and len(table) == full:
+            return layer
+    return layer
+
+
 def closure_full_walk(G, elements):
     """The subgroup ``elements`` generate in a finite group, by a walk that
     runs until its frontier is empty.  ``groups.closure`` stops early and

@@ -17,7 +17,7 @@ from oracles import (
 from wordbound import experiments as ex
 from wordbound import groups as gr
 from wordbound.errors import DomainError, NotGeneratingError, UnsupportedFamilyError
-from wordbound.gensets import make_symmetric
+from wordbound.gensets import GenSet, _generates_split, generates, inverse_pair_classes, make_symmetric
 from wordbound.metric import _length_bfs, memory_limit, word_length
 from wordbound.reports import ExperimentReport, Verdict, render_report
 
@@ -391,6 +391,45 @@ def test_zxd8_sampler_matches_a_per_call_pool():
         assert list(inverse) == list(ex._zxd8_pool(radius))
         assert all(inverse[g] == ex._ZXD8.inv(g) for g in inverse)
     assert len(ex._zxd8_pool(10)) == 167
+
+
+def test_zxd8_sampler_builds_only_the_alphabets_it_keeps(monkeypatch):
+    """The sampler decides each draw on its classes' parts and builds a
+    GenSet only for the draw it keeps: 200 constructions for the 200
+    samples of the default run, which rejects 375 draws."""
+    built = []
+    check = GenSet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(GenSet, "__post_init__", counted)
+    rep = ex.bound_witness_zxd8()
+    assert len(built) == len(rep.rows) == 200
+
+
+def test_zxd8_decision_on_parts_matches_generates():
+    """For every draw of seeds 0 to 9, 100 draws each, the decision on the
+    classes' representative parts is ``generates`` on the alphabet built
+    from the classes, in status, reason and evidence."""
+    G = ex._ZXD8
+    k, F, _, act = ex._ZXD8_SPLIT
+    pool, part = ex._zxd8_pool(10), ex._zxd8_parts(10)
+    inverse = ex._zxd8_inverses(10).__getitem__
+    limit = memory_limit()
+    statuses = set()
+    for seed in range(10):
+        rng = random.Random(seed)
+        for _ in range(100):
+            classes = inverse_pair_classes(G, rng.sample(pool, rng.randint(2, 4)), inverse)
+            fast = _generates_split([part[c[0]] for c in classes], k, F, act, limit)
+            slow = generates(G, GenSet.from_classes(G, classes))
+            assert (fast.status, fast.reason, fast.evidence) == (
+                slow.status, slow.reason, slow.evidence)
+            statuses.add(fast.status)
+    assert statuses == {"yes", "no"}
+    assert all(part[g] == ex._ZXD8_SPLIT[2](g) for g in pool)
 
 
 def test_zxd8_certificates_match_bfs():

@@ -1,5 +1,6 @@
 """Girth of Cayley graphs: word reduction, search agreement, torsion loops."""
 
+import itertools
 import textwrap
 
 import pytest
@@ -42,6 +43,30 @@ def test_reduce_word():
     assert not is_cyclically_reduced(S, (m2, p3, p2))
     with pytest.raises(DomainError):
         reduce_word(S, (99,))
+
+
+def test_cyclic_reduction_reads_any_sequence():
+    """A list, a tuple and, where one spells the word, a ``range`` get the
+    same answer, and it is the definition's: no letter next to its
+    inverse, cyclically.  A list was once compared with the reduced tuple
+    and answered False."""
+    Z, S = _z_genset(2, 3)
+    assert is_cyclically_reduced(S, [0, 2])
+    n = len(S.symbols())
+    for length in range(5):
+        for w in itertools.product(range(n), repeat=length):
+            cyclic = w[-1:] + w
+            expected = all(b != S.inv_symbol(a) for a, b in zip(cyclic, cyclic[1:]))
+            forms = [w, list(w)]
+            steps = {b - a for a, b in zip(w, w[1:])}
+            if length < 2:
+                forms.append(range(w[0], w[0] + 1) if w else range(0))
+            elif len(steps) == 1 and 0 not in steps:
+                step = steps.pop()
+                forms.append(range(w[0], w[-1] + step, step))
+            for form in forms:
+                assert tuple(form) == w
+                assert is_cyclically_reduced(S, form) is expected, form
 
 
 @pytest.mark.parametrize("word", [(1.0,), (-1,), (0, -4), (4,), (True,), (0, None)])

@@ -1,5 +1,6 @@
 """Group law, normal form and serialization tests for every shipped family."""
 
+import itertools
 import random
 
 import pytest
@@ -343,6 +344,70 @@ def test_product_law_rejects_foreign_operands():
             P.mul(good, bad)
         with pytest.raises(DomainError):
             P.inv(bad)
+
+
+CHECKED_PRODUCTS = [
+    Product(IntVector(1), DihedralFinite(4)), Product(IntVector(1), FiniteCyclic(3)),
+    Product(FiniteCyclic(2), FiniteCyclic(4)), Product(Free(2), IntVector(1)),
+]
+_JUNK = [None, 1.5, "ab", 4, -1, (), (1.5,), (0, 2), (1, -1), (2, 0, 1), [0], [1, 0]]
+
+
+def _operand(P):
+    """An element of the product P, or a near miss of one: a non-tuple,
+    a tuple of the wrong arity, a list, or a pair with a foreign component
+    in either slot."""
+    def component(F):
+        element = st.integers(0, 1 << 16).map(lambda seed: random_element(F, random.Random(seed), 4))
+        return st.one_of(element, element, st.sampled_from(_JUNK))
+
+    pair = st.tuples(component(P.left), component(P.right))
+    return st.one_of(
+        pair, pair,
+        st.sampled_from([None, 3, "ab", 1.5]),
+        st.tuples(component(P.left)),
+        st.tuples(component(P.left), component(P.right), component(P.right)),
+        pair.map(list),
+    )
+
+
+def _assert_checked_product(P, g, h):
+    """``mul`` is ``_mul`` on two elements; otherwise it raises the
+    DomainError naming the first operand ``contains`` refuses."""
+    if P.contains(g) and P.contains(h):
+        assert P.mul(g, h) == P._mul(g, h)
+        return
+    bad = g if not P.contains(g) else h
+    with pytest.raises(DomainError) as exc:
+        P.mul(g, h)
+    assert str(exc.value) == f"{bad!r} is not an element of {P}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("P", CHECKED_PRODUCTS, ids=str)
+def test_product_checked_law_on_drawn_operands(P, data):
+    _assert_checked_product(P, data.draw(_operand(P)), data.draw(_operand(P)))
+
+
+@pytest.mark.parametrize("P", CHECKED_PRODUCTS, ids=str)
+def test_product_checked_law_names_each_foreign_slot(P):
+    """A foreign component in each of the four slots of the two operands,
+    and every malformed shape on either side."""
+    rng = random.Random(29)
+    g, h = random_element(P, rng, 4), random_element(P, rng, 4)
+    cases = [(bad, h) for bad in (None, 3, (g[0],), (*g, g[1]), list(g))]
+    cases += [(g, bad) for bad, _ in cases]
+    for i, j in itertools.product(range(2), range(2)):
+        factor = (P.left, P.right)[j]
+        for junk in _JUNK:
+            if not factor.contains(junk):
+                operands = [list(g), list(h)]
+                operands[i][j] = junk
+                cases.append(tuple(map(tuple, operands)))
+    for a, b in cases:
+        assert not (P.contains(a) and P.contains(b))
+        _assert_checked_product(P, a, b)
 
 
 @pytest.mark.parametrize("G", [DihedralFinite(4), DihedralInfinite()], ids=str)

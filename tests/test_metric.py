@@ -11,6 +11,7 @@ from oracles import (
     FINITE_GROUPS,
     at_distance,
     ball_full_walk,
+    expand_per_node,
     foreign_alphabets,
     girth_reference,
     length_profile,
@@ -19,11 +20,14 @@ from oracles import (
 )
 
 from wordbound import groups as gr
+from wordbound import metric
 from wordbound.errors import DomainError, ResourceLimitExceeded
 from wordbound.gensets import GenSet, make_symmetric
 from wordbound.girth import girth
 from wordbound.metric import (
     Ball,
+    _Budget,
+    _expand,
     _length_bfs,
     ball,
     memory_limit,
@@ -271,6 +275,81 @@ def test_ball_memory_budget_exhaustion():
         ball(G, S, 12, mem_limit=20_000)
     # Exact, so that a check at entry that charged the budget would show.
     assert (exc.value.partial_radius, exc.value.explored) == (3, 88)
+
+
+# (group, letters, ball radius, word_length target and cap)
+BUDGET_CASES = [
+    (gr.IntVector(2), [(1, 0), (0, 1)], 3, (2, -1), 4),
+    (gr.Heisenberg(), [(1, 0, 0), (0, 1, 0)], 2, (0, 0, 1), 4),
+    (gr.Free(2), [(1,), (2,)], 3, (1, 2, -1), 4),
+    (gr.DihedralInfinite(), [(1, 0), (0, 1)], 4, (3, 1), 5),
+    (gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
+     [((1,), (0, 0)), ((0,), (1, 0)), ((0,), (0, 1))], 2, ((0,), (2, 0)), 4),
+]
+
+
+def _budget_outcomes(run, start, stop=None):
+    """The outcome of ``run(limit)`` for every limit from ``start`` to
+    ``stop``, or, without ``stop``, up to the first limit that completes:
+    a refusal's (partial_radius, explored) or the completed result, a
+    ball as its table's items in insertion order."""
+    outcomes = []
+    limit = start
+    while stop is None or limit <= stop:
+        try:
+            result = run(limit)
+        except ResourceLimitExceeded as exc:
+            outcomes.append(("refused", exc.partial_radius, exc.explored))
+        else:
+            outcomes.append(("done", list(result.table.items())
+                             if isinstance(result, Ball) else result))
+            if stop is None:
+                break
+        limit += 1
+    return outcomes
+
+
+@pytest.mark.parametrize("G, gens, radius, target, cap", BUDGET_CASES,
+                         ids=[str(case[0]) for case in BUDGET_CASES])
+def test_layer_charge_matches_the_per_node_charge(G, gens, radius, target, cap, monkeypatch):
+    """Every memory limit from the roots' charge up to the first that
+    completes gives ``ball`` and ``word_length`` the refusal or the result
+    that charging each node to the budget gives."""
+    S = _symm(G, gens)
+    e = G.identity()
+    searches = [
+        (lambda limit: ball(G, S, radius, mem_limit=limit), _Budget.cost(e)),
+        (lambda limit: word_length(G, S, target, cap, mem_limit=limit),
+         _Budget.cost(e) + _Budget.cost(target)),
+    ]
+    for run, roots in searches:
+        got = _budget_outcomes(run, roots)
+        assert got[-1][0] == "done" and len(got) > 1
+        with monkeypatch.context() as m:
+            m.setattr(metric, "_expand", expand_per_node)
+            assert _budget_outcomes(run, roots, roots + len(got) - 1) == got
+
+
+@pytest.mark.parametrize("G", FINITE_GROUPS + [gr.IntVector(2), gr.Free(2)], ids=str)
+def test_expand_writes_its_charge_back_to_the_budget(G):
+    """Layer by layer, ``_expand`` leaves the budget's bytes and nodes, the
+    table and the layer as the per-node charge does, the layer that fills a
+    finite group and returns early included."""
+    S = _symm(G, G.standard_generators())
+    runs = []
+    for expand in (_expand, expand_per_node):
+        budget = _Budget(1 << 30)
+        table = {G.identity(): (0, None)}
+        budget.charge(G.identity())
+        frontier = [G.identity()]
+        layers = []
+        for depth in range(1, 5):
+            frontier = expand(G._mul, S.letters, S.symbols(), table, frontier, depth,
+                              budget, full=G.size)
+            layers.append((frontier, budget.used, budget.nodes))
+        runs.append((list(table.items()), layers))
+        assert budget.nodes == len(table)
+    assert runs[0] == runs[1]
 
 
 def test_word_length_memory_budget_exhaustion():
