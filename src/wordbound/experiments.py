@@ -3,8 +3,10 @@
 Unboundedness ladders, boundedness certificates, automorphism orbits, FC
 witnesses, prescribed-length constructions and quotient-orbit growth.  Every
 length in a report row comes from an exact search (``word_length``, which
-meets in the middle, or a BFS ball); formula columns are compared against
-the search, never substituted for it.
+meets in the middle, or a BFS ball), or from ``certify_length``: a checked
+word for the upper bound and an exhaustive search one radius short of it for
+the lower.  Formula columns are compared against the search, never
+substituted for it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from types import MappingProxyType
 from . import groups as gr
 from .errors import NotGeneratingError, UnsupportedFamilyError
 from .gensets import GenSet, _generates_split, dihedral_mod, generates, inverse_pair_classes, make_symmetric
-from .metric import ball, memory_limit, word_length
+from .metric import ball, certify_length, memory_limit, word_length
 from .reports import ExperimentReport, Verdict
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -487,12 +489,14 @@ def unbounded_witness_dinfty(pairs=((2, 3), (3, 5), (5, 7))):
 
 
 def heisenberg_center_certificate(x, y):
-    """For a generating pair, the central exponent of [x, y] and a radius-4
-    certificate for the central generator.
+    """For a generating pair, the central exponent of [x, y] and the exact
+    length of the central generator over {x^+-1, y^+-1}.
 
-    Returns (exponent, LengthCert); the exponent is always +-1 for generating
-    pairs and the certificate confirms the central generator lies in the
-    radius-4 ball of {x^+-1, y^+-1}.
+    Returns (exponent, LengthCert).  The exponent is always +-1 for
+    generating pairs, so the central generator is [x, y] = x y x^-1 y^-1
+    when it is 1 and [y, x] = y x y^-1 x^-1 when it is -1: a word of 4
+    letters, which :func:`certify_length` checks and then proves geodesic by
+    a search out to radius 3.
     """
     G = gr.Heisenberg()
     G.check(x)
@@ -509,10 +513,10 @@ def heisenberg_center_certificate(x, y):
         raise RuntimeError(
             f"generating pair hits the central power {exponent}, not a generator")
     S = make_symmetric(G, [x, y])
-    cert = word_length(G, S, (0, 0, 1), cap=4)
-    if cert.length is None:
-        raise RuntimeError("central generator not within radius 4")
-    return exponent, cert
+    a, b = (x, y) if exponent == 1 else (y, x)
+    sa, sb = S.symbol_of(a), S.symbol_of(b)
+    word = (sa, sb, S.inv_symbol(sa), S.inv_symbol(sb))
+    return exponent, certify_length(G, S, (0, 0, 1), word)
 
 
 def sample_heisenberg_pair(rng):
@@ -619,11 +623,26 @@ def sample_zxd8_genset(rng, radius=10, mem_limit=None):
         f"sampler found no generating set within {ZXD8_MAX_ATTEMPTS} attempts")
 
 
+def _commutator_word(S):
+    """The word a b a^-1 b^-1 for the first pair of letters a, b of S, in
+    symbol order, whose products ab and ba differ."""
+    mul = S.group._mul  # S's letters are elements
+    for i, j in itertools.combinations(S.symbols(), 2):
+        a, b = S.element(i), S.element(j)
+        if mul(a, b) != mul(b, a):
+            return (i, j, S.inv_symbol(i), S.inv_symbol(j))
+    raise NotGeneratingError("the letters commute, so they generate an abelian group")
+
+
 def bound_witness_zxd8(samples=200, seed=42, radius=10):
     """Sampled generating sets of Z x D8 all place (0, z) within radius 4.
 
     z is the central rotation of order 2; the alphabets come from
-    :func:`sample_zxd8_genset`.  The memory budget is resolved once, for
+    :func:`sample_zxd8_genset`.  A generating set has two letters that do
+    not commute, and the commutator of any two non-commuting elements of
+    Z x D8 is (0, z).  So :func:`_commutator_word` spells (0, z) in 4
+    letters, and :func:`certify_length` checks that word and searches out
+    to radius 3 for a shorter one.  The memory budget is resolved once, for
     every draw and search.
     """
     G = _ZXD8
@@ -633,7 +652,7 @@ def bound_witness_zxd8(samples=200, seed=42, radius=10):
     rows = []
     for i in range(samples):
         S = sample_zxd8_genset(rng, radius, limit)
-        cert = word_length(G, S, target, cap=4, mem_limit=limit)
+        cert = certify_length(G, S, target, _commutator_word(S), mem_limit=limit)
         rows.append({
             "sample": i,
             "letters": str([G.element_to_obj(g) for g in S.letters]),
@@ -680,9 +699,11 @@ def _check_prescription_params(p, u, v, n_bound):
 
 def _prescribe_length(G, g, l, u, v, n_bound):
     """Letters g^2 and g^(2l+1) plus u-th and v-th powers of G's standard
-    generators (v must outgrow ``n_bound``), and the exact meet-in-the-middle
-    search for g to radius l + 1: a shorter word would surface as a
-    certificate length below l + 1."""
+    generators (v must outgrow ``n_bound``), and the exact length of g.
+
+    g = g^(2l+1) (g^2)^(-l) is a word of l + 1 letters; :func:`certify_length`
+    checks it and searches out to radius l for a shorter word, which would
+    surface as a certificate length below l + 1."""
     if l < 0:
         raise ValueError("target length must be >= 0")
     p = 2 * l + 1
@@ -704,8 +725,8 @@ def _prescribe_length(G, g, l, u, v, n_bound):
     res = generates(G, S, witnesses=witnesses)
     if not res.is_yes:
         raise NotGeneratingError(f"prescribed alphabet: {res.reason}")
-    cert = word_length(G, S, g, cap=l + 1)
-    return S, cert
+    word = (S.symbol_of(letters[1]),) + (S.inv_symbol(S.symbol_of(letters[0])),) * l
+    return S, certify_length(G, S, g, word)
 
 
 def prescribe_length_free(k, g, l, u, v):

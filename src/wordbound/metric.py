@@ -8,6 +8,12 @@ layers with one kernel, :func:`_expand`.  Frontier order is deterministic
 (FIFO, letters in ascending symbol id), so geodesic witnesses are
 reproducible across runs and platforms.
 
+:func:`certify_length` settles the length of an element for which a word is
+already known, such as a commutator.  The word, checked to spell the
+element, is the upper bound; ``word_length`` out to one radius less than its
+length is the lower bound, or finds a shorter word.  So the search skips its
+last and largest radius, which the word already proves.
+
 A ``GenSet`` checks its letters where it is built, so every search only
 tests, at entry in :func:`_check_alphabet`, that its alphabet is over ``G``.
 The root is the identity or a checked target, so every node a search
@@ -93,7 +99,13 @@ class LengthCert:
     ``length`` is None when the element was not found within ``cap`` (every
     element of length <= cap was enumerated).  When present, ``witness`` is a
     tuple of symbol ids of exactly ``length`` letters evaluating to
-    ``element``.
+    ``element``.  ``explored`` counts the nodes the search stored.
+
+    From :func:`certify_length`, ``cap`` is the length the given word
+    proves when that word is the witness: no search, or the search out to
+    ``cap - 1`` missed the element, so ``length == cap``.  When the search
+    found a shorter word, the certificate is the search's, with ``cap`` one
+    less than the given word's length.
     """
 
     element: object
@@ -272,6 +284,38 @@ def word_length(G, S, g, cap, mem_limit=None):
     if g == G.identity():
         return LengthCert(element=g, length=0, witness=(), cap=cap, explored=1)
     return _length_bidirectional(G, S, g, cap, limit)
+
+
+def certify_length(G, S, g, word, mem_limit=None):
+    """Exact word length of g over S, given a word that spells it.
+
+    The word, a sequence of symbol ids, is checked to evaluate to g
+    (DomainError otherwise, also for an unknown symbol id), which bounds
+    the length by ``n = len(word)`` from above.  Then ``word_length``
+    searches out to ``n - 1``: if it finds g, its certificate, with a
+    geodesic witness and ``cap = n - 1``, is returned; otherwise the length
+    is n and the certificate carries ``witness = tuple(word)``, ``cap = n``
+    and the search's ``explored``.  Neither the identity (length 0, the
+    empty witness, ``cap = 0``) nor a one-letter word, geodesic for any
+    g != e, runs a search; their certificates report ``explored = 0``.
+    """
+    _check_alphabet(G, S)
+    limit = memory_limit(mem_limit)
+    G.check(g)
+    if S.eval_word(word) != g:
+        raise DomainError(f"word {tuple(word)!r} does not evaluate to {g!r}")
+    n = len(word)
+    if g == G.identity():
+        return LengthCert(element=g, length=0, witness=(), cap=0, explored=0)
+    if n > 1:
+        cert = word_length(G, S, g, n - 1, limit)
+        if cert.length is not None:
+            return cert
+        explored = cert.explored
+    else:
+        explored = 0
+    return LengthCert(element=g, length=n, witness=tuple(word), cap=n,
+                      explored=explored)
 
 
 def _length_bfs(G, S, g, cap, limit):

@@ -11,11 +11,11 @@ from pathlib import Path
 
 import wordbound
 from wordbound import groups as gr
-from wordbound.errors import EmptyGenSetError, NotGeneratingError, UnsupportedFamilyError
+from wordbound.errors import DomainError, EmptyGenSetError, NotGeneratingError, UnsupportedFamilyError
 from wordbound.experiments import Automorphism
-from wordbound.gensets import GenSet, generates, inverse_pair_classes, smith_normal_form
+from wordbound.gensets import GenSet, generates, inverse_pair_classes, make_symmetric, smith_normal_form
 from wordbound.girth import GirthResult, _validate_witness
-from wordbound.metric import word_length
+from wordbound.metric import certify_length, word_length
 
 
 def quaternion_table():
@@ -66,6 +66,25 @@ def foreign_alphabets():
         involution = (0,) if a == 1 else (1, 0)
         out.append((name, G, (*good, bad), involution + (a,)))
     return out
+
+
+def certify_refusals():
+    """Calls of ``certify_length`` that must be refused: (name, call, the
+    error it raises).  Each fails before any search starts."""
+    Z = gr.IntVector(2)
+    S = make_symmetric(Z, [(1, 0), (0, 1)])
+    x = S.symbol_of((1, 0))
+    return [
+        ("word spells another element", lambda: certify_length(Z, S, (2, 0), (x,)), DomainError),
+        ("word spells a non-identity", lambda: certify_length(Z, S, (0, 0), (x,)), DomainError),
+        ("longer word spells another", lambda: certify_length(Z, S, (1, 0), (x, x, x)), DomainError),
+        ("symbol id past the end", lambda: certify_length(Z, S, (1, 0), (x, 4)), DomainError),
+        ("negative symbol id", lambda: certify_length(Z, S, (1, 0), (-1,)), DomainError),
+        ("bool symbol id", lambda: certify_length(Z, S, (1, 0), (True,)), DomainError),
+        ("target not an element", lambda: certify_length(Z, S, (1, 0, 0), (x,)), DomainError),
+        ("alphabet over another group", lambda: certify_length(gr.IntVector(1), S, (1,), (x,)), DomainError),
+        ("memory limit not positive", lambda: certify_length(Z, S, (1, 0), (x,), mem_limit=0), ValueError),
+    ]
 
 
 # Groups whose alphabets the construction check is held to the oracle on.

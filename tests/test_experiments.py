@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil, floor, gcd
 
 import pytest
+from click.testing import CliRunner
 from oracles import (
     FINITE_GROUPS,
     aut_by_bijections,
@@ -16,9 +18,11 @@ from oracles import (
 
 from wordbound import experiments as ex
 from wordbound import groups as gr
+from wordbound import metric
+from wordbound.cli import main
 from wordbound.errors import DomainError, NotGeneratingError, UnsupportedFamilyError
 from wordbound.gensets import GenSet, _generates_split, generates, inverse_pair_classes, make_symmetric
-from wordbound.metric import _length_bfs, memory_limit, word_length
+from wordbound.metric import _length_bfs, certify_length, memory_limit, word_length
 from wordbound.reports import ExperimentReport, Verdict, render_report
 
 
@@ -437,8 +441,9 @@ def test_zxd8_certificates_match_bfs():
     target = ((0,), (2, 0))
     for _ in range(20):
         S = ex.sample_zxd8_genset(rng)
-        cert = word_length(S.group, S, target, cap=4)
-        _assert_certificate_matches_bfs(S, target, cert)
+        _assert_certificate_matches_bfs(S, target, word_length(S.group, S, target, cap=4))
+        _assert_certificate_matches_bfs(
+            S, target, certify_length(S.group, S, target, ex._commutator_word(S)))
 
 
 def test_heisenberg_center_certificates_match_bfs():
@@ -448,6 +453,102 @@ def test_heisenberg_center_certificates_match_bfs():
         _, cert = ex.heisenberg_center_certificate(x, y)
         _assert_certificate_matches_bfs(make_symmetric(gr.Heisenberg(), [x, y]),
                                         (0, 0, 1), cert)
+
+
+# -- lengths certified by a word ----------------------------------------
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """Records of the experiments' ``certify_length`` calls: the run of
+    ``DEFAULT_RUNS`` that made it, the alphabet, the element, the word and
+    the caps that a stub on ``metric.word_length`` saw during the call."""
+    records, run = [], [None]
+    certify, search = ex.certify_length, metric.word_length
+
+    def searched(G, S, g, cap, mem_limit=None):
+        records[-1]["caps"].append(cap)
+        return search(G, S, g, cap, mem_limit)
+
+    def recorded(G, S, g, word, mem_limit=None):
+        records.append({"run": run[0], "S": S, "g": g, "word": tuple(word), "caps": []})
+        return certify(G, S, g, word, mem_limit)
+
+    def tagged(name, fn):
+        def call(*args, **kwargs):
+            run[0] = name
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(metric, "word_length", searched)
+    monkeypatch.setattr(ex, "certify_length", recorded)
+    for name, fn in list(ex.DEFAULT_RUNS.items()):
+        monkeypatch.setitem(ex.DEFAULT_RUNS, name, tagged(name, fn))
+    return records
+
+
+def test_zxd8_commutator_words_spell_the_center():
+    """For each of the 200 default alphabets the word is a commutator of 4
+    letters that evaluates to (0, z)."""
+    rng = random.Random(42)
+    for _ in range(200):
+        S = ex.sample_zxd8_genset(rng, 10)
+        word = ex._commutator_word(S)
+        a, b = word[:2]
+        assert word == (a, b, S.inv_symbol(a), S.inv_symbol(b))
+        assert S.eval_word(word) == ((0,), (2, 0))
+
+
+def test_commutator_word_refuses_commuting_letters():
+    S = make_symmetric(ex._ZXD8, [((1,), (0, 0)), ((0,), (2, 0))])
+    with pytest.raises(NotGeneratingError):
+        ex._commutator_word(S)
+
+
+@pytest.mark.parametrize("kind", ["free", "zd"])
+def test_prescription_words_have_l_plus_1_letters(kind, certified):
+    """g = g^(2l+1) (g^2)^(-l), one letter of each kind, for every (l, u, v)
+    of the default grid."""
+    assert ex.prescribe_length_experiment(kind).passed
+    grid = ex.DEFAULT_PRESCRIPTION_GRID
+    assert len(certified) == len(grid)
+    for r, (l, _, _) in zip(certified, grid):
+        S, g = r["S"], r["g"]
+        G = S.group
+        assert [S.element(sym) for sym in r["word"]] == [G.power(g, 2 * l + 1)] + [G.power(g, -2)] * l
+
+
+def test_heisenberg_center_word_follows_the_exponent(certified):
+    """The central generator is spelled [x, y] when [x, y] is it and [y, x]
+    when [x, y] is its inverse.  The default run's 100 pairs all have
+    exponent 1, so each is also certified swapped."""
+    H = gr.Heisenberg()
+    rng = random.Random(0)
+    pairs = [ex.sample_heisenberg_pair(rng) for _ in range(100)]
+    signs = set()
+    for x, y in pairs + [(y, x) for x, y in pairs]:
+        exponent, cert = ex.heisenberg_center_certificate(x, y)
+        assert H.commutator(x, y) == (0, 0, exponent)
+        a, b = (x, y) if exponent == 1 else (y, x)
+        S = certified[-1]["S"]
+        assert [S.element(sym) for sym in certified[-1]["word"]] == [a, b, H.inv(a), H.inv(b)]
+        assert (cert.length, cert.witness) == (4, certified[-1]["word"])
+        signs.add(exponent)
+    assert signs == {1, -1}
+
+
+def test_experiment_all_searches_one_radius_short_of_each_word(certified):
+    """Every certificate of ``experiment all`` searches out to one radius
+    less than its word, and a one-letter word not at all: 310 searches
+    for the 312 certificates of four runs."""
+    result = CliRunner().invoke(main, ["experiment", "all", "--format", "json"])
+    assert result.exit_code == 0
+    assert Counter(r["run"] for r in certified) == {
+        "heisenberg-center": 100, "zxd8": 200, "prescribe-free": 6, "prescribe-zd": 6}
+    for r in certified:
+        n = len(r["word"])
+        assert r["caps"] == ([n - 1] if n > 1 else []), r
+    assert sum(len(r["caps"]) for r in certified) == 310
 
 
 def test_bound_witness_zxd8_small():

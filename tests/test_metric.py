@@ -11,6 +11,7 @@ from oracles import (
     FINITE_GROUPS,
     at_distance,
     ball_full_walk,
+    certify_refusals,
     expand_per_node,
     foreign_alphabets,
     girth_reference,
@@ -30,6 +31,7 @@ from wordbound.metric import (
     _expand,
     _length_bfs,
     ball,
+    certify_length,
     memory_limit,
     word_length,
 )
@@ -247,6 +249,82 @@ def test_length_profile():
         cap=8,
     )
     assert profile == [(2, 2), (3, 2), (4, 2)]
+
+
+# -- lengths certified by a word ----------------------------------------
+
+
+@pytest.mark.parametrize("G,elems", [
+    (gr.IntVector(2), [(2, 1), (1, 1)]),
+    (gr.Free(2), [(1,), (2,)]),
+    (gr.Heisenberg(), [(1, 0, 0), (0, 1, 0)]),
+    (gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
+     [((1,), (0, 0)), ((0,), (1, 0)), ((0,), (0, 1))]),
+    (gr.DihedralInfinite(), [(1, 0), (0, 1)]),
+    (gr.DihedralFinite(4), [(1, 0), (0, 1)]),
+], ids=lambda v: str(v)[:24])
+def test_certify_length_matches_bfs(G, elems):
+    """On seeded random words, geodesic or not, of 0 to 7 letters, the
+    certified length is the BFS reference's.  A word the search out to one
+    radius less cannot beat is the witness, with ``cap`` its length;
+    otherwise the certificate is that search's."""
+    S = _symm(G, elems)
+    rng = random.Random(21)
+    kept = shorter = 0
+    for n in [0, 1] * 5 + [rng.randint(2, 7) for _ in range(60)]:
+        word = [rng.choice(S.symbols()) for _ in range(n)]
+        g = S.eval_word(word)
+        cert = certify_length(G, S, g, word)
+        assert cert.length == _length_bfs(G, S, g, max(n, 1), memory_limit()).length
+        assert len(cert.witness) == cert.length
+        assert S.eval_word(cert.witness) == g
+        if g == G.identity():
+            assert (cert.length, cert.cap, cert.explored) == (0, 0, 0)
+        elif n == 1:
+            assert (cert.witness, cert.cap, cert.explored) == ((word[0],), 1, 0)
+        elif cert.length == n:
+            kept += 1
+            search = word_length(G, S, g, n - 1)
+            assert search.length is None
+            assert (cert.witness, cert.cap, cert.explored) == (tuple(word), n, search.explored)
+        else:
+            shorter += 1
+            assert cert == word_length(G, S, g, n - 1)
+    assert kept and shorter
+
+
+_REFUSALS = certify_refusals()
+
+
+@pytest.mark.parametrize("call,error", [r[1:] for r in _REFUSALS], ids=[r[0] for r in _REFUSALS])
+def test_certify_length_refusals(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_certify_length_refusals_survive_optimize_flag():
+    """The checks are explicit raises, so ``python -O`` keeps every refusal,
+    among them a word that spells another element and a bad symbol id."""
+    script = textwrap.dedent("""
+        import sys
+
+        sys.path.insert(0, sys.argv[1])
+        from oracles import certify_refusals
+
+        if __debug__:
+            raise SystemExit("expected to run under python -O")
+        cases = certify_refusals()
+        refused = 0
+        for _, call, error in cases:
+            try:
+                call()
+            except error:
+                refused += 1
+        print(refused, len(cases))
+    """)
+    tests = str(Path(__file__).resolve().parent)
+    n = str(len(_REFUSALS))
+    assert run_optimized(["-c", script, tests]).stdout.split() == [n, n]
 
 
 # -- resource limits -----------------------------------------------------
