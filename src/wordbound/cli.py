@@ -1,22 +1,22 @@
 """Command-line front end.
 
 Subcommands ``length``, ``girth`` and ``experiment``; deterministic byte
-output for identical (argv, seed).  Exit codes: 0 pass, 1 failed verdict,
-2 usage error, 3 resource limit.  Every library error is a ``ValueError``
-(or a ``ResourceLimitExceeded``), mapped onto these codes in one place, the
-command group's ``invoke``.  ``experiment NAME`` calls ``DEFAULT_RUNS[NAME]``
-with the experiment options that were given as keywords; an option that the
-run's signature lacks, or any of them with ``all``, is a usage error.
+output for identical (argv, seed).  Elements are integers or brackets of
+integers and generating sets brackets of elements, read by ``_literal``'s
+grammar and nothing else, or free words like ``x1*x2^-1``.  Exit codes: 0
+pass, 1 failed verdict, 2 usage error, 3 resource limit.  Every library
+error is a ``ValueError`` (or a ``ResourceLimitExceeded``), mapped onto
+these codes in one place, the command group's ``invoke``.  ``experiment
+NAME`` calls ``DEFAULT_RUNS[NAME]`` with the experiment options that were
+given as keywords; an option that the run's signature lacks, or any of them
+with ``all``, is a usage error.
 """
 
 from __future__ import annotations
 
-import ast
 import inspect
-import io
 import re
 import sys
-import tokenize
 from itertools import chain, repeat
 
 import click
@@ -124,79 +124,53 @@ def parse_free_words(G, texts, copies=1):
     return out
 
 
-def _flat(value):
-    """A literal tuple or list as a tuple; any other literal as one slot."""
-    return tuple(value) if isinstance(value, (tuple, list)) else (value,)
+_TOKEN = re.compile(r"[ \t\n\r\f]*(?:([+-]?\w+)|([^ \t\n\r\f]))", re.ASCII)
+_CLOSER = {"(": ")", "[": "]"}
 
 
-# ast.literal_eval accepts no name but these, no other operator, no call but
-# set(), no subscript, no two signs in a row and at most two signs in one
-# operand (-1-2j), yet its parser overflows on long runs of what it refuses
-# and on deep nesting: _literal refuses them token by token first.
-LITERAL_MAX_DEPTH = 100  # bracket nesting; the parser runs out of memory at 200
-_LITERAL_NAMES = frozenset({"True", "False", "None", "set"})
-_LITERAL_OPS = frozenset({"(", "[", "{", ")", "]", "}", ",", ":", "+", "-", "..."})
-_LAYOUT = frozenset({tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
-                     tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER})
-
-
-def _literal_fault(tok, prev, operand, signs):
-    """Why ``tok`` cannot continue a literal, or None.  ``prev`` is the
-    previous token's text, ``operand`` whether it ends an operand and
-    ``signs`` the + and - counts of the operand in each open bracket."""
-    kind, text = tok.type, tok.string
-    if (kind == tokenize.ERRORTOKEN or kind == tokenize.NAME and text not in _LITERAL_NAMES
-            or kind == tokenize.OP and text not in _LITERAL_OPS):
-        return f"unexpected {text[:20]!r}"
-    if text in ("(", "[", "{"):
-        if operand and prev != "set":
-            return "a call or subscript"
-        if len(signs) > LITERAL_MAX_DEPTH:
-            return f"brackets nested deeper than {LITERAL_MAX_DEPTH}"
-        signs.append(0)
-    elif text in (")", "]", "}"):
-        if len(signs) > 1:
-            signs.pop()
-    elif text in (",", ":"):
-        signs[-1] = 0
-    elif text in ("+", "-"):
-        if prev in ("+", "-"):
-            return "signs in a row"
-        signs[-1] += 1
-        if signs[-1] > 2:
-            return "a chain of + and -"
-    return None
+def _malformed(why, m):
+    return ValueError(f"malformed literal: {why} at character {m.start(m.lastindex) + 1}")
 
 
 def _literal(text):
-    """``ast.literal_eval``, raising what it never accepts but could overflow
-    on (see ``_literal_fault``) and its ``TypeError`` (a set or dict key
-    holding a list) as a ``ValueError``."""
-    signs = [0]
-    prev, operand = "", False
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if tok.type in _LAYOUT:
-                continue
-            fault = _literal_fault(tok, prev, operand, signs)
-            if fault:
-                line, column = tok.start
-                raise ValueError(f"malformed literal: {fault} at line {line}, column {column + 1}")
-            prev = tok.string
-            operand = tok.type != tokenize.OP or prev in (")", "]", "}", "...")
-    except tokenize.TokenError:
-        pass  # unclosed at its end: literal_eval says what is missing
-    try:
-        return ast.literal_eval(text)
-    except TypeError as exc:
-        raise ValueError(f"malformed literal {text!r}: {exc}") from exc
+    """The integer, or tuple of integers and tuples of integers, that ``text``
+    spells: an integer is an ASCII token with at most one sign, as Python
+    writes it; ( and [ alike make a tuple, with an optional trailing comma;
+    (x) is x at the top level only.  A third bracket open, or anything else,
+    is malformed."""
+    frames = [["", [], 0]]  # [closer, items, commas] per open bracket, below them the text
+    for m in _TOKEN.finditer(text):
+        number, char = m.groups()
+        closer, items, commas = frame = frames[-1]
+        if number and len(items) == commas:
+            try:
+                items.append(int(number, 0))
+            except ValueError:
+                raise _malformed(f"{number[:20]!r} is not an integer", m) from None
+        elif char in _CLOSER and len(items) == commas and len(frames) <= 2:
+            items.append(None)  # this bracket's value, once it closes
+            frames.append([_CLOSER[char], [], 0])
+        elif char == "," and closer and len(items) > commas:
+            frame[2] += 1
+        elif char == closer:
+            frames.pop()
+            scalar = char == ")" and len(items) == 1 and not commas  # (x) is x
+            if scalar and len(frames) > 1:
+                raise _malformed("a parenthesised integer inside brackets", m)
+            frames[-1][1][-1] = items[0] if scalar else tuple(items)
+        else:
+            raise _malformed(f"unexpected {(number or char)[:20]!r}", m)
+    if len(frames) > 1 or not frames[0][1]:
+        raise ValueError("malformed literal: " + ("unclosed bracket" if frames[0][1] else "empty"))
+    return frames[0][1][0]
 
 
 def parse_element(G, text):
     """Parse an element: flat integer tuple (or scalar) or a free word."""
     if isinstance(G, gr.Free):
         return parse_free_words(G, [text])[0]
-    return gr.element_from_flat(G, _flat(_literal(text)))
+    value = _literal(text)
+    return gr.element_from_flat(G, value if isinstance(value, tuple) else (value,))
 
 
 def parse_genset(G, text):
@@ -209,9 +183,10 @@ def parse_genset(G, text):
         elems = parse_free_words(G, [p for p in body.split(",") if p.strip()], copies=2)
     else:
         value = _literal(text)
-        if not isinstance(value, (list, tuple)):
+        if not isinstance(value, tuple):
             raise ValueError("genset must be a list")
-        elems = [gr.element_from_flat(G, _flat(item)) for item in value]
+        elems = [gr.element_from_flat(G, item if isinstance(item, tuple) else (item,))
+                 for item in value]
     return make_symmetric(G, elems)
 
 
@@ -230,14 +205,13 @@ def _fail(code, message):
 
 
 class _Commands(click.Group):
-    """The exit-code contract for every subcommand: a ValueError or
-    SyntaxError is a usage error, an exhausted memory budget a resource
-    error."""
+    """The exit-code contract for every subcommand: a ValueError is a usage
+    error, an exhausted memory budget a resource error."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, SyntaxError) as exc:
+        except ValueError as exc:
             _fail(EXIT_USAGE, exc)
         except ResourceLimitExceeded as exc:
             _fail(EXIT_RESOURCE, exc)

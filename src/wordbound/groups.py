@@ -738,12 +738,18 @@ class CayleyTableGroup(Group):
         """Load from a dict or a JSON file path.
 
         Schema: ``{"elements": ["e", "r", ...], "table": [[0,1,...], ...]}``
-        with index 0 the identity.
+        with index 0 the identity.  A file nested too deeply for ``json`` to
+        read (its ``RecursionError``) raises ``UnsupportedFamilyError``.
         """
         if isinstance(source, dict):
             return cls.from_obj(source)
         with open(source, "r", encoding="utf-8") as fh:
-            return cls.from_obj(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except RecursionError:
+                raise UnsupportedFamilyError(
+                    f"{source}: JSON nested too deeply to read") from None
+        return cls.from_obj(obj)
 
     @classmethod
     def from_obj(cls, obj):

@@ -114,10 +114,6 @@ class LengthCert:
     cap: int
     explored: int
 
-    @property
-    def in_ball(self):
-        return self.length is not None
-
 
 @dataclass
 class Ball:

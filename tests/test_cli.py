@@ -5,18 +5,20 @@ import hashlib
 import inspect
 import json
 import random
+import string
 import time
 import tracemalloc
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import run_optimized
 
 from wordbound import experiments as ex
 from wordbound import groups as gr
 from wordbound.cli import (
     _LETTER_BYTES,
-    LITERAL_MAX_DEPTH,
     _literal,
     experiment,
     main,
@@ -152,13 +154,15 @@ def test_length_usage_error(runner):
 
 @pytest.mark.parametrize("genset, element", [("[1]", "{[]}"), ("{[]}", "(1,)")])
 def test_unhashable_literal_is_usage_error(runner, genset, element):
-    """literal_eval raises TypeError for a set holding a list; the CLI exits
-    2 with a message, not a traceback."""
+    """A set holding a list, once a TypeError traceback of literal_eval, is
+    no element: the CLI exits 2 with one malformed-literal line."""
     result = runner.invoke(main, [
         "length", "--group", "Z", "--genset", genset, "--element", element, "--cap", "3"])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-    assert "unhashable" in result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: malformed literal")
 
 
 UNARY_RUNS = {
@@ -173,9 +177,9 @@ UNARY_RUNS = {
 @pytest.mark.parametrize("where", ["element", "genset"])
 @pytest.mark.parametrize("chain", UNARY_RUNS.values(), ids=UNARY_RUNS.keys())
 def test_unary_operator_run_is_usage_error(runner, chain, where):
-    """literal_eval never accepts two unary operators in a row, and a long
-    run overflows its parser (MemoryError, RecursionError); the CLI refuses
-    the run before parsing, in --element and inside a --genset list."""
+    """A long run of unary operators once overflowed literal_eval's parser
+    (MemoryError, RecursionError); the grammar refuses its first operator,
+    in --element and inside a --genset list."""
     _assert_malformed_literal(runner, chain, where)
 
 
@@ -202,30 +206,150 @@ DEEP_LITERALS = {
 @pytest.mark.parametrize("where", ["element", "genset"])
 @pytest.mark.parametrize("text", DEEP_LITERALS.values(), ids=DEEP_LITERALS.keys())
 def test_deep_literal_is_usage_error(runner, text, where):
-    """literal_eval never accepts these, but overflows on them (MemoryError,
-    RecursionError); the CLI refuses them before parsing, in --element and
-    inside a --genset list."""
+    """These once overflowed literal_eval's parser (MemoryError,
+    RecursionError); the grammar refuses the first token it cannot take, in
+    --element and inside a --genset list."""
     _assert_malformed_literal(runner, text, where)
 
 
 @pytest.mark.parametrize("text", [
-    "[" * LITERAL_MAX_DEPTH + "]" * LITERAL_MAX_DEPTH,
-    "(-1-2j, +3+4j, (1)+(2j), - 5)",
-    "{-1: 'a' 'b', None: [True, False, ...], 2: set()}",
-    " [1, # comment\n 2,\\\n 3]",
-    "{(1, 2), ()}",
-])
-def test_literal_guard_passes_what_literal_eval_accepts(text):
-    assert _literal(text) == ast.literal_eval(text)
-
-
-@pytest.mark.parametrize("text", [
-    "[" * (LITERAL_MAX_DEPTH + 1) + "]" * (LITERAL_MAX_DEPTH + 1),
+    "[" * 101 + "]" * 101,
     "1+2j+3j-4j", "(1)+(2)-(3)+(4j)", "--1", "1[0]", "set()()", "x", "1 .real", "~1", "1$",
 ])
 def test_literal_guard_refuses_what_literal_eval_never_accepts(text):
     with pytest.raises(ValueError, match="^malformed literal: "):
         _literal(text)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("(True, 1)", id="bool"),
+    pytest.param("[False]", id="bool-in-list"),
+    pytest.param("(1, # comment\n 2)", id="comment"),
+    pytest.param("(1,\\\n 2)", id="continuation"),
+    pytest.param("((1), 2)", id="parenthesised-scalar-in-tuple"),
+    pytest.param("[(1)]", id="parenthesised-scalar-in-list"),
+    pytest.param("- 5", id="sign-space"),
+    pytest.param("(1, + 2)", id="sign-space-in-tuple"),
+    pytest.param("[[[1]]]", id="three-levels"),
+    pytest.param("(([1],),)", id="three-levels-of-parens"),
+    pytest.param("1, 2", id="bare-tuple"),
+    pytest.param("(1,,2)", id="double-comma"),
+    pytest.param("(,)", id="lone-comma"),
+    pytest.param("(1 2)", id="missing-comma"),
+    pytest.param("(1]", id="mismatched"),
+    pytest.param("(1, 2", id="unclosed"),
+    pytest.param("(1, 2))", id="overclosed"),
+    pytest.param("", id="empty"),
+    pytest.param(" \n", id="blank"),
+    pytest.param("01", id="leading-zero"),
+    pytest.param("1__0", id="double-underscore"),
+    pytest.param("0x", id="bare-prefix"),
+    pytest.param("1e3", id="exponent"),
+    pytest.param("1.0", id="float"),
+    pytest.param("1j", id="imaginary"),
+    pytest.param("\u0661\u0662", id="arabic-indic-digits"),
+    pytest.param("(1,\xa02)", id="no-break-space"),
+    pytest.param("(1,\v2)", id="vertical-tab"),
+    pytest.param("1" * 5000, id="past-int-digit-limit"),
+    pytest.param("-" * 100_000 + "1", id="minus-run-1e5"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="bracket-run-1e5"),
+])
+def test_grammar_refusals(text):
+    """What the grammar refuses, among it inputs that literal_eval reads as
+    integers: True/False, comments, continuations, (x) inside brackets and
+    a space after a sign."""
+    with pytest.raises(ValueError, match="^malformed literal: "):
+        _literal(text)
+
+
+def _flattened(value):
+    """A literal as the CLI reads it: lists as tuples, at every level."""
+    return tuple(map(_flattened, value)) if isinstance(value, (tuple, list)) else value
+
+
+def _assert_agrees_with_literal_eval(text):
+    """``_literal`` refuses ``text`` as malformed, or reads what
+    ``ast.literal_eval`` reads, lists as tuples and ints as ints (``repr``
+    tells True from 1).  Any other exception fails the test.  Returns
+    whether ``text`` was accepted."""
+    try:
+        value = _literal(text)
+    except ValueError as exc:
+        assert str(exc).startswith("malformed literal: "), exc
+        return False
+    assert repr(value) == repr(_flattened(ast.literal_eval(text.strip()))), text
+    return True
+
+
+_BLANKS = st.text(" \t\n\r\f", max_size=2)
+
+
+@st.composite
+def _integer_tokens(draw):
+    """An integer as Python writes it: decimal, 0x/0X, 0o or 0b, an
+    underscore between two digits, at most one sign."""
+    n = draw(st.integers(-10**12, 10**12))
+    base = draw(st.sampled_from(["d", "x", "X", "o", "b"]))
+    digits = format(abs(n), base)
+    if len(digits) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]
+    prefix = {"d": "", "x": "0x", "X": "0X", "o": "0o", "b": "0b"}[base]
+    sign = "-" if n < 0 else draw(st.sampled_from(["", "+"]))
+    return sign + prefix + digits
+
+
+@st.composite
+def _brackets(draw, items):
+    """``items`` in ( ) or [ ], blank space around each token, perhaps a
+    trailing comma (always one for a single item in parentheses)."""
+    items = draw(items)
+    opener, closer = draw(st.sampled_from(["()", "[]"]))
+    trailing = bool(items) and (draw(st.booleans()) or (opener == "(" and len(items) == 1))
+    parts = [draw(_BLANKS) + item + draw(_BLANKS) for item in items]
+    return opener + ",".join(parts) + ("," + draw(_BLANKS) if trailing else "") + closer
+
+
+_ELEMENTS = st.one_of(_integer_tokens(), _brackets(st.lists(_integer_tokens(), max_size=4)))
+_TEXTS = st.one_of(
+    _ELEMENTS,
+    _brackets(st.lists(_ELEMENTS, max_size=4)),
+    _ELEMENTS.map(lambda text: f"({text})"),  # (x) is x at the top level
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(_BLANKS, _TEXTS, _BLANKS).map("".join))
+def test_grammar_texts_read_as_literal_eval_reads_them(text):
+    assert _assert_agrees_with_literal_eval(text)
+
+
+RANDOM_ALPHABET = "()[],+-" * 3 + string.digits * 2 + string.ascii_letters + "_ #.\n\u0661\u0662"
+MUTATED = ["[(5,1),(3,0)]", "(0x1F, -0b1, +0o7, 1_000,)", "[ [1 ,2,], (3,), -4 ]", "((1, 2))",
+           "(-7)", "[(), []]", "(\n1,\t2\r)"]
+
+
+def _mutation(rng, text):
+    """``text`` after one to three random insertions, deletions or
+    replacements of a character."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        new = rng.choice(RANDOM_ALPHABET)
+        text = rng.choice([text[:i] + new + text[i:], text[:i] + text[i + 1:],
+                           text[:i] + new + text[i + 1:]])
+    return text
+
+
+def test_random_strings_are_refused_or_read_as_literal_eval_reads_them():
+    """100,000 seeded strings of up to 10 characters and 100,000 seeded
+    mutations of grammar texts: each is malformed or agrees with
+    literal_eval, and each kind has thousands accepted."""
+    rng = random.Random(22)
+    strings = ["".join(rng.choices(RANDOM_ALPHABET, k=rng.randint(0, 10)))
+               for _ in range(100_000)]
+    mutations = [_mutation(rng, rng.choice(MUTATED)) for _ in range(100_000)]
+    assert sum(map(_assert_agrees_with_literal_eval, strings)) > 1000
+    assert sum(map(_assert_agrees_with_literal_eval, mutations)) > 5000
 
 
 @pytest.mark.parametrize("args", [

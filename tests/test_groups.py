@@ -1,6 +1,7 @@
 """Group law, normal form and serialization tests for every shipped family."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -437,6 +438,20 @@ def test_cayley_table_validation():
     with pytest.raises(ValueError, match="square"):
         CayleyTableGroup(names=("e",), table=((0, 0),))
 
+
+
+def test_cayley_table_file_nested_too_deeply_is_refused(tmp_path):
+    """``json.load`` overflows on a table 100,000 brackets deep (400 KB) with
+    a RecursionError; the reader raises UnsupportedFamilyError naming the
+    file instead, and still reads a plain file."""
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"elements": ["e"], "table": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                    encoding="utf-8")
+    with pytest.raises(UnsupportedFamilyError, match="deep.json: JSON nested too deeply"):
+        CayleyTableGroup.from_json(deep)
+    plain = tmp_path / "z3.json"
+    plain.write_text(json.dumps(Z3_TABLE), encoding="utf-8")
+    assert CayleyTableGroup.from_json(plain) == CayleyTableGroup.from_json(Z3_TABLE)
 
 def test_cayley_table_matches_cyclic_group():
     T = CayleyTableGroup.from_json(Z3_TABLE)

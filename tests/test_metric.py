@@ -103,7 +103,6 @@ def test_not_in_ball():
     cert = word_length(Z, S, (9,), cap=5)
     assert cert.length is None
     assert cert.witness is None
-    assert not cert.in_ball
 
 
 # -- ball ----------------------------------------------------------------

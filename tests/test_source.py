@@ -1,7 +1,7 @@
 """Source-wide guards: exact integers only, checks that survive
 ``python -O``, a group law of each family's own, membership tests without
-iterator chains, one module that lays out a ``GenSet`` and one place that
-checks its letters."""
+iterator chains, one module that lays out a ``GenSet``, one place that
+checks its letters and no text evaluated as Python."""
 
 import ast
 import inspect
@@ -219,3 +219,33 @@ def test_no_search_rechecks_an_alphabets_letters():
     found = {p.name: _letter_rechecks(p.read_text(encoding="utf-8"))
              for p in SOURCES if p.name in ("metric.py", "girth.py", "gensets.py")}
     assert found == {"gensets.py": [], "girth.py": [], "metric.py": []}
+
+
+EVALUATORS = {"literal_eval", "eval", "exec"}
+
+
+def _evaluator_calls(source):
+    """Line numbers of calls to ``literal_eval``, ``eval`` or ``exec``, by
+    name or as an attribute."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and EVALUATORS & {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+    ]
+
+
+def test_guard_flags_an_evaluator_call():
+    source = ("a = ast.literal_eval(text)\n"
+              "b = eval(text)\n"
+              "exec(text)\n"
+              "c = literal_eval(text)\n"
+              "d = evaluate(text)\n"
+              "e = re.compile(text)\n")
+    assert _evaluator_calls(source) == [1, 2, 3, 4]
+
+
+def test_library_evaluates_no_text_as_python():
+    """Command-line text is read by the CLI's own grammar, never by a
+    Python evaluator."""
+    found = {p.name: _evaluator_calls(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
