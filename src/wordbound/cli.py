@@ -263,7 +263,13 @@ def _ints(text):
 
 
 def _pairs(text):
-    return tuple(tuple(int(v) for v in chunk.split(":")) for chunk in text.split(","))
+    pairs = []
+    for chunk in text.split(","):
+        pair = tuple(int(v) for v in chunk.split(":"))
+        if len(pair) != 2:
+            raise ValueError(f"{chunk!r} is not a pair A:B")
+        pairs.append(pair)
+    return tuple(pairs)
 
 
 @main.command()

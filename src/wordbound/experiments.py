@@ -711,7 +711,8 @@ def _check_prescription_params(p, u, v, n_bound):
 
 def _prescribe_length(G, g, l, u, v, n_bound):
     """Letters g^2 and g^(2l+1) plus u-th and v-th powers of G's standard
-    generators (v must outgrow ``n_bound``), and the exact length of g.
+    generators (v must outgrow ``n_bound``), which ``generates`` confirms
+    generate G, and the exact length of g.
 
     g = g^(2l+1) (g^2)^(-l) is a word of l + 1 letters; :func:`certify_length`
     checks it and searches out to radius l for a shorter word, which would
@@ -725,18 +726,7 @@ def _prescribe_length(G, g, l, u, v, n_bound):
     for b in basis:
         letters.append(G.power(b, u))
         letters.append(G.power(b, v))
-    S = make_symmetric(G, letters)
-    # b = b^(alpha u + beta v): a word for each basis letter, which free
-    # groups need to certify generation
-    witnesses = {}
-    _, (alpha, beta) = min_coefficients(u, v, 1)
-    for i, b in enumerate(basis, 1):
-        su = S.symbol_of(G.power(b, u if alpha >= 0 else -u))
-        sv = S.symbol_of(G.power(b, v if beta >= 0 else -v))
-        witnesses[i] = (su,) * abs(alpha) + (sv,) * abs(beta)
-    res = generates(G, S, witnesses=witnesses)
-    if not res.is_yes:
-        raise NotGeneratingError(f"prescribed alphabet: {res.reason}")
+    S = _generating(G, letters, "prescribed alphabet")
     word = (S.symbol_of(letters[1]),) + (S.inv_symbol(S.symbol_of(letters[0])),) * l
     return S, certify_length(G, S, g, word)
 

@@ -9,8 +9,8 @@ two.
 ``generates`` decides generation exactly on every family whose
 ``Group.lattice_split`` presents it as Z^k x| F with F finite: one Schreier
 walk over F and the index of the translation kernel in Z^k.  That method is
-all a virtually abelian family implements to be decided; only the Heisenberg
-and free groups keep procedures of their own.
+all a virtually abelian family implements to be decided.  The Heisenberg
+group is decided by its abelianization, free groups by Stallings folding.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable
 
 from . import groups as gr
 from .errors import DomainError, EmptyGenSetError, UnsupportedFamilyError
-from .metric import _Budget, _check_alphabet, _check_int, _length_bidirectional, memory_limit
+from .metric import _Budget, _check_alphabet, memory_limit
 
 
 @dataclass(frozen=True)
@@ -302,7 +302,9 @@ class GenerationResult:
     F-parts reach), ``finite_group_size``, ``lattice_rank`` k, the
     ``invariant_factors`` of the translation kernel, its ``kernel_index``
     in Z^k (0 when its rank is below k; ``translation_gcd`` too when k = 1)
-    and, when the F-parts miss part of F, a ``missing`` element of F.
+    and, when the F-parts miss part of F, a ``missing`` element of F.  The
+    Stallings fold reports its graph's ``vertices`` and ``folded_vertices``.
+    "inconclusive" only for a family with no decision procedure.
     """
 
     status: str  # "yes" | "no" | "inconclusive"
@@ -318,29 +320,20 @@ class GenerationResult:
         return self.status == "no"
 
 
-def generates(G, S, budget=8, witnesses=None):
-    """Decide whether the alphabet S generates G.
-
-    Exact for every family with a ``lattice_split`` (finite groups, lattices,
-    the infinite dihedral group and their products) by Schreier's lemma, and
-    for the Heisenberg group by its abelianization.  Free groups fall back to
-    ``word_length``'s search for each basis letter out to radius ``budget``
-    and may return "inconclusive".  ``witnesses`` optionally maps a
-    free-group basis index to a word (symbol ids) evaluating to that basis
-    letter.  Both searches are charged to the memory budget and raise
-    ResourceLimitExceeded past it.
-
-    ``metric._check_alphabet`` tests that S is over G; S checked its letters
-    when it was built.  The Schreier walk then multiplies with the trusted
-    ``_mul``; the free-group search keeps the checked law of
-    ``word_length``'s kernel.
+def generates(G, S):
+    """Decide whether the alphabet S generates G: exactly, by Schreier's
+    lemma on every family with a ``lattice_split`` (finite groups, lattices,
+    the infinite dihedral group and their products), by the abelianization
+    on the Heisenberg group and by Stallings folding on free groups; any
+    other family is "inconclusive".  Both walks are charged to the memory
+    budget and raise ResourceLimitExceeded past it.  ``_check_alphabet``
+    tests that S is over G; S checked its letters when it was built.
     """
-    _check_int("budget", budget, 1)
     _check_alphabet(G, S)
     if isinstance(G, gr.Heisenberg):
         return _generates_heisenberg(G, S)
     if isinstance(G, gr.Free):
-        return _generates_free(G, S, budget, witnesses)
+        return _generates_free(G, S, memory_limit())
     split = G.lattice_split()
     if split is None:
         return GenerationResult("inconclusive", f"no decision procedure for {G}")
@@ -439,36 +432,53 @@ def _generates_heisenberg(G, S):
     )
 
 
-def _generates_free(G, S, budget, witnesses):
-    targets = {i: G.generator(i) for i in range(1, G.k + 1)}
-    found = {}
-    if witnesses:
-        for i, word in witnesses.items():
-            if i not in targets:
-                raise DomainError(
-                    f"a witness names basis letter {i!r}, but {G} has basis letters 1 to {G.k}")
-            if S.eval_word(word) != targets[i]:
-                raise DomainError(f"witness for basis letter {i} is wrong")
-            found[i] = tuple(word)
-    missing = [i for i in targets if i not in found]
-    if missing:
-        # word_length's meet-in-the-middle search, out to radius budget
-        limit = memory_limit()
-        for i in list(missing):
-            cert = _length_bidirectional(G, S, targets[i], budget, limit)
-            if cert.length is not None:
-                found[i] = cert.witness
-                missing.remove(i)
-        if missing:
-            return GenerationResult(
-                "inconclusive",
-                f"no witness for basis letters {missing} within budget {budget}",
-                {"witnesses": dict(found)},
-            )
-    return GenerationResult(
-        "yes", "every basis letter has a witness word",
-        {"witnesses": dict(found)},
-    )
+def _generates_free(G, S, limit):
+    """Exact decision on F_k by Stallings folding (Stallings, Invent. Math.
+    71, 1983; Kapovich and Myasnikov, J. Algebra 248, 2002).  Glue at a base
+    vertex one loop per inverse pair, spelling its first letter, and merge
+    the far ends of any two edges that leave a vertex with one label.  The
+    result reads from the base exactly the subgroup's reduced words, so S
+    generates iff one vertex is left with all 2k labels.  The base is
+    charged to a budget of ``limit`` bytes like a search root, every later
+    vertex like a node at radius 0."""
+    mem = _Budget(limit)
+    mem.charge(0)
+    parent = [0]  # union-find over the vertices
+    out = [{}]  # out[v]: label -> far end, for each root v
+    edges = []  # (u, label, v), still to attach
+    for sym, word in enumerate(S.letters):
+        if S.involution[sym] >= sym and word:
+            path = [0, *range(len(parent), len(parent) + len(word) - 1), 0]
+            for v in path[1:-1]:
+                mem.charge(v, 0)
+                parent.append(v)
+                out.append({})
+            edges += zip(path, word, path[1:])
+            edges += zip(path[1:], [-x for x in word], path)
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
+
+    folded = len(parent)
+    while edges:
+        u, x, v = edges.pop()
+        v = find(v)
+        w = find(out[find(u)].setdefault(x, v))
+        if w != v:  # fold: the vertex with fewer labels moves its edges over
+            if len(out[w]) > len(out[v]):
+                v, w = w, v
+            parent[w] = v
+            folded -= 1
+            edges += ((v, y, t) for y, t in out[w].items())
+            out[w] = None
+    base = out[find(0)]
+    evidence = {"vertices": len(parent), "folded_vertices": folded}
+    if folded == 1 and len(base) == 2 * G.k:
+        return GenerationResult("yes", f"the folded graph is one vertex with all {2 * G.k} labels", evidence)
+    return GenerationResult("no", f"the folded graph has {folded} vertices and {len(base)} "
+                            f"of the {2 * G.k} labels at its base", evidence)
 
 
 # -- quotient maps -------------------------------------------------------

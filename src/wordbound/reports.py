@@ -49,26 +49,8 @@ class ExperimentReport:
             "version": self.version,
         }
 
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(
-            name=obj["name"],
-            params=dict(obj["params"]),
-            rows=[dict(r) for r in obj["rows"]],
-            verdicts=[
-                Verdict(claim=v["claim"], passed=v["pass"], details=v["details"])
-                for v in obj["verdicts"]
-            ],
-            seed=obj["seed"],
-            version=obj["version"],
-        )
-
     def to_json_bytes(self):
         return (json.dumps(self.to_obj(), indent=2) + "\n").encode("utf-8")
-
-    @classmethod
-    def from_json_bytes(cls, data):
-        return cls.from_obj(json.loads(data.decode("utf-8")))
 
     def to_csv_bytes(self):
         """Rows as CSV with the column order of the first row."""

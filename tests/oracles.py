@@ -2,6 +2,7 @@
 tests compare the library against."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from wordbound.experiments import Automorphism
 from wordbound.gensets import GenSet, generates, inverse_pair_classes, make_symmetric, smith_normal_form
 from wordbound.girth import GirthResult, _validate_witness
 from wordbound.metric import certify_length, word_length
+from wordbound.reports import ExperimentReport, Verdict
 
 
 def quaternion_table():
@@ -514,6 +516,69 @@ def generates_split_reference(G, S):
     return {"status": "yes" if len(rep) == F.size and index == 1 else "no",
             "closure_size": len(rep), "kernel_index": index,
             "invariant_factors": factors}
+
+
+def _permutation_closure(perms):
+    """The permutation group that ``perms`` generate, as a set of tuples."""
+    seen = {tuple(range(len(perms[0])))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for s in perms:
+                q = tuple(p[i] for i in s)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
+def free_generation_certificate(G, S, rng):
+    """A verdict on whether S generates the free group G, found apart from
+    ``generates``, or None when neither side is certified.
+
+    "yes": ``word_length`` finds every basis letter within 10 letters and
+    each witness spells it.  "no": one of 300 seeded homomorphisms
+    F_k -> Sym(n), n <= 6, maps the letters of S onto a proper subgroup of
+    the image of the basis, which then cannot lie in the subgroup S
+    generates.
+    """
+    basis = G.standard_generators()
+    certs = [word_length(G, S, x, cap=10) for x in basis]
+    if all(c.length is not None and S.eval_word(c.witness) == x for c, x in zip(certs, basis)):
+        return "yes"
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        images = [tuple(rng.sample(range(n), n)) for _ in basis]
+        images += [tuple(sorted(range(n), key=p.__getitem__)) for p in images]  # inverses
+
+        def image(word):
+            p = tuple(range(n))
+            for x in word:
+                q = images[x - 1 if x > 0 else G.k - x - 1]
+                p = tuple(q[i] for i in p)
+            return p
+
+        if len(_permutation_closure([image(w) for w in S.letters])) < len(
+                _permutation_closure(images)):
+            return "no"
+    return None
+
+
+def report_from_json_bytes(data):
+    """The ExperimentReport that ``ExperimentReport.to_json_bytes`` wrote as
+    ``data``; only tests read reports back."""
+    obj = json.loads(data.decode("utf-8"))
+    return ExperimentReport(
+        name=obj["name"],
+        params=dict(obj["params"]),
+        rows=[dict(r) for r in obj["rows"]],
+        verdicts=[Verdict(claim=v["claim"], passed=v["pass"], details=v["details"])
+                  for v in obj["verdicts"]],
+        seed=obj["seed"],
+        version=obj["version"],
+    )
 
 
 def run_optimized(args):

@@ -540,6 +540,22 @@ def test_experiment_pairs_with_a_zero(runner, args, lengths):
     assert [r["length"] for r in json.loads(result.output)["rows"]] == lengths
 
 
+@pytest.mark.parametrize("name, pairs, chunk", [
+    ("zd", "2:3:4", "2:3:4"),
+    ("zd", "2", "2"),
+    ("dinfty", "2:3,5", "5"),
+    ("heisenberg", "1:2,3:4:5,7:9", "3:4:5"),
+])
+def test_experiment_pairs_must_be_pairs(runner, name, pairs, chunk):
+    """A chunk of --pairs that is not exactly two integers is a usage error
+    naming it, not a tuple-unpacking error from inside the run."""
+    result = runner.invoke(main, ["experiment", name, "--pairs", pairs])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"Invalid value for '--pairs': '{chunk}' is not a pair A:B" in result.output
+    assert "unpack" not in result.output
+
+
 @pytest.mark.parametrize("args, named", [
     (["zd", "--q", "9"], "--q"),
     (["fc-witness", "--seed", "5"], "--seed"),

@@ -12,6 +12,7 @@ from oracles import (
     FINITE_GROUPS,
     aut_by_bijections,
     is_automorphism_reference,
+    report_from_json_bytes,
     sample_zxd8_genset_reference,
     symmetric_generating_subsets_reference,
 )
@@ -662,7 +663,7 @@ def test_regenerate_golden_to_tmp(tmp_path):
 
 def test_report_json_round_trip():
     rep = ex.unbounded_witness_zxzq(2, [5, 7])
-    back = ExperimentReport.from_json_bytes(rep.to_json_bytes())
+    back = report_from_json_bytes(rep.to_json_bytes())
     assert back.to_json_bytes() == rep.to_json_bytes()
     assert back.passed == rep.passed
 
