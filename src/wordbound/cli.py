@@ -192,8 +192,11 @@ def parse_genset(G, text):
 
 def _emit(data, output):
     if output:
-        with open(output, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(output, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.flush()

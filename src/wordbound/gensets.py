@@ -87,35 +87,26 @@ class GenSet:
         return self.letters.index(element)
 
     def check_word(self, word):
-        """Raise DomainError unless every symbol id of the sequence ``word``
-        is an int in ``range(len(letters))``; a bool is not one, and a
-        negative id would index from the end."""
+        """The word as a tuple, read once from any iterable of symbol ids.
+
+        Raises DomainError unless every symbol id is an int in
+        ``range(len(letters))``; a bool is not one, and a negative id would
+        index from the end.  Callers use the tuple it returns, so a one-shot
+        iterator is not used up by the check.
+        """
+        word = tuple(word)
         n = len(self.letters)
         for sym in word:
             if type(sym) is not int or not 0 <= sym < n:
                 raise DomainError(f"unknown symbol id {sym!r}")
+        return word
 
     def eval_word(self, word):
-        """Multiply out a sequence of symbol ids."""
-        self.check_word(word)
+        """Multiply out an iterable of symbol ids."""
         g = self.group.identity()
-        for sym in word:
+        for sym in self.check_word(word):
             g = self.group.mul(g, self.letters[sym])
         return g
-
-    def to_obj(self):
-        return {
-            "group": self.group.to_obj(),
-            "elements": [self.group.element_to_obj(x) for x in self.letters],
-        }
-
-    @staticmethod
-    def from_obj(obj):
-        G = gr.group_from_obj(obj.get("group") if isinstance(obj, dict) else None)
-        elems = obj.get("elements")
-        if not isinstance(elems, list):
-            raise DomainError(f"a genset's elements must be a list, got {elems!r}")
-        return make_symmetric(G, [G.element_from_obj(o) for o in elems])
 
     @classmethod
     def from_classes(cls, G, classes):

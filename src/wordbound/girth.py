@@ -1,11 +1,11 @@
 """Girth of Cayley graphs: shortest simple loop at the identity.
 
-Words are tuples of symbol ids over a GenSet alphabet, and every function
-here that takes one refuses an id outside the alphabet with DomainError
-(``GenSet.check_word``).  The alphabet itself was checked where it was
-built, so ``girth`` trusts its letters.  An involution letter is its own
-formal inverse, so an involution edge is a single undirected edge and never
-counts as a 2-cycle.  The search prunes with a half-radius ball
+A word is any iterable of symbol ids over a GenSet alphabet, read once,
+and every function here that takes one refuses an id outside the alphabet
+with DomainError (``GenSet.check_word``).  The alphabet itself was checked
+where it was built, so ``girth`` trusts its letters.  An involution letter
+is its own formal inverse, so an involution edge is a single undirected
+edge and never counts as a 2-cycle.  The search prunes with a half-radius ball
 (meet-in-the-middle over BFS tree edges); the tests keep a plain
 iterative-deepening search over cyclically reduced words as its reference,
 and the two must agree.
@@ -21,9 +21,8 @@ from .metric import _check_int, ball
 def reduce_word(S, w):
     """Freely reduce: drop adjacent (x, involution(x)) pairs.  DomainError
     names a symbol id that is not one of S (``GenSet.check_word``)."""
-    S.check_word(w)
     out = []
-    for sym in w:
+    for sym in S.check_word(w):
         if out and sym == S.inv_symbol(out[-1]):
             out.pop()
         else:
@@ -43,9 +42,9 @@ def cyclic_reduce(S, w):
 
 
 def is_cyclically_reduced(S, w):
-    """Whether the word w (any sequence of symbol ids) is freely and
+    """Whether the word w (any iterable of symbol ids) is freely and
     cyclically reduced."""
-    w = tuple(w)
+    w = S.check_word(w)
     if w != reduce_word(S, w):
         return False
     return len(w) < 2 or w[0] != S.inv_symbol(w[-1])
@@ -153,6 +152,7 @@ def simple_loop_check(G, S, g, w):
     Returns LoopVerdict(ok=True, loop_length=n*|w'|) on success; a symbol
     id that is not one of S is a DomainError (``GenSet.check_word``).
     """
+    w = S.check_word(w)
     if S.eval_word(w) != g:
         return LoopVerdict(ok=False, reason="word does not evaluate to the element")
     n = G.element_order(g)

@@ -18,16 +18,15 @@ Normal forms by family:
 * ``CayleyTableGroup``    -- index into an explicitly validated table
 
 Each family is a frozen dataclass subclass of :class:`Group` with its own
-``family`` string, listed in ``REGISTRY``.  A new family implements the group
-law (``_mul``, ``mul``, ``inv``, ``identity``, ``contains``),
-``element_order`` unless it is finite, ``standard_generators`` unless every
-non-identity element of a finite family is meant, and, for a flat CLI
-encoding, ``flat_arity`` and ``from_flat``.  A virtually abelian family of
-the form Z^k x| F (a semidirect product with F finite) implements
-``lattice_split``, which is all ``gensets.generates`` needs to decide
-generation exactly; finite families inherit it.  Its descriptor (``to_obj``/``from_obj``) and element JSON form
-default to its dataclass fields and tuples as lists; override those where
-they do not fit.
+``family`` string, and its constructor is the one way to build it in Python.
+A new family implements the group law (``_mul``, ``mul``, ``inv``,
+``identity``, ``contains``), ``element_order`` unless it is finite,
+``standard_generators`` unless every non-identity element of a finite family
+is meant, and, for a flat CLI encoding, ``flat_arity`` and ``from_flat``.  A
+virtually abelian family of the form Z^k x| F (a semidirect product with F
+finite) implements ``lattice_split``, which is all ``gensets.generates``
+needs to decide generation exactly; finite families inherit it.  An
+element's JSON form in reports (``element_to_obj``) turns tuples into lists.
 
 ``_mul`` is the arithmetic with no membership check.  Each family's ``mul``
 tests both operands with ``contains``, raises the ``DomainError`` that
@@ -44,8 +43,7 @@ constructor's own test that each inverse pair multiplies to the identity.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import gcd
 from operator import add, neg
 
@@ -186,26 +184,10 @@ class Group:
 
     # -- encodings -------------------------------------------------------
 
-    def to_obj(self):
-        """JSON-able descriptor: the family and every dataclass field."""
-        return {"family": self.family, **{f.name: getattr(self, f.name) for f in fields(self)}}
-
-    @classmethod
-    def from_obj(cls, obj):
-        """Inverse of :meth:`to_obj`.  The default reads integer fields; a
-        family with other fields overrides it."""
-        return cls(**{f.name: _field(obj, f.name, int) for f in fields(cls)})
-
     def element_to_obj(self, g):
         """JSON-able form of an element: tuples become lists."""
         self.check(g)
         return list(g) if isinstance(g, tuple) else g
-
-    def element_from_obj(self, obj):
-        """Inverse of :meth:`element_to_obj`, checked."""
-        g = tuple(obj) if isinstance(obj, list) else obj
-        self.check(g)
-        return g
 
     def from_flat(self, values):
         """The element a tuple of ``flat_arity`` integers encodes, modular
@@ -664,22 +646,9 @@ class Product(Group):
 
         return k1 + k2, Product(F1, F2), split, None if a1 is None and a2 is None else act
 
-    def to_obj(self):
-        return {"family": self.family, "left": self.left.to_obj(), "right": self.right.to_obj()}
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(group_from_obj(_field(obj, "left", dict)),
-                   group_from_obj(_field(obj, "right", dict)))
-
     def element_to_obj(self, g):
         self._check_pair(g)
         return [self.left.element_to_obj(g[0]), self.right.element_to_obj(g[1])]
-
-    def element_from_obj(self, obj):
-        if not (isinstance(obj, list) and len(obj) == 2):
-            raise DomainError(f"{obj!r} is not an element of {self}")
-        return (self.left.element_from_obj(obj[0]), self.right.element_from_obj(obj[1]))
 
     @property
     def flat_arity(self):
@@ -700,7 +669,8 @@ class CayleyTableGroup(Group):
 
     Index 0 is the identity.  The table is validated eagerly at construction:
     totality, identity, two-sided inverses and associativity (O(m^3), tables
-    are small).
+    are small).  ``names``, ``table`` and each row must be tuples, so no
+    caller can change a table after it was validated.
     """
 
     names: tuple
@@ -710,6 +680,9 @@ class CayleyTableGroup(Group):
     flat_arity = 1
 
     def __post_init__(self):
+        if (type(self.names) is not tuple or type(self.table) is not tuple
+                or any(type(row) is not tuple for row in self.table)):
+            raise ValueError("a table group's names, table and rows must be tuples")
         m = len(self.names)
         if m < 1:
             raise ValueError("table must be nonempty")
@@ -732,41 +705,6 @@ class CayleyTableGroup(Group):
                 for k in range(m):
                     if t[tij][k] != t[i][t[j][k]]:
                         raise ValueError("table is not associative")
-
-    @classmethod
-    def from_json(cls, source):
-        """Load from a dict or a JSON file path.
-
-        Schema: ``{"elements": ["e", "r", ...], "table": [[0,1,...], ...]}``
-        with index 0 the identity.  A file nested too deeply for ``json`` to
-        read (its ``RecursionError``) raises ``UnsupportedFamilyError``.
-        """
-        if isinstance(source, dict):
-            return cls.from_obj(source)
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except RecursionError:
-                raise UnsupportedFamilyError(
-                    f"{source}: JSON nested too deeply to read") from None
-        return cls.from_obj(obj)
-
-    @classmethod
-    def from_obj(cls, obj):
-        table = _field(obj, "table", list)
-        if not all(isinstance(row, list) for row in table):
-            raise UnsupportedFamilyError("every row of a cayley-table descriptor must be a list")
-        return cls(
-            names=tuple(_field(obj, "elements", list)),
-            table=tuple(tuple(row) for row in table),
-        )
-
-    def to_obj(self):
-        return {
-            "family": self.family,
-            "elements": list(self.names),
-            "table": [list(row) for row in self.table],
-        }
 
     def mul(self, g, h):
         if self.contains(g) and self.contains(h):
@@ -801,35 +739,6 @@ class CayleyTableGroup(Group):
 
     def __str__(self):
         return f"CayleyTable({len(self.names)})"
-
-
-REGISTRY = {
-    cls.family: cls
-    for cls in (FiniteCyclic, IntVector, DihedralFinite, DihedralInfinite,
-                Heisenberg, Free, Product, CayleyTableGroup)
-}
-
-
-def _field(obj, name, kind):
-    """Field ``name`` of a group descriptor, which must be a ``kind``."""
-    if not isinstance(obj, dict):
-        raise UnsupportedFamilyError(f"a group descriptor is a JSON object, got {obj!r}")
-    value = obj.get(name)
-    if not isinstance(value, kind):
-        raise UnsupportedFamilyError(
-            f"descriptor field {name!r} must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
-def group_from_obj(obj):
-    """Rebuild a group from its ``to_obj`` descriptor.  A descriptor that is
-    not an object, names no known family or lacks a field of the right type
-    raises ``UnsupportedFamilyError``."""
-    family = _field(obj, "family", str)
-    cls = REGISTRY.get(family)
-    if cls is None:
-        raise UnsupportedFamilyError(f"unknown family {family!r}")
-    return cls.from_obj(obj)
 
 
 def element_from_flat(G, values):

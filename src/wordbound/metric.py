@@ -285,9 +285,9 @@ def word_length(G, S, g, cap, mem_limit=None):
 def certify_length(G, S, g, word, mem_limit=None):
     """Exact word length of g over S, given a word that spells it.
 
-    The word, a sequence of symbol ids, is checked to evaluate to g
-    (DomainError otherwise, also for an unknown symbol id), which bounds
-    the length by ``n = len(word)`` from above.  Then ``word_length``
+    The word, any iterable of symbol ids, is read once and checked to
+    evaluate to g (DomainError otherwise, also for an unknown symbol id),
+    which bounds the length by ``n = len(word)`` from above.  Then ``word_length``
     searches out to ``n - 1``: if it finds g, its certificate, with a
     geodesic witness and ``cap = n - 1``, is returned; otherwise the length
     is n and the certificate carries ``witness = tuple(word)``, ``cap = n``
@@ -298,8 +298,9 @@ def certify_length(G, S, g, word, mem_limit=None):
     _check_alphabet(G, S)
     limit = memory_limit(mem_limit)
     G.check(g)
+    word = S.check_word(word)
     if S.eval_word(word) != g:
-        raise DomainError(f"word {tuple(word)!r} does not evaluate to {g!r}")
+        raise DomainError(f"word {word!r} does not evaluate to {g!r}")
     n = len(word)
     if g == G.identity():
         return LengthCert(element=g, length=0, witness=(), cap=0, explored=0)
@@ -310,7 +311,7 @@ def certify_length(G, S, g, word, mem_limit=None):
         explored = cert.explored
     else:
         explored = 0
-    return LengthCert(element=g, length=n, witness=tuple(word), cap=n,
+    return LengthCert(element=g, length=n, witness=word, cap=n,
                       explored=explored)
 
 

@@ -38,6 +38,12 @@ def quaternion_table():
     )
 
 
+def concrete_families():
+    """Every concrete ``Group`` subclass that ``wordbound.groups`` defines."""
+    return [cls for cls in vars(gr).values()
+            if isinstance(cls, type) and issubclass(cls, gr.Group) and cls is not gr.Group]
+
+
 _C2, _C4, _C6 = gr.FiniteCyclic(2), gr.FiniteCyclic(4), gr.FiniteCyclic(6)
 # The eight groups of perfbench's finite workload.
 FINITE_GROUPS = [

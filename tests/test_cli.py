@@ -489,6 +489,18 @@ def test_experiment_output_file(runner, tmp_path):
     assert doc["params"]["orbit_size"] == 4
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_output_is_usage_error(runner, tmp_path, where):
+    """A path that cannot be written is a usage error with one line, not a
+    traceback that exits 1, the failed-verdict code."""
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    result = runner.invoke(main, ["experiment", "zxzq", "--output", str(out)])
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot write --output {out}: ")
+
+
 def test_experiment_byte_determinism(runner):
     args = ["experiment", "heisenberg-center", "--seed", "3", "--samples", "15",
             "--format", "json"]

@@ -77,8 +77,7 @@ ALPHABET_GROUPS = [
     gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
     gr.Product(gr.Free(2), gr.FiniteCyclic(2)),
     gr.Product(gr.DihedralInfinite(), gr.Product(gr.FiniteCyclic(2), gr.FiniteCyclic(2))),
-    gr.CayleyTableGroup.from_json({"elements": ["e", "g", "g2"],
-                                   "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}),
+    gr.CayleyTableGroup(names=("e", "g", "g2"), table=((0, 1, 2), (1, 2, 0), (2, 0, 1))),
     quaternion_table(),
 ]
 
@@ -155,20 +154,6 @@ def test_eval_word():
     S = make_symmetric(Z, [(2,), (3,)])
     assert S.eval_word(()) == (0,)
     assert S.eval_word((0, 0, 3)) == (1,)
-
-
-def test_genset_json_round_trip():
-    G = gr.Product(gr.IntVector(1), gr.FiniteCyclic(2))
-    S = make_symmetric(G, [((5,), 1), ((3,), 0)])
-    assert GenSet.from_obj(S.to_obj()) == S
-
-
-def test_genset_json_refuses_malformed_input():
-    G = gr.Product(gr.IntVector(1), gr.FiniteCyclic(2))
-    with pytest.raises(UnsupportedFamilyError):
-        GenSet.from_obj({"elements": [1]})
-    with pytest.raises(DomainError):
-        GenSet.from_obj({"group": G.to_obj()})
 
 
 # -- Smith normal form ---------------------------------------------------
@@ -565,8 +550,7 @@ def test_zxd8_reasons_name_d8():
     gr.FiniteCyclic(6),
     gr.DihedralFinite(4),
     gr.Product(gr.DihedralFinite(3), gr.FiniteCyclic(2)),
-    gr.CayleyTableGroup.from_json({"elements": ["e", "g", "g2"],
-                                   "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}),
+    gr.CayleyTableGroup(names=("e", "g", "g2"), table=((0, 1, 2), (1, 2, 0), (2, 0, 1))),
 ], ids=str)
 def test_generates_matches_closure_on_finite_groups(G):
     rng = random.Random(43)

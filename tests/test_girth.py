@@ -16,7 +16,7 @@ from wordbound.girth import (
     reduce_word,
     simple_loop_check,
 )
-from wordbound.metric import word_length
+from wordbound.metric import certify_length, word_length
 
 
 def _symm(G, elems):
@@ -80,6 +80,33 @@ def test_word_functions_refuse_bad_symbol_ids(word):
             call(S, word)
     with pytest.raises(DomainError, match="unknown symbol id"):
         simple_loop_check(Z, S, (0,), word)
+
+
+ONE_SHOT = {"iter": iter, "generator": lambda w: (sym for sym in w), "map": lambda w: map(int, w)}
+
+
+@pytest.mark.parametrize("one_shot", ONE_SHOT.values(), ids=ONE_SHOT.keys())
+def test_one_shot_words_get_the_lists_answers(one_shot):
+    """A word is any iterable of symbol ids, read once.  The check of its
+    ids once used up an iterator before the work began: over the units of
+    Z^2, ``eval_word(iter([0, 2]))`` answered (0, 0), and ``reduce_word``
+    answered ()."""
+    Z2 = gr.IntVector(2)
+    S = _symm(Z2, [(1, 0), (0, 1)])
+    assert S.eval_word(one_shot([0, 2])) == (1, 1)
+    for w in ([0, 2], [2, 0, 3, 1, 0], [0, 2, 1, 3], [1, 2, 2, 0], []):
+        for call in (S.eval_word, lambda w: reduce_word(S, w), lambda w: cyclic_reduce(S, w),
+                     lambda w: is_cyclically_reduced(S, w)):
+            assert call(one_shot(w)) == call(list(w)), w
+        g = S.eval_word(w)
+        assert certify_length(Z2, S, g, one_shot(w)) == certify_length(Z2, S, g, list(w))
+    D = gr.DihedralFinite(4)
+    SD = _symm(D, [(1, 0), (0, 1)])
+    r, s = SD.symbol_of((1, 0)), SD.symbol_of((0, 1))
+    for g, w in (((1, 0), [r]), ((1, 1), [s, r, s, r, s]), ((2, 0), [r, r])):
+        verdict = simple_loop_check(D, SD, g, list(w))
+        assert simple_loop_check(D, SD, g, one_shot(w)) == verdict
+    assert simple_loop_check(D, SD, (1, 0), one_shot([r])).ok
 
 
 def test_involution_letters_are_self_inverse():

@@ -1,13 +1,16 @@
 """Source-wide guards: exact integers only, checks that survive
 ``python -O``, a group law of each family's own, membership tests without
 iterator chains, one module that lays out a ``GenSet``, one place that
-checks its letters and no text evaluated as Python."""
+checks its letters, no text evaluated as Python and no stale export."""
 
 import ast
 import inspect
 import textwrap
 from pathlib import Path
 
+from oracles import concrete_families
+
+import wordbound
 from wordbound import groups as gr
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "wordbound").glob("*.py"))
@@ -56,7 +59,7 @@ def test_guard_flags_an_inherited_law():
 
 
 def test_every_family_defines_both_laws():
-    assert _laws_not_in_own_body(gr.REGISTRY.values()) == []
+    assert _laws_not_in_own_body(concrete_families()) == []
 
 
 
@@ -116,7 +119,7 @@ def test_guard_flags_an_iterator_chain_in_contains():
 
 
 def test_no_family_tests_membership_with_an_iterator_chain():
-    assert _chained_membership_tests(gr.REGISTRY.values()) == []
+    assert _chained_membership_tests(concrete_families()) == []
 
 
 def _genset_constructions(source):
@@ -249,3 +252,12 @@ def test_library_evaluates_no_text_as_python():
     Python evaluator."""
     found = {p.name: _evaluator_calls(p.read_text(encoding="utf-8")) for p in SOURCES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_every_exported_name_resolves():
+    """A name deleted from the package cannot linger in ``__all__``, where
+    ``from wordbound import *`` would fail on it."""
+    assert [name for name in wordbound.__all__ if not hasattr(wordbound, name)] == []
+    namespace = {}
+    exec("from wordbound import *", namespace)
+    assert set(wordbound.__all__) <= namespace.keys()
