@@ -6,7 +6,9 @@ length in a report row comes from an exact search (``word_length``, which
 meets in the middle, or a BFS ball), or from ``certify_length``: a checked
 word for the upper bound and an exhaustive search one radius short of it for
 the lower.  Formula columns are compared against the search, never
-substituted for it.
+substituted for it.  The D8 golden table is only read: ``uniform-length``
+compares it with the bytes :func:`d8_uniform_table_bytes` rebuilds, and no
+function writes it.
 """
 
 from __future__ import annotations
@@ -269,50 +271,7 @@ def uniform_length_exact(G, g):
     return uniform_length_table(G)[g]
 
 
-# -- orbit and conjugacy checks ------------------------------------------
-
-
-@dataclass
-class OrbitBoundCheck:
-    orbit: list
-    max_length: int
-    alphabet_size: int
-    orbit_in_ball: bool
-    orbit_within_count: bool
-
-    @property
-    def passed(self):
-        return self.orbit_in_ball and self.orbit_within_count
-
-
-def aut_orbit_bound_check(G, g, S):
-    """Check the orbit of g under all automorphisms against the ball bound.
-
-    With M the exact uniform length of g, the orbit must lie in the radius-M
-    ball of S and have at most n^M elements (n the alphabet cardinality).
-    """
-    G.check(g)
-    return _aut_orbit_bound(G, g, S, uniform_length_table(G), aut_group(G))
-
-
-def _aut_orbit_bound(G, g, S, table, autos):
-    """:func:`aut_orbit_bound_check` given G's uniform-length table and
-    automorphisms, which callers checking many elements build once."""
-    M, _ = table[g]
-    orbit = []
-    for A in autos:
-        h = A.apply(g)
-        if h not in orbit:
-            orbit.append(h)
-    B = ball(G, S, M)
-    n = S.cardinality
-    return OrbitBoundCheck(
-        orbit=orbit,
-        max_length=M,
-        alphabet_size=n,
-        orbit_in_ball=all(h in B for h in orbit),
-        orbit_within_count=len(orbit) <= n ** M,
-    )
+# -- conjugacy orbits ----------------------------------------------------
 
 
 def conjugacy_orbit_growth(G, g, radius):
@@ -349,6 +308,7 @@ def unbounded_witness_zxzq(q=2, primes=(5, 7, 11)):
     """Word length of (0,1) in Z x Z/q under S = {+-(p,1), +-(q+1,0)}."""
     if q < 2:
         raise ValueError("q must be >= 2")
+    primes = tuple(primes)
     G = gr.Product(gr.IntVector(1), gr.FiniteCyclic(q))
     rows = []
     lengths = []
@@ -386,6 +346,7 @@ def unbounded_witness_zd(d=2, x=(1, 0), pairs=((2, 3), (3, 5), (5, 7))):
     G.check(x)
     if x == G.identity():
         raise ValueError("element must be nonzero")
+    pairs = tuple(pairs)
     rows = []
     lengths = []
     for p, q in pairs:
@@ -431,6 +392,7 @@ def unbounded_witness_heisenberg(n=1, pairs=((2, 3), (3, 5), (5, 7))):
     """Word length of the n-th central power under S = {a^+-p, a^+-q, b^+-1}."""
     if n < 1:
         raise ValueError("central exponent must be >= 1")
+    pairs = tuple(pairs)
     G = gr.Heisenberg()
     rows = []
     lengths = []
@@ -464,6 +426,7 @@ def unbounded_witness_heisenberg(n=1, pairs=((2, 3), (3, 5), (5, 7))):
 
 def unbounded_witness_dinfty(pairs=((2, 3), (3, 5), (5, 7))):
     """Word length of the translation t under S = {s, t^alpha s, t^beta s}."""
+    pairs = tuple(pairs)
     G = gr.DihedralInfinite()
     rows = []
     lengths = []
@@ -582,29 +545,20 @@ _ZXD8_SPLIT = _ZXD8.lattice_split()  # Z x| D8: one translation, D8 acting trivi
 
 
 @functools.lru_cache(maxsize=None)
-def _zxd8_pool(radius):
-    """The non-identity elements of Z x D8 with translation part bounded by
-    ``radius``, in the order the sampler draws from."""
+def _zxd8_draws(radius):
+    """What the sampler draws from at ``radius``: the non-identity elements
+    of Z x D8 with translation part bounded by ``radius``, in draw order, and
+    two maps over them, read-only since every caller shares them.  The
+    first maps each element to its inverse, by the checked ``inv`` (the pool
+    is closed under inverses); the second to its part in the split of
+    Z x D8, (translation, element of D8)."""
     e = _ZXD8.identity()
-    pool = (((n,), f) for n in range(-radius, radius + 1) for f in _ZXD8.right.elements())
-    return tuple(g for g in pool if g != e)
-
-
-@functools.lru_cache(maxsize=None)
-def _zxd8_inverses(radius):
-    """Each element of ``_zxd8_pool(radius)`` mapped to its inverse, by the
-    checked ``inv``; the pool is closed under inverses.  Read-only, since
-    every caller shares the cached map."""
-    return MappingProxyType({g: _ZXD8.inv(g) for g in _zxd8_pool(radius)})
-
-
-@functools.lru_cache(maxsize=None)
-def _zxd8_parts(radius):
-    """Each element of ``_zxd8_pool(radius)`` mapped to its part in the
-    split of Z x D8, (translation, element of D8).  Read-only, like
-    ``_zxd8_inverses``."""
+    pool = tuple(g for g in (((n,), f) for n in range(-radius, radius + 1)
+                             for f in _ZXD8.right.elements()) if g != e)
     split = _ZXD8_SPLIT[2]
-    return MappingProxyType({g: split(g) for g in _zxd8_pool(radius)})
+    return (pool,
+            MappingProxyType({g: _ZXD8.inv(g) for g in pool}),
+            MappingProxyType({g: split(g) for g in pool}))
 
 
 def sample_zxd8_genset(rng, radius=10, mem_limit=None):
@@ -621,9 +575,8 @@ def sample_zxd8_genset(rng, radius=10, mem_limit=None):
     group and holds no identity.  The walk's memory budget is resolved once
     per call, from ``mem_limit`` as ``word_length`` resolves it.
     """
-    pool = _zxd8_pool(radius)
-    inverse = _zxd8_inverses(radius).__getitem__
-    part = _zxd8_parts(radius)
+    pool, inverses, part = _zxd8_draws(radius)
+    inverse = inverses.__getitem__
     k, F, _, act = _ZXD8_SPLIT
     limit = memory_limit(mem_limit)
     for _ in range(ZXD8_MAX_ATTEMPTS):
@@ -815,8 +768,7 @@ def quotient_orbit_experiment(p=5, ks=None):
         raise UnsupportedFamilyError(f"p = {p} exceeds the bound {QUOTIENT_ORBIT_MAX_P}")
     if not _is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
-    if ks is None:
-        ks = range(1, p)
+    ks = tuple(range(1, p) if ks is None else ks)
     pi = dihedral_mod(p)
     D = pi.target
     elems = list(D.elements())
@@ -857,7 +809,13 @@ def quotient_orbit_experiment(p=5, ks=None):
 
 
 def aut_orbit_experiment():
-    """Orbit-vs-ball bound for every element of a few small groups."""
+    """Orbit-vs-ball bound for every element of a few small groups.
+
+    With M an element's exact uniform length, its orbit under all
+    automorphisms must lie in the radius-M ball of the standard alphabet S
+    and have at most n^M elements, n the cardinality of S.  The
+    uniform-length table and the automorphisms are built once per group.
+    """
     cases = [gr.FiniteCyclic(5), gr.FiniteCyclic(8), gr.DihedralFinite(4)]
     rows = []
     for G in cases:
@@ -865,13 +823,15 @@ def aut_orbit_experiment():
         table = uniform_length_table(G)
         autos = aut_group(G)
         for g in G.elements():
-            check = _aut_orbit_bound(G, g, S, table, autos)
+            M = table[g][0]
+            orbit = {A.apply(g) for A in autos}
+            B = ball(G, S, M)
             rows.append({
                 "group": str(G),
                 "element": str(G.element_to_obj(g)),
-                "orbit_size": len(check.orbit),
-                "max_length": check.max_length,
-                "ok": check.passed,
+                "orbit_size": len(orbit),
+                "max_length": M,
+                "ok": all(h in B for h in orbit) and len(orbit) <= S.cardinality ** M,
             })
     return ExperimentReport(
         name="aut-orbit",
@@ -925,14 +885,6 @@ def d8_uniform_table_bytes():
 
 
 D8_GOLDEN_PATH = GOLDEN_DIR / "d8_uniform_lengths.json"
-
-
-def regenerate_d8_golden(path=None):
-    """Overwrite the stored D8 table; callers must opt in explicitly."""
-    path = Path(path) if path is not None else D8_GOLDEN_PATH
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(d8_uniform_table_bytes())
-    return path
 
 
 def uniform_length_experiment():

@@ -63,10 +63,6 @@ class GirthResult:
     cap: int
     witness: object = None
 
-    @property
-    def greater_than_cap(self):
-        return self.value is None
-
     def __str__(self):
         return f"> {self.cap}" if self.value is None else str(self.value)
 

@@ -479,6 +479,15 @@ def test_experiment_explain(runner):
     assert "p+q+1" in result.output
 
 
+def test_regenerate_golden_is_not_an_option(runner):
+    """No command rewrites the golden table: the option is unknown."""
+    golden = ex.D8_GOLDEN_PATH.read_bytes()
+    result = runner.invoke(main, ["experiment", "uniform-length", "--regenerate-golden"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert ex.D8_GOLDEN_PATH.read_bytes() == golden
+
+
 def test_experiment_output_file(runner, tmp_path):
     out = tmp_path / "report.json"
     result = runner.invoke(main, [

@@ -275,14 +275,35 @@ def test_symmetric_generating_subsets_d8():
 # -- orbits --------------------------------------------------------------
 
 
-def test_aut_orbit_bound_check_z5():
-    G = gr.FiniteCyclic(5)
-    S = make_symmetric(G, [1])
-    check = ex.aut_orbit_bound_check(G, 1, S)
-    assert check.passed
-    assert sorted(check.orbit) == [1, 2, 3, 4]
-    assert check.max_length == 2
-    assert check.alphabet_size == 2
+def _aut_orbit_row(rep, group, element):
+    (row,) = [r for r in rep.rows if (r["group"], r["element"]) == (group, element)]
+    return row
+
+
+def test_aut_orbit_rows_z5():
+    """The automorphisms of Z/5 move 1 onto all four non-identity elements,
+    and 1 has uniform length 2: the radius-2 ball of {1, 4} is Z/5, and
+    4 <= 2^2."""
+    rep = ex.aut_orbit_experiment()
+    row = _aut_orbit_row(rep, "Z/5", "1")
+    assert (row["orbit_size"], row["max_length"], row["ok"]) == (4, 2, True)
+    assert rep.passed
+
+
+def test_aut_orbit_check_fails_one_radius_short(monkeypatch):
+    """Each uniform length reported one less than it is (0 stays 0): the
+    orbit of 1 in Z/5 leaves the radius-1 ball {0, 1, 4}, so the row and the
+    run's verdict fail."""
+    real = ex.uniform_length_table
+
+    def short(G):
+        return {g: (max(m - 1, 0), S) for g, (m, S) in real(G).items()}
+
+    monkeypatch.setattr(ex, "uniform_length_table", short)
+    rep = ex.aut_orbit_experiment()
+    row = _aut_orbit_row(rep, "Z/5", "1")
+    assert (row["orbit_size"], row["max_length"], row["ok"]) == (4, 1, False)
+    assert not rep.passed
 
 
 def test_conjugacy_orbit_growth():
@@ -392,10 +413,10 @@ def test_zxd8_sampler_matches_a_per_call_pool():
         for _ in range(200):
             assert ex.sample_zxd8_genset(fast, radius) == sample_zxd8_genset_reference(slow, radius)
         assert fast.getstate() == slow.getstate()
-        inverse = ex._zxd8_inverses(radius)
-        assert list(inverse) == list(ex._zxd8_pool(radius))
+        pool, inverse, _ = ex._zxd8_draws(radius)
+        assert list(inverse) == list(pool)
         assert all(inverse[g] == ex._ZXD8.inv(g) for g in inverse)
-    assert len(ex._zxd8_pool(10)) == 167
+    assert len(ex._zxd8_draws(10)[0]) == 167
 
 
 def test_zxd8_sampler_builds_only_the_alphabets_it_keeps(monkeypatch):
@@ -420,8 +441,8 @@ def test_zxd8_decision_on_parts_matches_generates():
     from the classes, in status, reason and evidence."""
     G = ex._ZXD8
     k, F, _, act = ex._ZXD8_SPLIT
-    pool, part = ex._zxd8_pool(10), ex._zxd8_parts(10)
-    inverse = ex._zxd8_inverses(10).__getitem__
+    pool, inverses, part = ex._zxd8_draws(10)
+    inverse = inverses.__getitem__
     limit = memory_limit()
     statuses = set()
     for seed in range(10):
@@ -638,6 +659,22 @@ def test_quotient_orbit_builds_one_generating_sequence(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("run, keyword, values", [
+    (ex.unbounded_witness_zxzq, "primes", (5, 7, 11)),
+    (ex.unbounded_witness_zd, "pairs", ((2, 3), (3, 5), (5, 7))),
+    (ex.unbounded_witness_heisenberg, "pairs", ((2, 3), (3, 5))),
+    (ex.unbounded_witness_dinfty, "pairs", ((2, 3), (3, 5), (5, 7))),
+    (ex.quotient_orbit_experiment, "ks", (1, 2, 3, 4)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_one_shot_parameters_get_the_tuples_report(run, keyword, values):
+    """A run reads its parameters once, so an iterator gives the tuple's
+    report, params, rows and verdicts alike."""
+    want = run(**{keyword: values})
+    got = run(**{keyword: iter(values)})
+    assert got.to_json_bytes() == want.to_json_bytes()
+    assert want.rows and want.params[keyword]
+
+
 # -- golden file ---------------------------------------------------------
 
 
@@ -651,11 +688,6 @@ def test_golden_verdict_names_no_absolute_path():
     (verdict,) = ex.uniform_length_experiment().verdicts
     assert verdict.passed
     assert verdict.details == "golden/d8_uniform_lengths.json"
-
-
-def test_regenerate_golden_to_tmp(tmp_path):
-    out = ex.regenerate_d8_golden(tmp_path / "d8.json")
-    assert out.read_bytes() == ex.d8_uniform_table_bytes()
 
 
 # -- reports -------------------------------------------------------------
