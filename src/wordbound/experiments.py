@@ -25,7 +25,7 @@ from types import MappingProxyType
 from . import groups as gr
 from .errors import NotGeneratingError, UnsupportedFamilyError
 from .gensets import GenSet, _generates_split, dihedral_mod, generates, inverse_pair_classes, make_symmetric
-from .metric import ball, certify_length, memory_limit, word_length
+from .metric import ball, certify_length, word_length
 from .reports import ExperimentReport, Verdict
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -245,17 +245,15 @@ def uniform_length_table(G):
     """For every element, the max word length over ALL generating sets.
 
     Returns an ordered dict element -> (max length, first argmax GenSet).
-    The memory budget is resolved once, for every ball.
     """
     if not G.is_finite or G.size > UNIFORM_LENGTH_CAP:
         raise UnsupportedFamilyError(
             f"exhaustive enumeration is capped at {UNIFORM_LENGTH_CAP} elements")
     table = {g: (0, None) for g in G.elements()}
     found_any = False
-    limit = memory_limit()
     for S in symmetric_generating_subsets(G):
         found_any = True
-        lengths = ball(G, S, G.size, mem_limit=limit).table
+        lengths = ball(G, S, G.size).table
         for g in table:
             d = lengths[g][0]
             if table[g][1] is None or d > table[g][0]:
@@ -455,26 +453,20 @@ def heisenberg_center_certificate(x, y):
     """For a generating pair, the central exponent of [x, y] and the exact
     length of the central generator over {x^+-1, y^+-1}.
 
-    Returns (exponent, LengthCert).  The exponent is always +-1 for
-    generating pairs, so the central generator is [x, y] = x y x^-1 y^-1
-    when it is 1 and [y, x] = y x y^-1 x^-1 when it is -1: a word of 4
-    letters, which :func:`certify_length` checks and then proves geodesic by
-    a search out to radius 3.
+    Returns (exponent, LengthCert).  In this normal form [x, y] is
+    (0, 0, x0 y1 - x1 y0), central with the abelianized determinant as its
+    exponent, which is +-1 for a generating pair.  So the central generator
+    is [x, y] = x y x^-1 y^-1 when it is 1 and [y, x] = y x y^-1 x^-1 when
+    it is -1: a word of 4 letters, which :func:`certify_length` checks and
+    then proves geodesic by a search out to radius 3.
     """
     G = gr.Heisenberg()
     G.check(x)
     G.check(y)
-    det = x[0] * y[1] - x[1] * y[0]
-    if abs(det) != 1:
-        raise NotGeneratingError(
-            f"pair does not generate: abelianized determinant {det}")
-    com = G.commutator(x, y)
-    if com[0] != 0 or com[1] != 0:
-        raise RuntimeError(f"commutator {com} is not central")
-    exponent = com[2]
+    exponent = x[0] * y[1] - x[1] * y[0]
     if abs(exponent) != 1:
-        raise RuntimeError(
-            f"generating pair hits the central power {exponent}, not a generator")
+        raise NotGeneratingError(
+            f"pair does not generate: abelianized determinant {exponent}")
     S = make_symmetric(G, [x, y])
     a, b = (x, y) if exponent == 1 else (y, x)
     sa, sb = S.symbol_of(a), S.symbol_of(b)
@@ -561,7 +553,7 @@ def _zxd8_draws(radius):
             MappingProxyType({g: split(g) for g in pool}))
 
 
-def sample_zxd8_genset(rng, radius=10, mem_limit=None):
+def sample_zxd8_genset(rng, radius=10):
     """A generating alphabet of Z x D8, rejection sampled from 2 to 4
     elements with translation part bounded by ``radius``; sets whose
     generation certificate is not a definite yes are discarded.
@@ -572,17 +564,16 @@ def sample_zxd8_genset(rng, radius=10, mem_limit=None):
     once, on the cached parts of the classes' first elements, so only the
     accepted draw is built, by ``GenSet.from_classes``, whose constructor
     checks it like any other alphabet.  The pool was enumerated from the
-    group and holds no identity.  The walk's memory budget is resolved once
-    per call, from ``mem_limit`` as ``word_length`` resolves it.
+    group and holds no identity.  Each decision's walk is charged to its
+    own memory budget, like a search.
     """
     pool, inverses, part = _zxd8_draws(radius)
     inverse = inverses.__getitem__
     k, F, _, act = _ZXD8_SPLIT
-    limit = memory_limit(mem_limit)
     for _ in range(ZXD8_MAX_ATTEMPTS):
         draws = rng.sample(pool, rng.randint(2, 4))
         classes = inverse_pair_classes(_ZXD8, draws, inverse)
-        if _generates_split([part[c[0]] for c in classes], k, F, act, limit).is_yes:
+        if _generates_split([part[c[0]] for c in classes], k, F, act).is_yes:
             return GenSet.from_classes(_ZXD8, classes)
     raise NotGeneratingError(
         f"sampler found no generating set within {ZXD8_MAX_ATTEMPTS} attempts")
@@ -607,17 +598,15 @@ def bound_witness_zxd8(samples=200, seed=42, radius=10):
     not commute, and the commutator of any two non-commuting elements of
     Z x D8 is (0, z).  So :func:`_commutator_word` spells (0, z) in 4
     letters, and :func:`certify_length` checks that word and searches out
-    to radius 3 for a shorter one.  The memory budget is resolved once, for
-    every draw and search.
+    to radius 3 for a shorter one.
     """
     G = _ZXD8
     target = ((0,), (2, 0))
     rng = random.Random(seed)
-    limit = memory_limit()
     rows = []
     for i in range(samples):
-        S = sample_zxd8_genset(rng, radius, limit)
-        cert = certify_length(G, S, target, _commutator_word(S), mem_limit=limit)
+        S = sample_zxd8_genset(rng, radius)
+        cert = certify_length(G, S, target, _commutator_word(S))
         rows.append({
             "sample": i,
             "letters": str([G.element_to_obj(g) for g in S.letters]),

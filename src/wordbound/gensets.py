@@ -22,7 +22,7 @@ from typing import Callable
 
 from . import groups as gr
 from .errors import DomainError, EmptyGenSetError, UnsupportedFamilyError
-from .metric import _Budget, _check_alphabet, memory_limit
+from .metric import _Budget, _check_alphabet
 
 
 @dataclass(frozen=True)
@@ -324,17 +324,17 @@ def generates(G, S):
     if isinstance(G, gr.Heisenberg):
         return _generates_heisenberg(G, S)
     if isinstance(G, gr.Free):
-        return _generates_free(G, S, memory_limit())
+        return _generates_free(G, S)
     split = G.lattice_split()
     if split is None:
         return GenerationResult("inconclusive", f"no decision procedure for {G}")
     k, F, part, act = split
     # One representative of each inverse pair: its first letter.
     parts = [part(x) for sym, x in enumerate(S.letters) if S.involution[sym] >= sym]
-    return _generates_split(parts, k, F, act, memory_limit())
+    return _generates_split(parts, k, F, act)
 
 
-def _generates_split(parts, k, F, act, limit):
+def _generates_split(parts, k, F, act):
     """Exact decision on G = Z^k x| F by Schreier's lemma (Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, 2005), for the alphabet
     whose inverse-pair classes have representatives with the split parts
@@ -348,17 +348,17 @@ def _generates_split(parts, k, F, act, limit):
     generator with translation rep[f] + act(f, a) - rep[f'].  F is finite,
     so the monoid the F-parts generate is already a subgroup and one letter
     of each inverse pair suffices.  The walk stores O(|F|) entries, each
-    charged to a memory budget of ``limit`` bytes like a search node.
+    charged to its own memory budget like a search node, the identity of F
+    like a search root.
 
     Taking parts, not a ``GenSet``, lets the zxd8 sampler decide a draw
     before it builds the alphabet.
     """
-    mem = _Budget(limit)
     mul = F._mul  # the parts come from checked elements, so they are in F
     e = F.identity()
+    mem = _Budget(e)
     origin = (0,) * k
     rep = {e: origin}
-    mem.charge(e)
     frontier = [e]
     kernel = set()
     radius = 0
@@ -423,17 +423,16 @@ def _generates_heisenberg(G, S):
     )
 
 
-def _generates_free(G, S, limit):
+def _generates_free(G, S):
     """Exact decision on F_k by Stallings folding (Stallings, Invent. Math.
     71, 1983; Kapovich and Myasnikov, J. Algebra 248, 2002).  Glue at a base
     vertex one loop per inverse pair, spelling its first letter, and merge
     the far ends of any two edges that leave a vertex with one label.  The
     result reads from the base exactly the subgroup's reduced words, so S
     generates iff one vertex is left with all 2k labels.  The base is
-    charged to a budget of ``limit`` bytes like a search root, every later
-    vertex like a node at radius 0."""
-    mem = _Budget(limit)
-    mem.charge(0)
+    charged to the memory budget like a search root, every later vertex
+    like a node at radius 0."""
+    mem = _Budget(0)
     parent = [0]  # union-find over the vertices
     out = [{}]  # out[v]: label -> far end, for each root v
     edges = []  # (u, label, v), still to attach

@@ -93,7 +93,7 @@ def _validate_witness(G, S, w):
         raise RuntimeError("witness does not evaluate to the identity")
 
 
-def girth(G, S, cap, mem_limit=None):
+def girth(G, S, cap):
     """Least length <= cap of a nonempty cyclically reduced relation over S.
 
     Minimality forces the witness path to be a simple loop.  S checked
@@ -104,7 +104,7 @@ def girth(G, S, cap, mem_limit=None):
     """
     _check_int("cap", cap, 2)
     radius = (cap + 1) // 2
-    B = ball(G, S, radius, mem_limit=mem_limit)
+    B = ball(G, S, radius)
     table = B.table
     mul = G._mul  # the ball's nodes and S's letters are elements
     best = None  # (length, u, sym, v)

@@ -67,6 +67,13 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
+def _check_int(name, value, least):
+    """Raise ValueError unless value is an int >= ``least``; a bool is not
+    one.  An explicit raise, not an assert, so it holds under ``python -O``."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class Group:
     """Base interface for a concrete group family (see the module docstring)."""
 
@@ -203,8 +210,7 @@ class FiniteCyclic(Group):
     flat_arity = 1
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("modulus must be >= 1")
+        _check_int("modulus", self.q, 1)
 
     def mul(self, g, h):
         if self.contains(g) and self.contains(h):
@@ -252,8 +258,7 @@ class IntVector(Group):
     family = "int-vector"
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_int("dimension", self.d, 1)
 
     def mul(self, g, h):
         if self.contains(g) and self.contains(h):
@@ -306,8 +311,7 @@ class DihedralFinite(Group):
     flat_arity = 2
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("rotation order must be >= 1")
+        _check_int("rotation order", self.n, 1)
 
     def mul(self, g, h):
         if self.contains(g) and self.contains(h):
@@ -474,8 +478,7 @@ class Free(Group):
     family = "free"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("rank must be >= 1")
+        _check_int("rank", self.k, 1)
 
     def mul(self, g, h):
         if self.contains(g) and self.contains(h):
@@ -492,27 +495,10 @@ class Free(Group):
 
     def inv(self, g):
         self.check(g)
-        # One negated int per distinct letter: CPython caches only small
-        # ints, so negating every slot would allocate an object per letter.
-        negated = {x: -x for x in set(g)}
-        return tuple(map(negated.__getitem__, reversed(g)))
+        return tuple(map(neg, reversed(g)))
 
     def identity(self):
         return ()
-
-    def power(self, g, n):
-        """n-th power, built once as p c^n p^-1, where g = p c p^-1 and the
-        core c is cyclically reduced, so the word needs no reduction."""
-        self.check(g)
-        if n == 0 or not g:
-            return ()
-        # Letters are nonzero and g is reduced, so the core keeps a letter.
-        i, j = 0, len(g)
-        while g[i] == -g[j - 1]:
-            i += 1
-            j -= 1
-        core = g[i:j] if n > 0 else self.inv(g[i:j])
-        return g[:i] + core * abs(n) + g[j:]
 
     def contains(self, g):
         # One pass: each letter is a nonzero int of rank at most k that does

@@ -24,9 +24,11 @@ tail), whose entries and letters are elements.  ``word_length``'s two
 searches keep the checked ``G.mul``.
 
 Every stored node is charged to a memory budget by one size rule,
-:meth:`_Budget.cost`.  ``_expand`` charges a layer's nodes in a local
-counter and writes it back to the budget when it returns or refuses, so a
-search pays no call per node to the budget object.
+:meth:`_Budget.cost`.  Each search makes its own budget, which reads its
+limit from ``WORDBOUND_MEM_LIMIT`` (:func:`memory_limit`) and charges the
+search's roots.  ``_expand`` charges a layer's nodes in a local counter and
+writes it back to the budget when it returns or refuses, so a search pays
+no call per node to the budget object.
 
 In a finite group a ball stops once its table holds all ``G.size``
 elements: ``_expand`` returns after the frontier node whose products fill
@@ -44,16 +46,10 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitExceeded
+from .groups import _check_int
 
 DEFAULT_MEM_LIMIT = 1 << 30  # 1 GiB
 _ENTRY_OVERHEAD = 160  # rough dict-entry + value-tuple bytes per visited node
-
-
-def _check_int(name, value, least):
-    """Raise ValueError unless value is an int >= ``least``; a bool is not
-    one.  An explicit raise, not an assert, so it holds under ``python -O``."""
-    if type(value) is not int or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_alphabet(G, S):
@@ -69,16 +65,12 @@ def _check_alphabet(G, S):
         raise DomainError("alphabet belongs to a different group")
 
 
-def memory_limit(explicit=None):
-    """Resolve the BFS memory budget in bytes.
-
-    Priority: explicit argument, then the WORDBOUND_MEM_LIMIT environment
-    variable, then 1 GiB.  Either must be a positive integer, or ValueError
-    is raised before any search starts.
+def memory_limit():
+    """Resolve the search memory budget in bytes: the WORDBOUND_MEM_LIMIT
+    environment variable, or 1 GiB when it is unset or empty.  Any other
+    value that is not a positive integer raises ValueError before any
+    search starts.
     """
-    if explicit is not None:
-        _check_int("mem_limit", explicit, 1)
-        return explicit
     env = os.environ.get("WORDBOUND_MEM_LIMIT")
     if env:
         try:
@@ -155,17 +147,19 @@ class Ball:
 class _Budget:
     """Approximate byte accounting for visited-set growth, counting nodes.
 
-    A search's roots are charged without a radius and never refused; any
-    later node that overdraws the budget raises ResourceLimitExceeded with
-    the last completed radius and the nodes stored so far.  ``charge``
-    serves roots and the Schreier walk; ``_expand`` charges its layers by
-    the same :meth:`cost` and writes ``used`` and ``nodes`` back here.
+    Made at the start of a search with the search's roots, it resolves its
+    limit by :func:`memory_limit` and charges the roots, which are never
+    refused.  Any later node that overdraws the budget raises
+    ResourceLimitExceeded with the last completed radius and the nodes
+    stored so far.  ``charge`` serves the Schreier walk and the folding of
+    ``gensets``; ``_expand`` charges its layers by the same :meth:`cost`
+    and writes ``used`` and ``nodes`` back here.
     """
 
-    def __init__(self, limit):
-        self.limit = limit
-        self.used = 0
-        self.nodes = 0
+    def __init__(self, *roots):
+        self.limit = memory_limit()
+        self.used = sum(map(self.cost, roots))
+        self.nodes = len(roots)
 
     @staticmethod
     def cost(key):
@@ -173,9 +167,9 @@ class _Budget:
         allowance for the table entry."""
         return sys.getsizeof(key) + _ENTRY_OVERHEAD
 
-    def charge(self, key, radius=None):
+    def charge(self, key, radius):
         self.used += self.cost(key)
-        if radius is not None and self.used > self.limit:
+        if self.used > self.limit:
             raise self.exhausted(radius, self.nodes)
         self.nodes += 1
 
@@ -236,13 +230,7 @@ def _expand(mul, letters, labels, table, frontier, depth, budget, full=None):
         budget.nodes += len(layer)
 
 
-def _root(budget, root):
-    """A search table holding only its root, charged to ``budget``."""
-    budget.charge(root)
-    return {root: (0, None)}
-
-
-def ball(G, S, radius, mem_limit=None):
+def ball(G, S, radius):
     """BFS ball of the given radius around the identity.
 
     Checks that the alphabet is over G (:func:`_check_alphabet`), then
@@ -254,9 +242,9 @@ def ball(G, S, radius, mem_limit=None):
     """
     _check_int("radius", radius, 0)
     _check_alphabet(G, S)
-    budget = _Budget(memory_limit(mem_limit))
     e = G.identity()
-    table = _root(budget, e)
+    budget = _Budget(e)
+    table = {e: (0, None)}
     frontier = [e]
     full = G.size  # None for an infinite group, whose table never fills
     for depth in range(1, radius + 1):
@@ -266,23 +254,24 @@ def ball(G, S, radius, mem_limit=None):
     return Ball(group=G, genset=S, radius=radius, table=table)
 
 
-def word_length(G, S, g, cap, mem_limit=None):
+def word_length(G, S, g, cap):
     """Exact word length of g over S, searched up to ``cap``.
 
     Always meets in the middle (:func:`_length_bidirectional`), in finite
     and infinite groups alike; the length is that of a breadth-first search
-    out to ``cap``, and the witness is a geodesic word.
+    out to ``cap``, and the witness is a geodesic word.  The identity runs
+    no search, but a malformed memory limit is refused for it too.
     """
     _check_int("cap", cap, 1)
     _check_alphabet(G, S)
-    limit = memory_limit(mem_limit)
     G.check(g)
-    if g == G.identity():
-        return LengthCert(element=g, length=0, witness=(), cap=cap, explored=1)
-    return _length_bidirectional(G, S, g, cap, limit)
+    if g != G.identity():
+        return _length_bidirectional(G, S, g, cap)
+    memory_limit()  # refuses a malformed limit, though nothing is searched
+    return LengthCert(element=g, length=0, witness=(), cap=cap, explored=1)
 
 
-def certify_length(G, S, g, word, mem_limit=None):
+def certify_length(G, S, g, word):
     """Exact word length of g over S, given a word that spells it.
 
     The word, any iterable of symbol ids, is read once and checked to
@@ -293,37 +282,38 @@ def certify_length(G, S, g, word, mem_limit=None):
     is n and the certificate carries ``witness = tuple(word)``, ``cap = n``
     and the search's ``explored``.  Neither the identity (length 0, the
     empty witness, ``cap = 0``) nor a one-letter word, geodesic for any
-    g != e, runs a search; their certificates report ``explored = 0``.
+    g != e, runs a search; their certificates report ``explored = 0``, and
+    a malformed memory limit is refused for them too.
     """
     _check_alphabet(G, S)
-    limit = memory_limit(mem_limit)
     G.check(g)
     word = S.check_word(word)
     if S.eval_word(word) != g:
         raise DomainError(f"word {word!r} does not evaluate to {g!r}")
     n = len(word)
-    if g == G.identity():
-        return LengthCert(element=g, length=0, witness=(), cap=0, explored=0)
-    if n > 1:
-        cert = word_length(G, S, g, n - 1, limit)
+    if n > 1 and g != G.identity():
+        cert = word_length(G, S, g, n - 1)
         if cert.length is not None:
             return cert
         explored = cert.explored
     else:
+        memory_limit()  # refuses a malformed limit, though nothing is searched
+        if g == G.identity():
+            return LengthCert(element=g, length=0, witness=(), cap=0, explored=0)
         explored = 0
     return LengthCert(element=g, length=n, witness=word, cap=n,
                       explored=explored)
 
 
-def _length_bfs(G, S, g, cap, limit):
+def _length_bfs(G, S, g, cap):
     """Word length by one BFS from the identity: the reference the tests hold
     ``word_length`` to, called by no library code.  Each layer is finished
     before g is looked up, so ``explored`` counts the whole last layer.
     perfbench's tracer looks it up by name, and its traced runs end in
     KeyError without it."""
-    budget = _Budget(limit)
     e = G.identity()
-    table = _root(budget, e)
+    budget = _Budget(e)
+    table = {e: (0, None)}
     frontier = [e]
     for depth in range(1, cap + 1):
         if g in table:
@@ -335,17 +325,17 @@ def _length_bfs(G, S, g, cap, limit):
     return LengthCert(element=g, length=table[g][0], witness=witness, cap=cap, explored=len(table))
 
 
-def _length_bidirectional(G, S, g, cap, limit):
+def _length_bidirectional(G, S, g, cap):
     """Meet-in-the-middle BFS from the identity and from the target.
 
     Both searches use the full symmetric alphabet; a backward entry for v
     stores the first symbol of a geodesic continuation from v to g, which is
     the inverse of the letter that reached v.
     """
-    budget = _Budget(limit)
     e = G.identity()
-    fwd = _root(budget, e)
-    bwd = _root(budget, g)  # g == e is handled by the caller
+    budget = _Budget(e, g)  # g == e is handled by the caller
+    fwd = {e: (0, None)}
+    bwd = {g: (0, None)}
     f_frontier, b_frontier = [e], [g]
     df = db = 0
     best = None  # (total, meet element)

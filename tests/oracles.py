@@ -76,6 +76,22 @@ def foreign_alphabets():
     return out
 
 
+def with_memory_limit(value, call):
+    """``call()`` with ``WORDBOUND_MEM_LIMIT`` set to ``value``, the
+    variable restored afterwards: the one way to give a search another
+    budget, also in a script run under ``python -O``, where pytest's
+    ``monkeypatch`` is not at hand."""
+    old = os.environ.get("WORDBOUND_MEM_LIMIT")
+    os.environ["WORDBOUND_MEM_LIMIT"] = value
+    try:
+        return call()
+    finally:
+        if old is None:
+            del os.environ["WORDBOUND_MEM_LIMIT"]
+        else:
+            os.environ["WORDBOUND_MEM_LIMIT"] = old
+
+
 def certify_refusals():
     """Calls of ``certify_length`` that must be refused: (name, call, the
     error it raises).  Each fails before any search starts."""
@@ -91,7 +107,8 @@ def certify_refusals():
         ("bool symbol id", lambda: certify_length(Z, S, (1, 0), (True,)), DomainError),
         ("target not an element", lambda: certify_length(Z, S, (1, 0, 0), (x,)), DomainError),
         ("alphabet over another group", lambda: certify_length(gr.IntVector(1), S, (1,), (x,)), DomainError),
-        ("memory limit not positive", lambda: certify_length(Z, S, (1, 0), (x,), mem_limit=0), ValueError),
+        ("memory limit not positive",
+         lambda: with_memory_limit("0", lambda: certify_length(Z, S, (1, 0), (x,))), ValueError),
     ]
 
 

@@ -23,7 +23,7 @@ from wordbound import metric
 from wordbound.cli import main
 from wordbound.errors import DomainError, NotGeneratingError, UnsupportedFamilyError
 from wordbound.gensets import GenSet, _generates_split, generates, inverse_pair_classes, make_symmetric
-from wordbound.metric import _length_bfs, certify_length, memory_limit, word_length
+from wordbound.metric import _length_bfs, certify_length, word_length
 from wordbound.reports import ExperimentReport, Verdict, render_report
 
 
@@ -379,7 +379,7 @@ def test_heisenberg_center_experiment_deterministic():
 
 
 def _assert_certificate_matches_bfs(S, target, cert):
-    bfs = _length_bfs(S.group, S, target, cert.cap, memory_limit())
+    bfs = _length_bfs(S.group, S, target, cert.cap)
     assert cert.length is not None
     assert cert.length == bfs.length
     assert len(cert.witness) == cert.length
@@ -443,13 +443,12 @@ def test_zxd8_decision_on_parts_matches_generates():
     k, F, _, act = ex._ZXD8_SPLIT
     pool, inverses, part = ex._zxd8_draws(10)
     inverse = inverses.__getitem__
-    limit = memory_limit()
     statuses = set()
     for seed in range(10):
         rng = random.Random(seed)
         for _ in range(100):
             classes = inverse_pair_classes(G, rng.sample(pool, rng.randint(2, 4)), inverse)
-            fast = _generates_split([part[c[0]] for c in classes], k, F, act, limit)
+            fast = _generates_split([part[c[0]] for c in classes], k, F, act)
             slow = generates(G, GenSet.from_classes(G, classes))
             assert (fast.status, fast.reason, fast.evidence) == (
                 slow.status, slow.reason, slow.evidence)
@@ -488,13 +487,13 @@ def certified(monkeypatch):
     records, run = [], [None]
     certify, search = ex.certify_length, metric.word_length
 
-    def searched(G, S, g, cap, mem_limit=None):
+    def searched(G, S, g, cap):
         records[-1]["caps"].append(cap)
-        return search(G, S, g, cap, mem_limit)
+        return search(G, S, g, cap)
 
-    def recorded(G, S, g, word, mem_limit=None):
+    def recorded(G, S, g, word):
         records.append({"run": run[0], "S": S, "g": g, "word": tuple(word), "caps": []})
-        return certify(G, S, g, word, mem_limit)
+        return certify(G, S, g, word)
 
     def tagged(name, fn):
         def call(*args, **kwargs):

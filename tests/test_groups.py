@@ -83,14 +83,19 @@ def test_power_matches_iterated_multiplication(G):
 
 
 def test_free_power_matches_repeated_squaring():
-    """Free.power builds p c^n p^-1 at once; the generic law squares."""
-    F = Free(3)
-    rng = random.Random(23)
-    for _ in range(200):
-        g = random_element(F, rng, size=8)
-        for n in (-7, -2, -1, 0, 1, 2, 5, 16):
-            assert F.power(g, n) == gr.Group.power(F, g, n)
-    assert F.power((1, 2, 2, -1), 3) == (1,) + (2,) * 6 + (-1,)
+    """The letters that cancel between the squares leave the conjugate of
+    the core's power: (x1 x2^2 x1^-1)^3 = x1 x2^6 x1^-1."""
+    assert Free(3).power((1, 2, 2, -1), 3) == (1,) + (2,) * 6 + (-1,)
+
+
+@pytest.mark.parametrize("family", [FiniteCyclic, IntVector, DihedralFinite, Free], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value", [2.5, 4.0, True, False, "2", None])
+def test_family_parameter_must_be_an_int(family, value):
+    """A modulus, dimension, rotation order or rank that is not an int, a
+    bool included, is refused where the group is built: ``FiniteCyclic(2.5)``
+    would multiply into floats and ``FiniteCyclic(True)`` print as Z/True."""
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        family(value)
 
 
 def test_heisenberg_presentation_identities():
@@ -112,14 +117,13 @@ def test_heisenberg_presentation_identities():
         assert G.mul(G.mul(bn, g), G.inv(bn)) == (2, 3, -1 - n * 2)
 
 
-def test_heisenberg_center_commutator_exponent_is_determinant():
-    G = Heisenberg()
-    rng = random.Random(3)
-    for _ in range(200):
-        x = random_element(G, rng, size=5)
-        y = random_element(G, rng, size=5)
-        com = G.commutator(x, y)
-        assert com == (0, 0, x[0] * y[1] - x[1] * y[0])
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(), st.integers(), st.integers()),
+       st.tuples(st.integers(), st.integers(), st.integers()))
+def test_heisenberg_center_commutator_exponent_is_determinant(x, y):
+    """[x, y] is central with the abelianized determinant as its exponent,
+    which ``experiments.heisenberg_center_certificate`` relies on."""
+    assert Heisenberg().commutator(x, y) == (0, 0, x[0] * y[1] - x[1] * y[0])
 
 
 @pytest.mark.parametrize("G", [DihedralFinite(5), DihedralInfinite()], ids=str)

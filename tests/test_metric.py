@@ -23,7 +23,7 @@ from oracles import (
 from wordbound import groups as gr
 from wordbound import metric
 from wordbound.errors import DomainError, ResourceLimitExceeded
-from wordbound.gensets import GenSet, make_symmetric
+from wordbound.gensets import GenSet, generates, make_symmetric
 from wordbound.girth import girth
 from wordbound.metric import (
     Ball,
@@ -185,7 +185,7 @@ def test_searches_match_naive_bfs(G, radius):
         expected = _naive_ball(G, S, radius)
         assert list(ball(G, S, radius).table.items()) == list(expected.items())
         for g in rng.sample(sorted(expected, key=repr), min(30, len(expected))):
-            for cert in (_length_bfs(G, S, g, radius, memory_limit()),
+            for cert in (_length_bfs(G, S, g, radius),
                          word_length(G, S, g, cap=radius)):
                 assert cert.length == expected[g][0], (g, cert)
                 assert S.eval_word(cert.witness) == g
@@ -203,7 +203,7 @@ def test_length_bfs_finishes_its_last_layer(G, elems):
     rng = random.Random(16)
     for _ in range(20):
         g = random_element(G, rng, size=3)
-        cert = _length_bfs(G, S, g, 5, memory_limit())
+        cert = _length_bfs(G, S, g, 5)
         B = ball(G, S, 5 if cert.length is None else cert.length)
         assert cert.explored == len(B.table)
         assert cert.witness == (None if cert.length is None else B.word_to(g))
@@ -224,7 +224,7 @@ def test_bidirectional_matches_bfs(G, elems, size):
     rng = random.Random(41)
     for _ in range(60):
         g = random_element(G, rng, size=size)
-        a = _length_bfs(G, S, g, 10, memory_limit())
+        a = _length_bfs(G, S, g, 10)
         b = word_length(G, S, g, cap=10)
         assert a.length == b.length, (g, a.length, b.length)
         if b.length is not None:
@@ -274,7 +274,7 @@ def test_certify_length_matches_bfs(G, elems):
         word = [rng.choice(S.symbols()) for _ in range(n)]
         g = S.eval_word(word)
         cert = certify_length(G, S, g, word)
-        assert cert.length == _length_bfs(G, S, g, max(n, 1), memory_limit()).length
+        assert cert.length == _length_bfs(G, S, g, max(n, 1)).length
         assert len(cert.witness) == cert.length
         assert S.eval_word(cert.witness) == g
         if g == G.identity():
@@ -332,10 +332,11 @@ def test_certify_length_refusals_survive_optimize_flag():
 def test_memory_limit_resolution(monkeypatch):
     monkeypatch.delenv("WORDBOUND_MEM_LIMIT", raising=False)
     assert memory_limit() == 1 << 30
-    assert memory_limit(4096) == 4096
+    monkeypatch.setenv("WORDBOUND_MEM_LIMIT", "")
+    assert memory_limit() == 1 << 30
     monkeypatch.setenv("WORDBOUND_MEM_LIMIT", "8192")
     assert memory_limit() == 8192
-    assert memory_limit(16) == 16  # explicit wins
+    assert _Budget().limit == 8192
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
@@ -345,11 +346,39 @@ def test_memory_limit_rejects_bad_environment(monkeypatch, value):
         memory_limit()
 
 
-def test_ball_memory_budget_exhaustion():
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_every_search_refuses_a_bad_environment(monkeypatch, value):
+    """Each search's budget resolves the limit, so a malformed one is
+    refused by every search, also by the identity and one-letter shortcuts
+    of ``word_length`` and ``certify_length``, which search nothing."""
+    Z = gr.IntVector(1)
+    S = _symm(Z, [(1,)])
+    x = S.symbol_of((1,))
+    F = gr.Free(2)
+    calls = [
+        lambda: ball(Z, S, 3),
+        lambda: girth(Z, S, 4),
+        lambda: word_length(Z, S, (2,), 3),
+        lambda: word_length(Z, S, (0,), 3),
+        lambda: _length_bfs(Z, S, (2,), 3),
+        lambda: certify_length(Z, S, (0,), ()),
+        lambda: certify_length(Z, S, (1,), (x,)),
+        lambda: certify_length(Z, S, (2,), (x, x)),
+        lambda: generates(Z, S),
+        lambda: generates(F, _symm(F, F.standard_generators())),
+    ]
+    monkeypatch.setenv("WORDBOUND_MEM_LIMIT", value)
+    for call in calls:
+        with pytest.raises(ValueError, match="WORDBOUND_MEM_LIMIT"):
+            call()
+
+
+def test_ball_memory_budget_exhaustion(monkeypatch):
     G = gr.Free(2)
     S = _symm(G, [(1,), (2,)])
+    monkeypatch.setenv("WORDBOUND_MEM_LIMIT", "20000")
     with pytest.raises(ResourceLimitExceeded) as exc:
-        ball(G, S, 12, mem_limit=20_000)
+        ball(G, S, 12)
     # Exact, so that a check at entry that charged the budget would show.
     assert (exc.value.partial_radius, exc.value.explored) == (3, 88)
 
@@ -365,16 +394,17 @@ BUDGET_CASES = [
 ]
 
 
-def _budget_outcomes(run, start, stop=None):
-    """The outcome of ``run(limit)`` for every limit from ``start`` to
-    ``stop``, or, without ``stop``, up to the first limit that completes:
-    a refusal's (partial_radius, explored) or the completed result, a
-    ball as its table's items in insertion order."""
+def _budget_outcomes(monkeypatch, run, start, stop=None):
+    """The outcome of ``run()`` under every ``WORDBOUND_MEM_LIMIT`` from
+    ``start`` to ``stop``, or, without ``stop``, up to the first limit that
+    completes: a refusal's (partial_radius, explored) or the completed
+    result, a ball as its table's items in insertion order."""
     outcomes = []
     limit = start
     while stop is None or limit <= stop:
+        monkeypatch.setenv("WORDBOUND_MEM_LIMIT", str(limit))
         try:
-            result = run(limit)
+            result = run()
         except ResourceLimitExceeded as exc:
             outcomes.append(("refused", exc.partial_radius, exc.explored))
         else:
@@ -395,29 +425,29 @@ def test_layer_charge_matches_the_per_node_charge(G, gens, radius, target, cap, 
     S = _symm(G, gens)
     e = G.identity()
     searches = [
-        (lambda limit: ball(G, S, radius, mem_limit=limit), _Budget.cost(e)),
-        (lambda limit: word_length(G, S, target, cap, mem_limit=limit),
-         _Budget.cost(e) + _Budget.cost(target)),
+        (lambda: ball(G, S, radius), _Budget.cost(e)),
+        (lambda: word_length(G, S, target, cap), _Budget.cost(e) + _Budget.cost(target)),
     ]
     for run, roots in searches:
-        got = _budget_outcomes(run, roots)
+        got = _budget_outcomes(monkeypatch, run, roots)
         assert got[-1][0] == "done" and len(got) > 1
         with monkeypatch.context() as m:
             m.setattr(metric, "_expand", expand_per_node)
-            assert _budget_outcomes(run, roots, roots + len(got) - 1) == got
+            assert _budget_outcomes(m, run, roots, roots + len(got) - 1) == got
 
 
 @pytest.mark.parametrize("G", FINITE_GROUPS + [gr.IntVector(2), gr.Free(2)], ids=str)
-def test_expand_writes_its_charge_back_to_the_budget(G):
+def test_expand_writes_its_charge_back_to_the_budget(G, monkeypatch):
     """Layer by layer, ``_expand`` leaves the budget's bytes and nodes, the
     table and the layer as the per-node charge does, the layer that fills a
     finite group and returns early included."""
     S = _symm(G, G.standard_generators())
+    monkeypatch.delenv("WORDBOUND_MEM_LIMIT", raising=False)
     runs = []
     for expand in (_expand, expand_per_node):
-        budget = _Budget(1 << 30)
+        budget = _Budget(G.identity())
+        assert (budget.limit, budget.used, budget.nodes) == (1 << 30, _Budget.cost(G.identity()), 1)
         table = {G.identity(): (0, None)}
-        budget.charge(G.identity())
         frontier = [G.identity()]
         layers = []
         for depth in range(1, 5):
@@ -429,13 +459,14 @@ def test_expand_writes_its_charge_back_to_the_budget(G):
     assert runs[0] == runs[1]
 
 
-def test_word_length_memory_budget_exhaustion():
+def test_word_length_memory_budget_exhaustion(monkeypatch):
     G = gr.Free(2)
     S = _symm(G, [(1,), (2,)])
+    monkeypatch.setenv("WORDBOUND_MEM_LIMIT", "20000")
     with pytest.raises(ResourceLimitExceeded):
-        _length_bfs(G, S, (1,) * 12, 12, memory_limit(20_000))
+        _length_bfs(G, S, (1,) * 12, 12)
     with pytest.raises(ResourceLimitExceeded):
-        word_length(G, S, (1,) * 12, cap=12, mem_limit=20_000)
+        word_length(G, S, (1,) * 12, cap=12)
 
 
 def test_invalid_arguments():
@@ -513,22 +544,6 @@ def test_foreign_letter_refusals_survive_optimize_flag():
     assert run_optimized(["-c", script, tests]).stdout.split() == ["6", "6", "0"]
 
 
-@pytest.mark.parametrize("value", [0, -5, 2500.0, "abc", True, "4096"])
-def test_explicit_memory_limit_must_be_a_positive_int(value):
-    """An explicit budget obeys the rule of WORDBOUND_MEM_LIMIT: a positive
-    int, or ValueError before any search starts."""
-    Z = gr.IntVector(1)
-    S = _symm(Z, [(1,)])
-    with pytest.raises(ValueError, match="mem_limit"):
-        memory_limit(value)
-    with pytest.raises(ValueError, match="mem_limit"):
-        ball(Z, S, 3, mem_limit=value)
-    with pytest.raises(ValueError, match="mem_limit"):
-        word_length(Z, S, (2,), cap=3, mem_limit=value)
-    with pytest.raises(ValueError, match="mem_limit"):
-        girth(Z, S, 4, mem_limit=value)
-
-
 @pytest.mark.parametrize("value", [3.5, 9.5, 3.0, "3", True, None])
 def test_caps_and_radii_must_be_ints(value):
     """A cap or radius that is not an int is refused, also where the
@@ -546,6 +561,10 @@ def test_caps_and_radii_must_be_ints(value):
 def test_integer_checks_survive_optimize_flag():
     """The checks above are explicit raises, so ``python -O`` keeps them."""
     script = textwrap.dedent("""
+        import sys
+
+        sys.path.insert(0, sys.argv[1])
+        from oracles import with_memory_limit
         from wordbound import groups as gr
         from wordbound.gensets import make_symmetric
         from wordbound.girth import girth
@@ -557,7 +576,7 @@ def test_integer_checks_survive_optimize_flag():
         S = make_symmetric(Z, [(2,), (3,)])
         calls = [
             lambda: ball(Z, S, 2.0),
-            lambda: ball(Z, S, 3, mem_limit=0),
+            lambda: with_memory_limit("0", lambda: ball(Z, S, 3)),
             lambda: word_length(Z, S, (1,), 3.5),
             lambda: word_length(Z, S, (1,), 9.5),
             lambda: girth(Z, S, 4.0),
@@ -570,7 +589,8 @@ def test_integer_checks_survive_optimize_flag():
                 refused += 1
         print(refused, len(calls))
     """)
-    assert run_optimized(["-c", script]).stdout.split() == ["5", "5"]
+    tests = str(Path(__file__).resolve().parent)
+    assert run_optimized(["-c", script, tests]).stdout.split() == ["5", "5"]
 
 
 # -- the stop at a whole finite group ------------------------------------

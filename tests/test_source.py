@@ -1,7 +1,8 @@
 """Source-wide guards: exact integers only, checks that survive
 ``python -O``, a group law of each family's own, membership tests without
 iterator chains, one module that lays out a ``GenSet``, one place that
-checks its letters, no text evaluated as Python and no stale export."""
+checks its letters, no text evaluated as Python, no stale export and one
+owner of the memory limit."""
 
 import ast
 import inspect
@@ -11,6 +12,7 @@ from pathlib import Path
 from oracles import concrete_families
 
 import wordbound
+from wordbound import experiments
 from wordbound import groups as gr
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "wordbound").glob("*.py"))
@@ -261,3 +263,48 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from wordbound import *", namespace)
     assert set(wordbound.__all__) <= namespace.keys()
+
+
+def _memory_limit_callers(source):
+    """Names of the functions that call ``memory_limit``, by name or as an
+    attribute."""
+    return sorted({
+        func.name for func in ast.walk(ast.parse(source))
+        if isinstance(func, ast.FunctionDef)
+        and any(isinstance(node, ast.Call)
+                and "memory_limit" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                for node in ast.walk(func))
+    })
+
+
+def test_guard_flags_a_memory_limit_call():
+    source = textwrap.dedent("""
+        def direct():
+            return memory_limit()
+
+        def qualified(G):
+            return ball(G, S, 3, metric.memory_limit())
+
+        def named():
+            return memory_limit
+    """)
+    assert _memory_limit_callers(source) == ["direct", "qualified"]
+
+
+def _takes_mem_limit(f):
+    try:
+        return "mem_limit" in inspect.signature(f).parameters
+    except ValueError:  # an exception class has no signature to read
+        return False
+
+
+def test_the_budget_alone_resolves_the_memory_limit():
+    """Each search's budget reads ``WORDBOUND_MEM_LIMIT`` where it is made,
+    so no function takes a limit, and outside ``metric`` only the CLI's
+    free-word pre-check calls ``memory_limit``."""
+    exported = [getattr(wordbound, name) for name in wordbound.__all__]
+    assert [f.__name__ for f in [*exported, experiments.sample_zxd8_genset]
+            if callable(f) and _takes_mem_limit(f)] == []
+    found = {(p.name, name) for p in SOURCES if p.name != "metric.py"
+             for name in _memory_limit_callers(p.read_text(encoding="utf-8"))}
+    assert found == {("cli.py", "parse_free_words")}
