@@ -25,7 +25,7 @@ from types import MappingProxyType
 from . import groups as gr
 from .errors import NotGeneratingError, UnsupportedFamilyError
 from .gensets import GenSet, _generates_split, dihedral_mod, generates, inverse_pair_classes, make_symmetric
-from .metric import ball, certify_length, word_length
+from .metric import _Budget, _expand, ball, certify_length, word_length
 from .reports import ExperimentReport, Verdict
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -178,22 +178,18 @@ def aut_group(G):
     elems = list(G.elements())
     e = G.identity()
     gens = _generating_sequence(G, elems)
-    # discovery schedule: every element as parent * generator.  Not
-    # metric._expand: gens is not symmetric and each step keeps its parent.
+    # discovery schedule: every element h as parent * generator, the parent
+    # read back from the table as h * s^-1.
     mul = G._mul  # gens and the candidate images are enumerated elements
-    schedule = []
-    known = {e}
+    table = {e: (0, None)}
     frontier = [e]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for gi, s in enumerate(gens):
-                h = mul(g, s)
-                if h not in known:
-                    known.add(h)
-                    schedule.append((h, g, gi))
-                    nxt.append(h)
-        frontier = nxt
+    budget = _Budget(e)
+    depth = 0
+    while frontier and len(table) < size:
+        depth += 1
+        frontier = _expand(mul, gens, table, frontier, depth, budget, size)
+    inverses = [G.inv(s) for s in gens]
+    schedule = [(h, mul(h, inverses[gi]), gi) for h, (_, gi) in table.items() if h != e]
     orders = {x: G.element_order(x) for x in elems}
     candidates = [
         [y for y in elems if orders[y] == orders[s]] for s in gens

@@ -35,10 +35,12 @@ def cyclic_reduce(S, w):
 
     Returns a cyclically reduced word conjugate-equivalent to the input.
     """
-    w = list(reduce_word(S, w))
-    while len(w) >= 2 and w[0] == S.inv_symbol(w[-1]):
-        w = w[1:-1]
-    return tuple(w)
+    w = reduce_word(S, w)
+    i, j = 0, len(w)  # strip by indices: a slice per seam pair is quadratic
+    while j - i >= 2 and w[i] == S.inv_symbol(w[j - 1]):
+        i += 1
+        j -= 1
+    return w[i:j]
 
 
 def is_cyclically_reduced(S, w):

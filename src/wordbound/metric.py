@@ -18,10 +18,10 @@ A ``GenSet`` checks its letters where it is built, so every search only
 tests, at entry in :func:`_check_alphabet`, that its alphabet is over ``G``.
 The root is the identity or a checked target, so every node a search
 reaches is a product of elements.  ``ball``, and ``girth`` through
-it, therefore multiply with the trusted law ``G._mul``, and so do the walks
-back through a search table (``Ball.word_to`` and ``word_length``'s witness
-tail), whose entries and letters are elements.  ``word_length``'s two
-searches keep the checked ``G.mul``.
+it, therefore multiply with the trusted law ``G._mul``, and so does
+``Ball.word_to``, the one walk back through a search table, whose entries
+and letters are elements.  ``word_length``'s two searches keep the checked
+``G.mul``.
 
 Every stored node is charged to a memory budget by one size rule,
 :meth:`_Budget.cost`.  Each search makes its own budget, which reads its
@@ -30,9 +30,11 @@ search's roots.  ``_expand`` charges a layer's nodes in a local counter and
 writes it back to the budget when it returns or refuses, so a search pays
 no call per node to the budget object.
 
-In a finite group a ball stops once its table holds all ``G.size``
-elements: ``_expand`` returns after the frontier node whose products fill
-the table, and ``ball`` runs no further layer.  The stop is exact.  From then
+Every table ``_expand`` grows maps a node to its depth and the index of
+the letter that first reached it, which is all ``Ball.word_to`` needs.  In a
+finite group a search stops once its table holds all ``G.size`` elements:
+``_expand`` returns after the frontier node whose products fill the table,
+and ``ball`` runs no further layer.  The stop is exact.  From then
 on every product is already in the table, so no later step of the old walk
 could store, label or charge anything; the table, its insertion order and
 labels, the frontier each layer returns and every budget charge are those
@@ -109,10 +111,11 @@ class LengthCert:
 
 @dataclass
 class Ball:
-    """Exact distances from the identity out to ``radius``.
+    """Exact distances from the root of a search, the identity for
+    :func:`ball`, out to ``radius``.
 
-    ``table`` maps each normal form to ``(length, parent_symbol)``; the
-    identity has parent symbol None.
+    ``table`` maps each normal form to ``(length, i)``, with ``letters[i]``
+    the letter that first reached it; the root has None.
     """
 
     group: object
@@ -130,7 +133,8 @@ class Ball:
         return self.table[g][0]
 
     def word_to(self, g):
-        """Reconstruct the stored geodesic word for an element of the ball."""
+        """Reconstruct the stored geodesic word from the root to an element
+        of the table."""
         S = self.genset
         G = self.group
         syms = []
@@ -182,15 +186,16 @@ class _Budget:
         )
 
 
-def _expand(mul, letters, labels, table, frontier, depth, budget, full=None):
+def _expand(mul, letters, table, frontier, depth, budget, full):
     """Grow a search by one layer and return the nodes it first reached.
 
     Right-multiplies each node of ``frontier``, in order, by each letter, in
-    order, with the caller's law ``mul``; a new node v is charged to
-    ``budget`` and stored as ``table[v] = (depth, label)`` with the label
-    paired to its letter.  ``ball`` passes the trusted ``G._mul``, whose
-    operands are products of the alphabet's letters; the word-length
-    searches pass the checked ``G.mul``.
+    order, with the caller's law ``mul``; a new node v = u·letters[i] is
+    charged to ``budget`` and stored as ``table[v] = (depth, i)``, so
+    v·letters[i]⁻¹ is in the table at depth - 1 and :meth:`Ball.word_to`
+    reads any table back.  ``ball`` and ``aut_group`` pass the trusted
+    ``G._mul``, whose operands are products of checked elements; the
+    word-length searches pass the checked ``G.mul``.
 
     The layer is charged in a local counter by ``_Budget.cost``, node by
     node, and refused at the same node, with the same ``partial_radius``
@@ -198,29 +203,29 @@ def _expand(mul, letters, labels, table, frontier, depth, budget, full=None):
     counter and the nodes stored are written back to ``budget`` on every
     exit.
 
-    Given ``full``, the order of a finite G, it returns after the frontier
-    node whose products make ``table`` hold all of G.  That layer is then
-    complete: the products it skips are all in the table already, so they
-    would store, label and charge nothing.  The test runs once per node, not
-    per insertion.  Only ``ball`` passes ``full``.
+    ``full`` is the order of G, or None for an infinite group.  In a finite
+    group it returns after the frontier node whose products make ``table``
+    hold all of G.  That layer is then complete: the products it skips are
+    all in the table already, so they would store, label and charge
+    nothing.  The test runs once per node, not per insertion.
     """
     # A list: one tuple per call lingered in CPython's per-size tuple free
     # lists and held 0.9 MB more after the D16 uniform-length table.
-    steps = list(zip(letters, labels))
+    steps = list(enumerate(letters))
     cost = budget.cost
     limit = budget.limit
     used = budget.used
     layer = []
     try:
         for u in frontier:
-            for x, label in steps:
+            for i, x in steps:
                 v = mul(u, x)
                 if v in table:
                     continue
                 used += cost(v)
                 if used > limit:
                     raise budget.exhausted(depth - 1, budget.nodes + len(layer))
-                table[v] = (depth, label)
+                table[v] = (depth, i)
                 layer.append(v)
             if full is not None and len(table) == full:
                 return layer
@@ -250,7 +255,7 @@ def ball(G, S, radius):
     for depth in range(1, radius + 1):
         if not frontier or len(table) == full:
             break
-        frontier = _expand(G._mul, S.letters, S.symbols(), table, frontier, depth, budget, full=full)
+        frontier = _expand(G._mul, S.letters, table, frontier, depth, budget, full)
     return Ball(group=G, genset=S, radius=radius, table=table)
 
 
@@ -315,10 +320,11 @@ def _length_bfs(G, S, g, cap):
     budget = _Budget(e)
     table = {e: (0, None)}
     frontier = [e]
+    full = G.size
     for depth in range(1, cap + 1):
         if g in table:
             break
-        frontier = _expand(G.mul, S.letters, S.symbols(), table, frontier, depth, budget)
+        frontier = _expand(G.mul, S.letters, table, frontier, depth, budget, full)
     if g not in table:
         return LengthCert(element=g, length=None, witness=None, cap=cap, explored=len(table))
     witness = Ball(group=G, genset=S, radius=cap, table=table).word_to(g)
@@ -328,12 +334,14 @@ def _length_bfs(G, S, g, cap):
 def _length_bidirectional(G, S, g, cap):
     """Meet-in-the-middle BFS from the identity and from the target.
 
-    Both searches use the full symmetric alphabet; a backward entry for v
-    stores the first symbol of a geodesic continuation from v to g, which is
-    the inverse of the letter that reached v.
+    Both searches use the full symmetric alphabet.  The forward table spells
+    each node from e and the backward table from g, so the witness through
+    a meeting node v is ``word_to(v)`` over the forward table followed by
+    the inverse of ``word_to(v)`` over the backward one.
     """
     e = G.identity()
     budget = _Budget(e, g)  # g == e is handled by the caller
+    full = G.size
     fwd = {e: (0, None)}
     bwd = {g: (0, None)}
     f_frontier, b_frontier = [e], [g]
@@ -348,11 +356,11 @@ def _length_bidirectional(G, S, g, cap):
             break
         if not b_frontier or (f_frontier and len(f_frontier) <= len(b_frontier)):
             df += 1
-            f_frontier = _expand(G.mul, S.letters, S.symbols(), fwd, f_frontier, df, budget)
+            f_frontier = _expand(G.mul, S.letters, fwd, f_frontier, df, budget, full)
             layer, depth, other = f_frontier, df, bwd
         else:
             db += 1
-            b_frontier = _expand(G.mul, S.letters, S.involution, bwd, b_frontier, db, budget)
+            b_frontier = _expand(G.mul, S.letters, bwd, b_frontier, db, budget, full)
             layer, depth, other = b_frontier, db, fwd
         for v in layer:
             if v in other:
@@ -365,14 +373,7 @@ def _length_bidirectional(G, S, g, cap):
                           explored=explored)
     total, meet = best
     head = Ball(group=G, genset=S, radius=df, table=fwd).word_to(meet)
-    tail = []
-    v = meet
-    mul = G._mul  # bwd's entries and S's letters are elements
-    while v != g:
-        _, sym = bwd[v]
-        tail.append(sym)
-        v = mul(v, S.element(sym))
-    witness = head + tuple(tail)
+    back = Ball(group=G, genset=S, radius=db, table=bwd).word_to(meet)
+    witness = head + tuple(S.inv_symbol(s) for s in reversed(back))
     return LengthCert(element=g, length=total, witness=witness, cap=cap,
                       explored=explored)
-

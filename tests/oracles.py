@@ -53,6 +53,27 @@ FINITE_GROUPS = [
 ]
 
 
+Z3_TABLE = gr.CayleyTableGroup(names=("e", "g", "g2"), table=((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+# One or more groups of every concrete family, finite and infinite.
+FAMILIES = [
+    gr.FiniteCyclic(1),
+    gr.FiniteCyclic(5),
+    gr.FiniteCyclic(8),
+    gr.IntVector(1),
+    gr.IntVector(3),
+    gr.DihedralFinite(1),
+    gr.DihedralFinite(4),
+    gr.DihedralInfinite(),
+    gr.Heisenberg(),
+    gr.Free(1),
+    gr.Free(2),
+    gr.Product(gr.IntVector(1), gr.FiniteCyclic(2)),
+    gr.Product(gr.DihedralFinite(4), gr.FiniteCyclic(3)),
+    gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
+    Z3_TABLE,
+]
+
+
 def foreign_alphabets():
     """Hand-built alphabets, each with one letter outside its group after a
     class of real letters: (name, group, letters, involution), laid out as
@@ -307,19 +328,19 @@ def ball_full_walk(G, S, radius):
     return table
 
 
-def expand_per_node(mul, letters, labels, table, frontier, depth, budget, full=None):
+def expand_per_node(mul, letters, table, frontier, depth, budget, full):
     """``metric._expand`` charging each stored node to ``budget`` by its
     own ``_Budget.charge`` call: the reference the layer-local charge is
     held to, with the same signature, table, labels, early stop and
     refusals."""
     layer = []
     for u in frontier:
-        for x, label in zip(letters, labels):
+        for i, x in enumerate(letters):
             v = mul(u, x)
             if v in table:
                 continue
             budget.charge(v, depth - 1)
-            table[v] = (depth, label)
+            table[v] = (depth, i)
             layer.append(v)
         if full is not None and len(table) == full:
             return layer

@@ -21,7 +21,7 @@ from wordbound import experiments as ex
 from wordbound import groups as gr
 from wordbound import metric
 from wordbound.cli import main
-from wordbound.errors import DomainError, NotGeneratingError, UnsupportedFamilyError
+from wordbound.errors import DomainError, NotGeneratingError, ResourceLimitExceeded, UnsupportedFamilyError
 from wordbound.gensets import GenSet, _generates_split, generates, inverse_pair_classes, make_symmetric
 from wordbound.metric import _length_bfs, certify_length, word_length
 from wordbound.reports import ExperimentReport, Verdict, render_report
@@ -137,6 +137,18 @@ def test_aut_group_caps():
         ex.aut_group(gr.IntVector(1))
     with pytest.raises(UnsupportedFamilyError):
         ex.aut_group(gr.DihedralFinite(20))
+
+
+def test_aut_group_is_charged_to_a_budget(monkeypatch):
+    """The discovery table is charged like any search: a limit one byte
+    below its nodes' charge refuses, that charge itself completes."""
+    G = gr.DihedralFinite(4)
+    charge = sum(map(metric._Budget.cost, G.elements()))
+    monkeypatch.setenv("WORDBOUND_MEM_LIMIT", str(charge - 1))
+    with pytest.raises(ResourceLimitExceeded):
+        ex.aut_group(G)
+    monkeypatch.setenv("WORDBOUND_MEM_LIMIT", str(charge))
+    assert len(ex.aut_group(G)) == 8
 
 
 def test_automorphism_build_rejects_bad_maps():

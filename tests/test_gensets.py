@@ -21,12 +21,7 @@ from oracles import (
 )
 
 from wordbound import groups as gr
-from wordbound.errors import (
-    DomainError,
-    EmptyGenSetError,
-    ResourceLimitExceeded,
-    UnsupportedFamilyError,
-)
+from wordbound.errors import DomainError, EmptyGenSetError, ResourceLimitExceeded
 from wordbound.gensets import (
     GenSet,
     _smith,

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    FAMILIES,
     FINITE_GROUPS,
+    Z3_TABLE,
     closure_full_walk,
     concrete_families,
     contains_reference,
@@ -30,26 +32,6 @@ from wordbound.groups import (
     IntVector,
     Product,
 )
-
-Z3_TABLE = CayleyTableGroup(names=("e", "g", "g2"), table=((0, 1, 2), (1, 2, 0), (2, 0, 1)))
-
-FAMILIES = [
-    FiniteCyclic(1),
-    FiniteCyclic(5),
-    FiniteCyclic(8),
-    IntVector(1),
-    IntVector(3),
-    DihedralFinite(1),
-    DihedralFinite(4),
-    DihedralInfinite(),
-    Heisenberg(),
-    Free(1),
-    Free(2),
-    Product(IntVector(1), FiniteCyclic(2)),
-    Product(DihedralFinite(4), FiniteCyclic(3)),
-    Product(IntVector(1), DihedralFinite(4)),
-    Z3_TABLE,
-]
 
 
 @pytest.mark.parametrize("G", FAMILIES, ids=str)

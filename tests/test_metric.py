@@ -1,6 +1,7 @@
 """Word lengths and balls: frozen oracles, agreement with the BFS reference,
 resource limits."""
 
+import hashlib
 import random
 import textwrap
 from collections import deque
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from oracles import (
+    FAMILIES,
     FINITE_GROUPS,
     at_distance,
     ball_full_walk,
@@ -21,8 +23,9 @@ from oracles import (
 )
 
 from wordbound import groups as gr
-from wordbound import metric
+from wordbound import experiments, metric
 from wordbound.errors import DomainError, ResourceLimitExceeded
+from wordbound.experiments import aut_group
 from wordbound.gensets import GenSet, generates, make_symmetric
 from wordbound.girth import girth
 from wordbound.metric import (
@@ -239,6 +242,54 @@ def test_word_length_is_deterministic():
     assert runs[0] == runs[1] == runs[2]
 
 
+# (group, letters) of the pinned witness battery: Z^2, H3, D_inf, F2,
+# Z x Z/2, Z x D8 and D16.
+WITNESS_ALPHABETS = [
+    (gr.IntVector(2), [(1, 0), (0, 1), (1, 1)]),
+    (gr.Heisenberg(), [(1, 0, 0), (0, 1, 0)]),
+    (gr.DihedralInfinite(), [(1, 0), (0, 1)]),
+    (gr.Free(2), [(1,), (2,)]),
+    (gr.Product(gr.IntVector(1), gr.FiniteCyclic(2)), [((2,), 1), ((3,), 0)]),
+    (gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
+     [((1,), (0, 0)), ((0,), (1, 0)), ((0,), (0, 1))]),
+    (gr.DihedralFinite(8), [(1, 0), (0, 1)]),
+]
+# The sha256 of ``_witness_battery()``.  Report bytes hold no witnesses, so
+# this is what notices a change in which geodesic a search returns.  A
+# change that means to return other geodesics must update it; a refactor
+# or a speed-up must leave it as it is.
+WITNESS_SHA256 = "576edf2ccfd7469d71f02e0602449d04204f56caa364d05150aada4f1dab0359"
+
+
+def _witness_battery():
+    """Lengths, witnesses and explored counts of ``word_length`` and
+    ``certify_length`` for 40 seeded words on each alphabet of
+    ``WITNESS_ALPHABETS``, its ``girth`` at caps 2 to 8, and the
+    automorphisms ``aut_group`` returns for D8, Z/8 and Z/2 x Z/4, as one
+    list of plain tuples."""
+    rng = random.Random(2027)
+    out = []
+    for G, elems in WITNESS_ALPHABETS:
+        S = _symm(G, elems)
+        for _ in range(40):
+            word = [rng.randrange(len(S.letters)) for _ in range(rng.randrange(1, 13))]
+            g = S.eval_word(word)
+            for cert in (word_length(G, S, g, cap=8), certify_length(G, S, g, word)):
+                out.append((g, cert.length, cert.witness, cert.cap, cert.explored))
+        for cap in range(2, 9):
+            res = girth(G, S, cap)
+            out.append((cap, res.value, res.witness))
+    for G in (gr.DihedralFinite(4), gr.FiniteCyclic(8),
+              gr.Product(gr.FiniteCyclic(2), gr.FiniteCyclic(4))):
+        out.append([list(A.mapping.items()) for A in aut_group(G)])
+    return out
+
+
+def test_witnesses_are_pinned():
+    digest = hashlib.sha256(repr(_witness_battery()).encode()).hexdigest()
+    assert digest == WITNESS_SHA256
+
+
 def test_length_profile():
     Z = gr.IntVector(1)
     profile = length_profile(
@@ -451,8 +502,7 @@ def test_expand_writes_its_charge_back_to_the_budget(G, monkeypatch):
         frontier = [G.identity()]
         layers = []
         for depth in range(1, 5):
-            frontier = expand(G._mul, S.letters, S.symbols(), table, frontier, depth,
-                              budget, full=G.size)
+            frontier = expand(G._mul, S.letters, table, frontier, depth, budget, G.size)
             layers.append((frontier, budget.used, budget.nodes))
         runs.append((list(table.items()), layers))
         assert budget.nodes == len(table)
@@ -591,6 +641,55 @@ def test_integer_checks_survive_optimize_flag():
     """)
     tests = str(Path(__file__).resolve().parent)
     assert run_optimized(["-c", script, tests]).stdout.split() == ["5", "5"]
+
+
+# -- the table contract ---------------------------------------------------
+
+
+def _tables_grown(monkeypatch, run):
+    """Each (letters, table) that ``_expand`` grows during ``run()``, read
+    after it returns."""
+    grown = []
+
+    def recording(mul, letters, table, *rest):
+        if not any(t is table for _, t in grown):
+            grown.append((letters, table))
+        return _expand(mul, letters, table, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(metric, "_expand", recording)
+        m.setattr(experiments, "_expand", recording)
+        run()
+    return grown
+
+
+def _breaks_contract(G, letters, table):
+    """The entries (v, (d, i)) of ``table`` whose v·letters[i]⁻¹ is not in
+    it at depth d - 1; a root (0, None) breaks nothing."""
+    return [(v, d, i) for v, (d, i) in table.items()
+            if i is not None and table.get(G.mul(v, G.inv(letters[i])), (None,))[0] != d - 1]
+
+
+@pytest.mark.parametrize("G", FAMILIES, ids=str)
+def test_every_table_keeps_the_letter_index_contract(G, monkeypatch):
+    """``ball``, both halves of ``word_length`` and ``aut_group`` grow their
+    tables with ``_expand``, and each entry's parent is one letter back.
+    Each target lies at distance 2 or more, so both halves grow."""
+    searches = []  # (search, number of tables it grows)
+    if G.standard_generators():
+        S = _symm(G, G.standard_generators())
+        B = ball(G, S, 4)
+        searches.append((lambda: ball(G, S, 4), 1))
+        far = [g for g in B.table if B.length(g) >= 2]
+        for g in random.Random(29).sample(far, min(5, len(far))):
+            searches.append((lambda g=g: word_length(G, S, g, cap=6), 2))
+    if G.is_finite:  # the trivial group's table is its root alone
+        searches.append((lambda: aut_group(G), min(1, G.size - 1)))
+    for run, tables in searches:
+        grown = _tables_grown(monkeypatch, run)
+        assert len(grown) == tables
+        for letters, table in grown:
+            assert _breaks_contract(G, letters, table) == []
 
 
 # -- the stop at a whole finite group ------------------------------------

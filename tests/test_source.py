@@ -1,8 +1,8 @@
 """Source-wide guards: exact integers only, checks that survive
 ``python -O``, a group law of each family's own, membership tests without
 iterator chains, one module that lays out a ``GenSet``, one place that
-checks its letters, no text evaluated as Python, no stale export and one
-owner of the memory limit."""
+checks its letters, no text evaluated as Python, no stale export, one
+owner of the memory limit and no unused import."""
 
 import ast
 import inspect
@@ -308,3 +308,42 @@ def test_the_budget_alone_resolves_the_memory_limit():
     found = {(p.name, name) for p in SOURCES if p.name != "metric.py"
              for name in _memory_limit_callers(p.read_text(encoding="utf-8"))}
     assert found == {("cli.py", "parse_free_words")}
+
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+def _unused_imports(source):
+    """Names a module imports and never reads; ``from __future__`` binds
+    no name."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_guard_flags_an_unused_import():
+    source = textwrap.dedent("""
+        from __future__ import annotations
+        import os
+        import a.b
+        import json as j
+        from x import y, z as w
+
+        def f(v: y) -> None:
+            return a.b(v)
+    """)
+    assert _unused_imports(source) == ["j", "os", "w"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Across the library and the tests; the package's re-exports in
+    ``__init__.py`` are exempt."""
+    found = {p.name: _unused_imports(p.read_text(encoding="utf-8"))
+             for p in [*SOURCES, *TESTS] if p.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
