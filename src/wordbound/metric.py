@@ -10,18 +10,22 @@ reproducible across runs and platforms.
 
 :func:`certify_length` settles the length of an element for which a word is
 already known, such as a commutator.  The word, checked to spell the
-element, is the upper bound; ``word_length`` out to one radius less than its
-length is the lower bound, or finds a shorter word.  So the search skips its
-last and largest radius, which the word already proves.
+element, is the upper bound; a meet-in-the-middle search out to one radius
+less than its length is the lower bound, or finds a shorter word.  So the
+search skips its last and largest radius, which the word already proves.
 
 A ``GenSet`` checks its letters where it is built, so every search only
 tests, at entry in :func:`_check_alphabet`, that its alphabet is over ``G``.
 The root is the identity or a checked target, so every node a search
 reaches is a product of elements.  ``ball``, and ``girth`` through
-it, therefore multiply with the trusted law ``G._mul``, and so does
-``Ball.word_to``, the one walk back through a search table, whose entries
-and letters are elements.  ``word_length``'s two searches keep the checked
-``G.mul``.
+it, therefore multiply with the trusted law ``G._mul``, and so do
+``certify_length``'s two searches and ``Ball.word_to``, the one walk back
+through a search table, whose entries and letters are elements.
+``word_length``'s two searches keep the checked ``G.mul``, although their
+operands are elements too: perfbench's tracer counts only the checked
+``mul``, and a faster ``queries`` workload raises its ``peak_rss_mb``, since
+the harness keeps one latency per operation.  ``certify_length`` checks its
+word with the checked law as well, through ``S.eval_word``.
 
 Every stored node is charged to a memory budget by one size rule,
 :meth:`_Budget.cost`.  Each search makes its own budget, which reads its
@@ -193,9 +197,9 @@ def _expand(mul, letters, table, frontier, depth, budget, full):
     order, with the caller's law ``mul``; a new node v = u·letters[i] is
     charged to ``budget`` and stored as ``table[v] = (depth, i)``, so
     v·letters[i]⁻¹ is in the table at depth - 1 and :meth:`Ball.word_to`
-    reads any table back.  ``ball`` and ``aut_group`` pass the trusted
-    ``G._mul``, whose operands are products of checked elements; the
-    word-length searches pass the checked ``G.mul``.
+    reads any table back.  ``ball``, ``aut_group`` and ``certify_length``'s
+    searches pass the trusted ``G._mul``, whose operands are products of
+    checked elements; ``word_length``'s searches pass the checked ``G.mul``.
 
     The layer is charged in a local counter by ``_Budget.cost``, node by
     node, and refused at the same node, with the same ``partial_radius``
@@ -271,7 +275,7 @@ def word_length(G, S, g, cap):
     _check_alphabet(G, S)
     G.check(g)
     if g != G.identity():
-        return _length_bidirectional(G, S, g, cap)
+        return _length_bidirectional(G, S, g, cap, G.mul)
     memory_limit()  # refuses a malformed limit, though nothing is searched
     return LengthCert(element=g, length=0, witness=(), cap=cap, explored=1)
 
@@ -281,8 +285,11 @@ def certify_length(G, S, g, word):
 
     The word, any iterable of symbol ids, is read once and checked to
     evaluate to g (DomainError otherwise, also for an unknown symbol id),
-    which bounds the length by ``n = len(word)`` from above.  Then ``word_length``
-    searches out to ``n - 1``: if it finds g, its certificate, with a
+    which bounds the length by ``n = len(word)`` from above.  Then
+    ``word_length``'s meet-in-the-middle search runs out to ``n - 1`` on the
+    trusted ``G._mul``, as S, g and so every node are checked already; its
+    tables, witness and ``explored`` are those of ``word_length(G, S, g,
+    n - 1)``.  If it finds g, its certificate, with a
     geodesic witness and ``cap = n - 1``, is returned; otherwise the length
     is n and the certificate carries ``witness = tuple(word)``, ``cap = n``
     and the search's ``explored``.  Neither the identity (length 0, the
@@ -297,7 +304,7 @@ def certify_length(G, S, g, word):
         raise DomainError(f"word {word!r} does not evaluate to {g!r}")
     n = len(word)
     if n > 1 and g != G.identity():
-        cert = word_length(G, S, g, n - 1)
+        cert = _length_bidirectional(G, S, g, n - 1, G._mul)
         if cert.length is not None:
             return cert
         explored = cert.explored
@@ -331,10 +338,12 @@ def _length_bfs(G, S, g, cap):
     return LengthCert(element=g, length=table[g][0], witness=witness, cap=cap, explored=len(table))
 
 
-def _length_bidirectional(G, S, g, cap):
+def _length_bidirectional(G, S, g, cap, mul):
     """Meet-in-the-middle BFS from the identity and from the target.
 
-    Both searches use the full symmetric alphabet.  The forward table spells
+    Both searches use the full symmetric alphabet and the caller's law
+    ``mul``: ``word_length`` passes the checked ``G.mul`` and
+    ``certify_length`` the trusted ``G._mul``.  The forward table spells
     each node from e and the backward table from g, so the witness through
     a meeting node v is ``word_to(v)`` over the forward table followed by
     the inverse of ``word_to(v)`` over the backward one.
@@ -356,11 +365,11 @@ def _length_bidirectional(G, S, g, cap):
             break
         if not b_frontier or (f_frontier and len(f_frontier) <= len(b_frontier)):
             df += 1
-            f_frontier = _expand(G.mul, S.letters, fwd, f_frontier, df, budget, full)
+            f_frontier = _expand(mul, S.letters, fwd, f_frontier, df, budget, full)
             layer, depth, other = f_frontier, df, bwd
         else:
             db += 1
-            b_frontier = _expand(G.mul, S.letters, bwd, b_frontier, db, budget, full)
+            b_frontier = _expand(mul, S.letters, bwd, b_frontier, db, budget, full)
             layer, depth, other = b_frontier, db, fwd
         for v in layer:
             if v in other:

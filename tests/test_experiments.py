@@ -494,18 +494,29 @@ def test_heisenberg_center_certificates_match_bfs():
 @pytest.fixture
 def certified(monkeypatch):
     """Records of the experiments' ``certify_length`` calls: the run of
-    ``DEFAULT_RUNS`` that made it, the alphabet, the element, the word and
-    the caps that a stub on ``metric.word_length`` saw during the call."""
-    records, run = [], [None]
-    certify, search = ex.certify_length, metric.word_length
+    ``DEFAULT_RUNS`` that made it, the alphabet, the element, the word, and
+    the caps, laws and certificates of the searches that a stub on
+    ``metric._length_bidirectional`` saw during the call.  Searches outside
+    a ``certify_length`` call, such as the ladders' ``word_length``, are not
+    recorded."""
+    records, run, current = [], [None], [None]
+    certify, search = ex.certify_length, metric._length_bidirectional
 
-    def searched(G, S, g, cap):
-        records[-1]["caps"].append(cap)
-        return search(G, S, g, cap)
+    def searched(G, S, g, cap, mul):
+        cert = search(G, S, g, cap, mul)
+        if current[0] is not None:
+            current[0]["caps"].append(cap)
+            current[0]["searches"].append((mul, cert))
+        return cert
 
     def recorded(G, S, g, word):
-        records.append({"run": run[0], "S": S, "g": g, "word": tuple(word), "caps": []})
-        return certify(G, S, g, word)
+        current[0] = {"run": run[0], "S": S, "g": g, "word": tuple(word),
+                      "caps": [], "searches": []}
+        records.append(current[0])
+        try:
+            return certify(G, S, g, word)
+        finally:
+            current[0] = None
 
     def tagged(name, fn):
         def call(*args, **kwargs):
@@ -513,7 +524,7 @@ def certified(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(metric, "word_length", searched)
+    monkeypatch.setattr(metric, "_length_bidirectional", searched)
     monkeypatch.setattr(ex, "certify_length", recorded)
     for name, fn in list(ex.DEFAULT_RUNS.items()):
         monkeypatch.setitem(ex.DEFAULT_RUNS, name, tagged(name, fn))
@@ -582,6 +593,24 @@ def test_experiment_all_searches_one_radius_short_of_each_word(certified):
         n = len(r["word"])
         assert r["caps"] == ([n - 1] if n > 1 else []), r
     assert sum(len(r["caps"]) for r in certified) == 310
+
+
+def test_certify_searches_equal_the_checked_word_length(certified):
+    """Each search that ``certify_length`` runs for the 200 zxd8 alphabets,
+    the 12 prescription rows and the 100 Heisenberg pairs runs on the
+    trusted ``G._mul`` and gives the certificate, field for field, of the
+    checked ``word_length`` out to the same cap."""
+    for name in ("heisenberg-center", "zxd8", "prescribe-free", "prescribe-zd"):
+        assert ex.DEFAULT_RUNS[name]().passed
+    searches = 0
+    for r in certified:
+        S, g = r["S"], r["g"]
+        G = S.group
+        for mul, trusted in r["searches"]:
+            assert mul == G._mul
+            assert word_length(G, S, g, len(r["word"]) - 1) == trusted
+            searches += 1
+    assert searches == 310
 
 
 def test_bound_witness_zxd8_small():

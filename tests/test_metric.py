@@ -290,6 +290,24 @@ def test_witnesses_are_pinned():
     assert digest == WITNESS_SHA256
 
 
+def test_witnesses_are_pinned_under_optimize_flag():
+    """``certify_length`` searches on the trusted law, which rests on
+    explicit raises alone, so ``python -O`` returns the same witnesses."""
+    script = textwrap.dedent("""
+        import hashlib
+        import sys
+
+        sys.path.insert(0, sys.argv[1])
+        from test_metric import _witness_battery
+
+        if __debug__:
+            raise SystemExit("expected to run under python -O")
+        print(hashlib.sha256(repr(_witness_battery()).encode()).hexdigest())
+    """)
+    tests = str(Path(__file__).resolve().parent)
+    assert run_optimized(["-c", script, tests]).stdout.split() == [WITNESS_SHA256]
+
+
 def test_length_profile():
     Z = gr.IntVector(1)
     profile = length_profile(
@@ -341,6 +359,37 @@ def test_certify_length_matches_bfs(G, elems):
             shorter += 1
             assert cert == word_length(G, S, g, n - 1)
     assert kept and shorter
+
+
+@pytest.mark.parametrize("G,elems", [
+    (gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
+     [((1,), (0, 0)), ((0,), (1, 0)), ((0,), (0, 1))]),
+    (gr.Free(2), [(1,), (2,)]),
+], ids=["ZxD8", "F2"])
+def test_certify_length_searches_on_the_trusted_law(monkeypatch, G, elems):
+    """A 4-letter ``certify_length`` makes one checked ``mul`` per letter,
+    all of them in the check of its word, and searches on ``_mul``.
+    ``word_length`` on the same element still searches on the checked law,
+    which perfbench's tracer counts."""
+    S = _symm(G, elems)
+    a, b = (S.letters.index(x) for x in elems[-2:])  # two letters that do not commute
+    word = (a, b, S.inv_symbol(a), S.inv_symbol(b))
+    g = S.eval_word(word)
+    steps = [(S.eval_word(word[:i]), S.letters[word[i]]) for i in range(4)]
+    checked = []
+    mul = type(G).mul
+
+    def counting(self, x, y):
+        checked.append((x, y))
+        return mul(self, x, y)
+
+    monkeypatch.setattr(type(G), "mul", counting)
+    cert = certify_length(G, S, g, word)
+    assert cert.explored > 2
+    assert checked == steps
+    checked.clear()
+    word_length(G, S, g, 3)
+    assert checked
 
 
 _REFUSALS = certify_refusals()
