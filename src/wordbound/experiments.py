@@ -25,7 +25,7 @@ from types import MappingProxyType
 from . import groups as gr
 from .errors import NotGeneratingError, UnsupportedFamilyError
 from .gensets import GenSet, _generates_split, dihedral_mod, generates, inverse_pair_classes, make_symmetric
-from .metric import _Budget, _expand, ball, certify_length, word_length
+from .metric import _grow, ball, certify_length, word_length
 from .reports import ExperimentReport, Verdict
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -179,15 +179,10 @@ def aut_group(G):
     e = G.identity()
     gens = _generating_sequence(G, elems)
     # discovery schedule: every element h as parent * generator, the parent
-    # read back from the table as h * s^-1.
+    # read back from the table as h * s^-1.  No element lies further than
+    # size - 1 letters out, so the radius ``size`` reaches all of G.
     mul = G._mul  # gens and the candidate images are enumerated elements
-    table = {e: (0, None)}
-    frontier = [e]
-    budget = _Budget(e)
-    depth = 0
-    while frontier and len(table) < size:
-        depth += 1
-        frontier = _expand(mul, gens, table, frontier, depth, budget, size)
+    table = _grow(G, mul, gens, size)
     inverses = [G.inv(s) for s in gens]
     schedule = [(h, mul(h, inverses[gi]), gi) for h, (_, gi) in table.items() if h != e]
     orders = {x: G.element_order(x) for x in elems}
@@ -209,53 +204,33 @@ def aut_group(G):
 # -- exact uniform length over all generating sets -----------------------
 
 
-def symmetric_generating_subsets(G):
-    """Every symmetric generating subset of G minus the identity, as a GenSet.
-
-    Deterministic order: inverse-pair classes in enumeration order, subsets
-    by increasing bitmask.  The subgroup of mask m is the join of the
-    subgroup of m without its top class and that class (P. Hall's lattice
-    view), so ``closure`` runs once per distinct (subgroup, class) pair,
-    cached for the call: D16's 4095 masks need 111 closures.  A generating
-    mask's alphabet is ``GenSet.from_classes`` of its classes in order,
-    checked by the constructor like every alphabet.
-    """
-    if not G.is_finite:
-        raise UnsupportedFamilyError("need a finite group")
-    e = G.identity()
-    classes = inverse_pair_classes(G, G.elements())
-    subgroups = [frozenset((e,))]  # subgroups[m]: generated by the classes of mask m
-    joins = {}
-    for mask in range(1, 1 << len(classes)):
-        top = mask.bit_length() - 1
-        key = (subgroups[mask ^ (1 << top)], top)
-        J = joins.get(key)
-        if J is None:
-            J = joins[key] = frozenset(gr.closure(G, [*key[0], *classes[top]]))
-        subgroups.append(J)
-        if len(J) == G.size:
-            yield GenSet.from_classes(G, [c for i, c in enumerate(classes) if mask >> i & 1])
-
-
 def uniform_length_table(G):
     """For every element, the max word length over ALL generating sets.
 
     Returns an ordered dict element -> (max length, first argmax GenSet).
+    Every symmetric subset of G minus the identity is a union of
+    inverse-pair classes, so the sets are the masks 1 .. 2^c - 1 of G's c
+    classes, taken in increasing order; a mask's alphabet is
+    ``GenSet.from_classes`` of its classes in order.  Its ``ball`` out to
+    ``G.size`` gives every length and also decides generation: the mask
+    generates G exactly when the ball holds all of it.
     """
     if not G.is_finite or G.size > UNIFORM_LENGTH_CAP:
         raise UnsupportedFamilyError(
             f"exhaustive enumeration is capped at {UNIFORM_LENGTH_CAP} elements")
+    classes = inverse_pair_classes(G, G.elements())
+    if not classes:
+        raise UnsupportedFamilyError("group has no generating subsets (trivial group)")
     table = {g: (0, None) for g in G.elements()}
-    found_any = False
-    for S in symmetric_generating_subsets(G):
-        found_any = True
+    for mask in range(1, 1 << len(classes)):
+        S = GenSet.from_classes(G, [c for i, c in enumerate(classes) if mask >> i & 1])
         lengths = ball(G, S, G.size).table
+        if len(lengths) < G.size:
+            continue
         for g in table:
             d = lengths[g][0]
             if table[g][1] is None or d > table[g][0]:
                 table[g] = (d, S)
-    if not found_any:
-        raise UnsupportedFamilyError("group has no generating subsets (trivial group)")
     return table
 
 
@@ -854,35 +829,41 @@ def fc_witness_experiment(radius=4):
 # -- golden files --------------------------------------------------------
 
 
-def d8_uniform_table_bytes():
-    """Canonical bytes of the exhaustive uniform-length table for D8."""
+def _d8_entries():
+    """The exhaustive uniform-length table for D8, one JSON-ready entry per
+    element: its max length and its first argmax alphabet's letters."""
     G = gr.DihedralFinite(4)
-    table = uniform_length_table(G)
-    entries = []
-    for g, (maxlen, S) in table.items():
-        entries.append({
+    return [
+        {
             "element": G.element_to_obj(g),
             "max_length": maxlen,
             "argmax": [G.element_to_obj(x) for x in S.letters],
-        })
-    obj = {"group": "D8", "entries": entries}
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+        }
+        for g, (maxlen, S) in uniform_length_table(G).items()
+    ]
+
+
+def _d8_bytes(entries):
+    return (json.dumps({"group": "D8", "entries": entries}, indent=2) + "\n").encode("utf-8")
+
+
+def d8_uniform_table_bytes():
+    """Canonical bytes of the exhaustive uniform-length table for D8."""
+    return _d8_bytes(_d8_entries())
 
 
 D8_GOLDEN_PATH = GOLDEN_DIR / "d8_uniform_lengths.json"
 
 
 def uniform_length_experiment():
-    """D8 table as rows plus a byte-exact comparison with the golden file."""
-    rows = []
-    table_bytes = d8_uniform_table_bytes()
-    data = json.loads(table_bytes.decode("utf-8"))
-    for entry in data["entries"]:
-        rows.append({
-            "element": str(entry["element"]),
-            "max_length": entry["max_length"],
-            "argmax": str(entry["argmax"]),
-        })
+    """D8 table as rows plus a byte-exact comparison with the golden file,
+    both made from one build of the table."""
+    entries = _d8_entries()
+    table_bytes = _d8_bytes(entries)
+    rows = [
+        {"element": str(e["element"]), "max_length": e["max_length"], "argmax": str(e["argmax"])}
+        for e in entries
+    ]
     golden_ok = (
         D8_GOLDEN_PATH.exists()
         and D8_GOLDEN_PATH.read_bytes() == table_bytes

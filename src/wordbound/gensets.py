@@ -515,18 +515,14 @@ def int_mod(q):
 
 
 def project_genset(pi, S):
-    """Push a generating alphabet through a quotient map.
+    """Push an alphabet through a quotient map: ``make_symmetric`` of the
+    letters' images, which drops those that map to the identity.
 
     The image of a generating set generates the target, so the result is a
-    genuine generating alphabet whenever S was one.
+    genuine generating alphabet whenever S was one.  When every letter maps
+    to the identity, ``make_symmetric`` raises EmptyGenSetError.
     """
     if S.group != pi.source:
         raise DomainError("alphabet is not over the source of the quotient")
     images = [pi.image_of(x) for x in S.letters]  # S checked its letters
-    nontrivial = [y for y in images if y != pi.target.identity()]
-    if not nontrivial:
-        raise RuntimeError(
-            "all letters map to the identity; the source alphabet cannot "
-            "have generated a nontrivial target"
-        )
-    return make_symmetric(pi.target, nontrivial)
+    return make_symmetric(pi.target, images)

@@ -4,9 +4,12 @@ Distances are computed by hash-based breadth-first search.  ``ball`` and
 ``girth`` grow one search from the identity; ``word_length`` always meets in
 the middle, growing a search from the identity and one from the target,
 whichever frontier is smaller, until they meet.  Every search grows its
-layers with one kernel, :func:`_expand`.  Frontier order is deterministic
-(FIFO, letters in ascending symbol id), so geodesic witnesses are
-reproducible across runs and platforms.
+layers with one kernel, :func:`_expand`.  ``ball`` and the discovery table
+of ``experiments.aut_group`` share one driver of it, :func:`_grow`; the
+meet-in-the-middle search and the tests' reference ``_length_bfs`` keep
+loops of their own.  Frontier order is deterministic (FIFO, letters in
+ascending symbol id), so geodesic witnesses are reproducible across runs and
+platforms.
 
 :func:`certify_length` settles the length of an element for which a word is
 already known, such as a commutator.  The word, checked to spell the
@@ -38,7 +41,7 @@ Every table ``_expand`` grows maps a node to its depth and the index of
 the letter that first reached it, which is all ``Ball.word_to`` needs.  In a
 finite group a search stops once its table holds all ``G.size`` elements:
 ``_expand`` returns after the frontier node whose products fill the table,
-and ``ball`` runs no further layer.  The stop is exact.  From then
+and ``_grow`` runs no further layer.  The stop is exact.  From then
 on every product is already in the table, so no later step of the old walk
 could store, label or charge anything; the table, its insertion order and
 labels, the frontier each layer returns and every budget charge are those
@@ -197,9 +200,11 @@ def _expand(mul, letters, table, frontier, depth, budget, full):
     order, with the caller's law ``mul``; a new node v = u·letters[i] is
     charged to ``budget`` and stored as ``table[v] = (depth, i)``, so
     v·letters[i]⁻¹ is in the table at depth - 1 and :meth:`Ball.word_to`
-    reads any table back.  ``ball``, ``aut_group`` and ``certify_length``'s
-    searches pass the trusted ``G._mul``, whose operands are products of
-    checked elements; ``word_length``'s searches pass the checked ``G.mul``.
+    reads any table back.  Its callers all live here: :func:`_grow`, for
+    ``ball`` and ``aut_group``, and ``certify_length``'s searches pass the
+    trusted ``G._mul``, whose operands are products of checked elements;
+    ``word_length``'s searches and the reference ``_length_bfs`` pass the
+    checked ``G.mul``.
 
     The layer is charged in a local counter by ``_Budget.cost``, node by
     node, and refused at the same node, with the same ``partial_radius``
@@ -239,6 +244,26 @@ def _expand(mul, letters, table, frontier, depth, budget, full):
         budget.nodes += len(layer)
 
 
+def _grow(G, mul, letters, radius):
+    """The table of a breadth-first search from the identity out to
+    ``radius``, grown layer by layer by :func:`_expand` with the law ``mul``.
+
+    It makes the search's budget and stops early once the frontier is empty
+    or the table holds all of a finite group.  ``ball`` and ``aut_group``'s
+    discovery table call it; both pass the trusted ``G._mul``.
+    """
+    e = G.identity()
+    budget = _Budget(e)
+    table = {e: (0, None)}
+    frontier = [e]
+    full = G.size  # None for an infinite group, whose table never fills
+    for depth in range(1, radius + 1):
+        if not frontier or len(table) == full:
+            break
+        frontier = _expand(mul, letters, table, frontier, depth, budget, full)
+    return table
+
+
 def ball(G, S, radius):
     """BFS ball of the given radius around the identity.
 
@@ -251,16 +276,7 @@ def ball(G, S, radius):
     """
     _check_int("radius", radius, 0)
     _check_alphabet(G, S)
-    e = G.identity()
-    budget = _Budget(e)
-    table = {e: (0, None)}
-    frontier = [e]
-    full = G.size  # None for an infinite group, whose table never fills
-    for depth in range(1, radius + 1):
-        if not frontier or len(table) == full:
-            break
-        frontier = _expand(G._mul, S.letters, table, frontier, depth, budget, full)
-    return Ball(group=G, genset=S, radius=radius, table=table)
+    return Ball(group=G, genset=S, radius=radius, table=_grow(G, G._mul, S.letters, radius))
 
 
 def word_length(G, S, g, cap):

@@ -483,9 +483,9 @@ def sample_zxd8_genset_reference(rng, radius=10, max_attempts=500):
 
 def symmetric_generating_subsets_reference(G):
     """The generating-set enumeration as first written: one ``closure`` and
-    one ``make_symmetric_reference`` per inverse-pair mask.
-    ``experiments.symmetric_generating_subsets`` must yield equal GenSets in
-    the same order."""
+    one ``make_symmetric_reference`` per inverse-pair mask.  The masks whose
+    balls fill G in ``experiments.uniform_length_table`` must give equal
+    GenSets in the same order."""
     e = G.identity()
     classes = []
     seen = set()

@@ -185,13 +185,12 @@ def test_uniform_length_exact_z5():
 
 
 def test_uniform_length_table_envelope():
-    """The table value dominates the length under every generating set."""
+    """The table value dominates the length under every generating set of
+    the reference enumeration."""
     G = gr.DihedralFinite(4)
     table = ex.uniform_length_table(G)
-    from wordbound.metric import ball
-
-    for S in ex.symmetric_generating_subsets(G):
-        B = ball(G, S, G.size)
+    for S in symmetric_generating_subsets_reference(G):
+        B = metric.ball(G, S, G.size)
         for g, (maxlen, _) in table.items():
             assert B.length(g) <= maxlen
 
@@ -206,17 +205,51 @@ def test_uniform_length_cap():
 C2, C4 = gr.FiniteCyclic(2), gr.FiniteCyclic(4)
 
 
-@pytest.mark.parametrize("G", FINITE_GROUPS, ids=str)
-def test_generating_subsets_match_reference(G):
-    """Same GenSets (letters, involution, order) as one closure per mask."""
-    assert list(ex.symmetric_generating_subsets(G)) == list(symmetric_generating_subsets_reference(G))
+def _table_balls(G, monkeypatch):
+    """(alphabet, whether its ball is all of G) for each ``ball`` that
+    ``uniform_length_table(G)`` runs, in call order."""
+    balls = []
+
+    def recording(H, S, radius):
+        B = metric.ball(H, S, radius)
+        balls.append((S, len(B) == G.size))
+        return B
+
+    with monkeypatch.context() as m:
+        m.setattr(ex, "ball", recording)
+        ex.uniform_length_table(G)
+    return balls
+
+
+def _uniform_length_table_reference(G):
+    """The exhaustive table over the reference enumeration, one closure per
+    mask: each element's max ``ball`` length and its first argmax."""
+    table = {g: (0, None) for g in G.elements()}
+    for S in symmetric_generating_subsets_reference(G):
+        B = metric.ball(G, S, G.size)
+        for g, (m, T) in table.items():
+            if T is None or B.length(g) > m:
+                table[g] = (B.length(g), S)
+    return table
 
 
 @pytest.mark.parametrize("G", FINITE_GROUPS, ids=str)
-def test_uniform_length_table_matches_reference(G, monkeypatch):
-    table = ex.uniform_length_table(G)
-    monkeypatch.setattr(ex, "symmetric_generating_subsets", symmetric_generating_subsets_reference)
-    assert table == ex.uniform_length_table(G)
+def test_generating_subsets_match_reference(G, monkeypatch):
+    """The masks whose balls fill G are the reference's generating sets:
+    the same GenSets (letters, involution, order) as one closure per mask,
+    among one ball per mask."""
+    balls = _table_balls(G, monkeypatch)
+    assert len(balls) == (1 << len(inverse_pair_classes(G, G.elements()))) - 1
+    assert [S for S, full in balls if full] == list(symmetric_generating_subsets_reference(G))
+
+
+@pytest.mark.parametrize("G", FINITE_GROUPS + [gr.DihedralFinite(3), gr.DihedralFinite(7)], ids=str)
+def test_uniform_length_table_matches_reference(G):
+    """Equal items in the same order, argmax alphabets included."""
+    def items(table):
+        return [(g, m, S.letters, S.involution) for g, (m, S) in table.items()]
+
+    assert items(ex.uniform_length_table(G)) == items(_uniform_length_table_reference(G))
 
 
 def _builds(G, mapping):
@@ -259,25 +292,20 @@ def test_generator_check_matches_all_pairs_oracle_on_every_bijection(G):
         assert _builds(G, mapping) == is_automorphism_reference(G, mapping)
 
 
-def test_generating_subsets_run_one_closure_per_join(monkeypatch):
-    """D16 has 12 inverse-pair classes (4095 masks) and 19 subgroups; its
-    masks reach 111 distinct (subgroup, top class) joins, one closure each."""
-    calls = []
-    closure = gr.closure
-
-    def counted(G, elements):
-        calls.append(1)
-        return closure(G, elements)
-
-    monkeypatch.setattr(gr, "closure", counted)
-    subsets = list(ex.symmetric_generating_subsets(gr.DihedralFinite(8)))
-    assert len(subsets) == 3960
-    assert len(calls) == 111
+def test_d16_table_runs_one_ball_per_mask_and_no_closure(monkeypatch):
+    """D16 has 12 inverse-pair classes: 4095 masks, one ball each, of which
+    3960 fill the group.  Generation is read off the ball, so no
+    ``closure`` runs."""
+    closures = []
+    monkeypatch.setattr(gr, "closure", lambda *args: closures.append(args))
+    balls = _table_balls(gr.DihedralFinite(8), monkeypatch)
+    assert (len(balls), sum(full for _, full in balls)) == (4095, 3960)
+    assert closures == []
 
 
 def test_symmetric_generating_subsets_d8():
     G = gr.DihedralFinite(4)
-    subsets = list(ex.symmetric_generating_subsets(G))
+    subsets = list(symmetric_generating_subsets_reference(G))
     assert subsets  # D8 has plenty
     for S in subsets:
         assert len(gr.closure(G, S.letters)) == 8

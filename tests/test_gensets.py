@@ -37,7 +37,7 @@ from wordbound.gensets import (
     project_right,
     smith_normal_form,
 )
-from wordbound.experiments import sample_zxd8_genset, symmetric_generating_subsets
+from wordbound.experiments import sample_zxd8_genset, uniform_length_table
 from wordbound.metric import word_length
 
 
@@ -605,15 +605,26 @@ def test_construction_check_matches_reference_on_mutated_alphabets(G):
     assert verdicts == {True, False}
 
 
-def test_library_alphabets_are_valid():
+def test_library_alphabets_are_valid(monkeypatch):
     """Every alphabet the library builds passes the reference predicate:
-    ``make_symmetric``'s, every set of ``symmetric_generating_subsets`` on
-    the finite groups, and 50 draws of the zxd8 sampler."""
+    ``make_symmetric``'s, every mask's alphabet that ``uniform_length_table``
+    lays out by ``GenSet.from_classes`` on the finite groups, and 50 draws
+    of the zxd8 sampler."""
     rng = random.Random(5)
     built = [make_symmetric(G, [random_element(G, rng, 4) for _ in range(4)]
                             + list(G.standard_generators()))
              for G in MUTATION_GROUPS for _ in range(5)]
-    built += [S for G in FINITE_GROUPS for S in symmetric_generating_subsets(G)]
+    from_classes = GenSet.from_classes.__func__
+
+    def recording(cls, G, classes):
+        S = from_classes(cls, G, classes)
+        built.append(S)
+        return S
+
+    with monkeypatch.context() as m:
+        m.setattr(GenSet, "from_classes", classmethod(recording))
+        for G in FINITE_GROUPS:
+            uniform_length_table(G)
     built += [sample_zxd8_genset(rng) for _ in range(50)]
     assert len(built) > 4000
     bad = [S for S in built if not genset_is_valid_reference(S.group, S.letters, S.involution)]
@@ -656,7 +667,8 @@ def test_project_genset():
     S = make_symmetric(G, [((5,), 1), ((3,), 0)])
     T = project_genset(project_right(G), S)
     assert set(T.letters) == {1}
-    with pytest.raises(RuntimeError):
+    # A valid alphabet need not generate: {±(1,0)} maps to the identity alone.
+    with pytest.raises(EmptyGenSetError):
         project_genset(project_right(G), make_symmetric(G, [((1,), 0)]))
 
 

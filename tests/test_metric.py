@@ -23,7 +23,7 @@ from oracles import (
 )
 
 from wordbound import groups as gr
-from wordbound import experiments, metric
+from wordbound import metric
 from wordbound.errors import DomainError, ResourceLimitExceeded
 from wordbound.experiments import aut_group
 from wordbound.gensets import GenSet, generates, make_symmetric
@@ -697,7 +697,8 @@ def test_integer_checks_survive_optimize_flag():
 
 def _tables_grown(monkeypatch, run):
     """Each (letters, table) that ``_expand`` grows during ``run()``, read
-    after it returns."""
+    after it returns.  Every caller of ``_expand`` lives in ``metric``, so
+    patching it there sees them all."""
     grown = []
 
     def recording(mul, letters, table, *rest):
@@ -707,7 +708,6 @@ def _tables_grown(monkeypatch, run):
 
     with monkeypatch.context() as m:
         m.setattr(metric, "_expand", recording)
-        m.setattr(experiments, "_expand", recording)
         run()
     return grown
 

@@ -2,7 +2,8 @@
 ``python -O``, a group law of each family's own, membership tests without
 iterator chains, one module that lays out a ``GenSet``, one place that
 checks its letters, no text evaluated as Python, no stale export, one
-owner of the memory limit and no unused import."""
+owner of the memory limit, one home of the search kernel and no unused
+import."""
 
 import ast
 import inspect
@@ -308,6 +309,36 @@ def test_the_budget_alone_resolves_the_memory_limit():
     found = {(p.name, name) for p in SOURCES if p.name != "metric.py"
              for name in _memory_limit_callers(p.read_text(encoding="utf-8"))}
     assert found == {("cli.py", "parse_free_words")}
+
+
+def _kernel_uses(source, name):
+    """Line numbers of the references to ``name``: as a name, as an
+    attribute or in an import."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(source))
+        if getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+        or (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
+    })
+
+
+def test_guard_flags_a_kernel_reference():
+    source = ("from .metric import _expand, ball\n"
+              "layer = _expand(mul, letters, table, frontier, 1, budget, None)\n"
+              "budget = metric._Budget(e)\n"
+              "B = ball(G, S, 3)\n"
+              "grow = metric._expand\n"
+              "expand = '_expand'\n")
+    assert _kernel_uses(source, "_expand") == [1, 2, 5]
+    assert _kernel_uses(source, "_Budget") == [3]
+
+
+def test_metric_alone_drives_the_search_kernel():
+    """Only ``metric`` names ``_expand``, so every breadth-first table is
+    grown in one place; only ``metric`` and the Schreier walk and folding
+    of ``gensets`` name ``_Budget``."""
+    found = {(p.name, name) for p in SOURCES for name in ("_expand", "_Budget")
+             if _kernel_uses(p.read_text(encoding="utf-8"), name)}
+    assert found == {("metric.py", "_expand"), ("metric.py", "_Budget"), ("gensets.py", "_Budget")}
 
 
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
