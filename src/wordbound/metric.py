@@ -3,13 +3,15 @@
 Distances are computed by hash-based breadth-first search.  ``ball`` and
 ``girth`` grow one search from the identity; ``word_length`` always meets in
 the middle, growing a search from the identity and one from the target,
-whichever frontier is smaller, until they meet.  Every search grows its
-layers with one kernel, :func:`_expand`.  ``ball`` and the discovery table
-of ``experiments.aut_group`` share one driver of it, :func:`_grow`; the
-meet-in-the-middle search and the tests' reference ``_length_bfs`` keep
-loops of their own.  Frontier order is deterministic (FIFO, letters in
-ascending symbol id), so geodesic witnesses are reproducible across runs and
-platforms.
+whichever last layer is smaller, until they meet.  Every search is one
+loop, :func:`_expand`, which grows a table from its roots and yields each
+layer; its callers only choose when to stop drawing layers.  ``ball`` and
+the discovery table of ``experiments.aut_group`` take the first layers out
+to a radius (:func:`_grow`), the tests' reference ``_length_bfs`` draws
+layers until it finds the target, and the meet-in-the-middle search draws
+from two loops that share one budget.  Frontier order is deterministic
+(FIFO, letters in ascending symbol id), so geodesic witnesses are
+reproducible across runs and platforms.
 
 :func:`certify_length` settles the length of an element for which a word is
 already known, such as a commutator.  The word, checked to spell the
@@ -34,18 +36,17 @@ Every stored node is charged to a memory budget by one size rule,
 :meth:`_Budget.cost`.  Each search makes its own budget, which reads its
 limit from ``WORDBOUND_MEM_LIMIT`` (:func:`memory_limit`) and charges the
 search's roots.  ``_expand`` charges a layer's nodes in a local counter and
-writes it back to the budget when it returns or refuses, so a search pays
-no call per node to the budget object.
+writes it back to the budget before it yields the layer or refuses, so a
+search pays no call per node to the budget object.
 
 Every table ``_expand`` grows maps a node to its depth and the index of
 the letter that first reached it, which is all ``Ball.word_to`` needs.  In a
 finite group a search stops once its table holds all ``G.size`` elements:
-``_expand`` returns after the frontier node whose products fill the table,
-and ``_grow`` runs no further layer.  The stop is exact.  From then
-on every product is already in the table, so no later step of the old walk
-could store, label or charge anything; the table, its insertion order and
-labels, the frontier each layer returns and every budget charge are those
-of the full walk, which only multiplied on.
+its layer ends after the node whose products fill the table, and no layer
+follows.  The stop is exact.  From then on every product is already in the
+table, so a walk that went on multiplying could store, label or charge
+nothing more; the table, its insertion order and labels, each layer and
+every budget charge are those of that walk.
 """
 
 from __future__ import annotations
@@ -193,28 +194,32 @@ class _Budget:
         )
 
 
-def _expand(mul, letters, table, frontier, depth, budget, full):
-    """Grow a search by one layer and return the nodes it first reached.
+def _expand(mul, letters, table, budget, full):
+    """The one search loop: grow ``table`` from the roots it holds, layer by
+    layer, and yield each new layer.
 
-    Right-multiplies each node of ``frontier``, in order, by each letter, in
-    order, with the caller's law ``mul``; a new node v = u·letters[i] is
-    charged to ``budget`` and stored as ``table[v] = (depth, i)``, so
-    v·letters[i]⁻¹ is in the table at depth - 1 and :meth:`Ball.word_to`
-    reads any table back.  Its callers all live here: :func:`_grow`, for
-    ``ball`` and ``aut_group``, and ``certify_length``'s searches pass the
-    trusted ``G._mul``, whose operands are products of checked elements;
-    ``word_length``'s searches and the reference ``_length_bfs`` pass the
-    checked ``G.mul``.
+    Each layer right-multiplies every node of the last one, in order, by
+    each letter, in order, with the caller's law ``mul``; a new node
+    v = u·letters[i] at depth d is charged to ``budget`` and stored as
+    ``table[v] = (d, i)``, so v·letters[i]⁻¹ is in the table at depth d - 1
+    and :meth:`Ball.word_to` reads any table back.  The roots are at depth
+    0.  Its callers all live here and only choose when to stop:
+    :func:`_grow`, for ``ball`` and ``aut_group``, and ``certify_length``'s
+    searches pass the trusted ``G._mul``, whose operands are products of
+    checked elements; ``word_length``'s searches and the reference
+    ``_length_bfs`` pass the checked ``G.mul``.
 
-    The layer is charged in a local counter by ``_Budget.cost``, node by
-    node, and refused at the same node, with the same ``partial_radius``
-    and ``explored``, as charging each node to the budget would be.  The
-    counter and the nodes stored are written back to ``budget`` on every
-    exit.
+    A layer is charged in a local counter by ``_Budget.cost``, node by node,
+    and refused at the same node, with the same ``partial_radius`` (the last
+    completed depth) and ``explored``, as charging each node to the budget
+    would be.  The counter and the nodes stored are written back to
+    ``budget`` before each yield and before a refusal, and read from it at
+    the start of each layer, so two searches can share one budget.
 
-    ``full`` is the order of G, or None for an infinite group.  In a finite
-    group it returns after the frontier node whose products make ``table``
-    hold all of G.  That layer is then complete: the products it skips are
+    The loop ends after an empty layer, and in a finite group, ``full``
+    being its order (None for an infinite group), once ``table`` holds all
+    of G: a layer ends after the node whose products fill the table, and no
+    layer follows.  That layer is then complete: the products it skips are
     all in the table already, so they would store, label and charge
     nothing.  The test runs once per node, not per insertion.
     """
@@ -223,9 +228,12 @@ def _expand(mul, letters, table, frontier, depth, budget, full):
     steps = list(enumerate(letters))
     cost = budget.cost
     limit = budget.limit
-    used = budget.used
-    layer = []
-    try:
+    layer = list(table)
+    depth = 0
+    while layer and len(table) != full:
+        depth += 1
+        frontier, layer = layer, []
+        used = budget.used
         for u in frontier:
             for i, x in steps:
                 v = mul(u, x)
@@ -233,34 +241,28 @@ def _expand(mul, letters, table, frontier, depth, budget, full):
                     continue
                 used += cost(v)
                 if used > limit:
-                    raise budget.exhausted(depth - 1, budget.nodes + len(layer))
+                    budget.used = used
+                    budget.nodes += len(layer)
+                    raise budget.exhausted(depth - 1, budget.nodes)
                 table[v] = (depth, i)
                 layer.append(v)
             if full is not None and len(table) == full:
-                return layer
-        return layer
-    finally:
+                break
         budget.used = used
         budget.nodes += len(layer)
+        yield layer
 
 
 def _grow(G, mul, letters, radius):
     """The table of a breadth-first search from the identity out to
-    ``radius``, grown layer by layer by :func:`_expand` with the law ``mul``.
-
-    It makes the search's budget and stops early once the frontier is empty
-    or the table holds all of a finite group.  ``ball`` and ``aut_group``'s
+    ``radius``: the first ``radius`` layers of :func:`_expand` with the law
+    ``mul``, fewer once the search ends.  ``ball`` and ``aut_group``'s
     discovery table call it; both pass the trusted ``G._mul``.
     """
     e = G.identity()
-    budget = _Budget(e)
     table = {e: (0, None)}
-    frontier = [e]
-    full = G.size  # None for an infinite group, whose table never fills
-    for depth in range(1, radius + 1):
-        if not frontier or len(table) == full:
-            break
-        frontier = _expand(mul, letters, table, frontier, depth, budget, full)
+    for _ in zip(range(radius), _expand(mul, letters, table, _Budget(e), G.size)):
+        pass
     return table
 
 
@@ -335,19 +337,16 @@ def certify_length(G, S, g, word):
 
 def _length_bfs(G, S, g, cap):
     """Word length by one BFS from the identity: the reference the tests hold
-    ``word_length`` to, called by no library code.  Each layer is finished
-    before g is looked up, so ``explored`` counts the whole last layer.
-    perfbench's tracer looks it up by name, and its traced runs end in
-    KeyError without it."""
+    ``word_length`` to, called by no library code.  It draws up to ``cap``
+    layers of :func:`_expand` until g is in the table, so ``explored``
+    counts the whole last layer.  perfbench's tracer looks it up by name,
+    and its traced runs end in KeyError without it."""
     e = G.identity()
-    budget = _Budget(e)
     table = {e: (0, None)}
-    frontier = [e]
-    full = G.size
-    for depth in range(1, cap + 1):
-        if g in table:
+    layers = _expand(G.mul, S.letters, table, _Budget(e), G.size)
+    for _ in range(cap):
+        if g in table or next(layers, None) is None:
             break
-        frontier = _expand(G.mul, S.letters, table, frontier, depth, budget, full)
     if g not in table:
         return LengthCert(element=g, length=None, witness=None, cap=cap, explored=len(table))
     witness = Ball(group=G, genset=S, radius=cap, table=table).word_to(g)
@@ -356,6 +355,13 @@ def _length_bfs(G, S, g, cap):
 
 def _length_bidirectional(G, S, g, cap, mul):
     """Meet-in-the-middle BFS from the identity and from the target.
+
+    It draws layers from two :func:`_expand` searches, one from e and one
+    from g, which share one budget, and grows the side whose last layer is
+    smaller, the forward one on a tie.  A side whose search has ended reads
+    as an empty layer, and the step still counts towards its depth ``df``
+    or ``db``.  It stops once the two depths reach ``cap`` or the best
+    meeting found so far, or both last layers are empty.
 
     Both searches use the full symmetric alphabet and the caller's law
     ``mul``: ``word_length`` passes the checked ``G.mul`` and
@@ -366,27 +372,22 @@ def _length_bidirectional(G, S, g, cap, mul):
     """
     e = G.identity()
     budget = _Budget(e, g)  # g == e is handled by the caller
-    full = G.size
     fwd = {e: (0, None)}
     bwd = {g: (0, None)}
-    f_frontier, b_frontier = [e], [g]
+    f_layers = _expand(mul, S.letters, fwd, budget, G.size)
+    b_layers = _expand(mul, S.letters, bwd, budget, G.size)
+    f_layer, b_layer = [e], [g]
     df = db = 0
     best = None  # (total, meet element)
-    while True:
-        if best is not None and df + db >= best[0]:
-            break
-        if df + db >= cap:
-            break
-        if not f_frontier and not b_frontier:
-            break
-        if not b_frontier or (f_frontier and len(f_frontier) <= len(b_frontier)):
+    while df + db < cap and (best is None or df + db < best[0]) and (f_layer or b_layer):
+        if not b_layer or (f_layer and len(f_layer) <= len(b_layer)):
             df += 1
-            f_frontier = _expand(mul, S.letters, fwd, f_frontier, df, budget, full)
-            layer, depth, other = f_frontier, df, bwd
+            f_layer = layer = next(f_layers, [])
+            depth, other = df, bwd
         else:
             db += 1
-            b_frontier = _expand(mul, S.letters, bwd, b_frontier, db, budget, full)
-            layer, depth, other = b_frontier, db, fwd
+            b_layer = layer = next(b_layers, [])
+            depth, other = db, fwd
         for v in layer:
             if v in other:
                 total = depth + other[v][0]

@@ -328,23 +328,27 @@ def ball_full_walk(G, S, radius):
     return table
 
 
-def expand_per_node(mul, letters, table, frontier, depth, budget, full):
+def expand_per_node(mul, letters, table, budget, full):
     """``metric._expand`` charging each stored node to ``budget`` by its
     own ``_Budget.charge`` call: the reference the layer-local charge is
-    held to, with the same signature, table, labels, early stop and
+    held to, with the same signature, layers, table, labels, ends and
     refusals."""
-    layer = []
-    for u in frontier:
-        for i, x in enumerate(letters):
-            v = mul(u, x)
-            if v in table:
-                continue
-            budget.charge(v, depth - 1)
-            table[v] = (depth, i)
-            layer.append(v)
-        if full is not None and len(table) == full:
-            return layer
-    return layer
+    layer = list(table)
+    depth = 0
+    while layer and len(table) != full:
+        depth += 1
+        frontier, layer = layer, []
+        for u in frontier:
+            for i, x in enumerate(letters):
+                v = mul(u, x)
+                if v in table:
+                    continue
+                budget.charge(v, depth - 1)
+                table[v] = (depth, i)
+                layer.append(v)
+            if len(table) == full:
+                break
+        yield layer
 
 
 def closure_full_walk(G, elements):

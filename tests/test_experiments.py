@@ -202,6 +202,14 @@ def test_uniform_length_cap():
         ex.uniform_length_table(gr.IntVector(1))
 
 
+@pytest.mark.parametrize("G", [gr.FiniteCyclic(1), gr.CayleyTableGroup(names=("e",), table=((0,),))],
+                         ids=str)
+def test_uniform_length_table_refuses_the_trivial_group(G):
+    """The trivial group has no inverse-pair class, so no alphabet."""
+    with pytest.raises(UnsupportedFamilyError, match="trivial group"):
+        ex.uniform_length_table(G)
+
+
 C2, C4 = gr.FiniteCyclic(2), gr.FiniteCyclic(4)
 
 
@@ -388,6 +396,11 @@ def test_heisenberg_ladder_rows():
     lengths = [r["length"] for r in rep.rows]
     assert lengths == [6, 8, 10]
     assert all(r["length"] <= r["upper_bound"] for r in rep.rows)
+
+
+def test_heisenberg_ladder_refuses_a_pair_that_is_not_coprime():
+    with pytest.raises(ValueError, match="coprime"):
+        ex.unbounded_witness_heisenberg(1, [(2, 3), (2, 4)])
 
 
 def test_dinfty_ladder_rows():

@@ -146,6 +146,18 @@ def test_element_orders():
     P = Product(FiniteCyclic(4), FiniteCyclic(6))
     assert P.element_order((1, 1)) == 12
     assert Z3_TABLE.element_order(1) == 3
+    assert Free(2).element_order(()) == 1
+    assert Free(2).element_order((1, -2)) is INFINITE
+    assert Product(IntVector(1), FiniteCyclic(2)).element_order(((1,), 1)) is INFINITE
+    assert Product(IntVector(1), FiniteCyclic(2)).element_order(((0,), 1)) == 2
+
+
+def test_free_generator_is_one_based():
+    assert Free(2).generator(1) == (1,)
+    assert Free(2).generator(2) == (2,)
+    for i in (0, 3, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            Free(2).generator(i)
 
 
 def test_enumeration_sizes():
@@ -417,6 +429,12 @@ def test_cayley_table_validation():
         CayleyTableGroup(names=("e", "a", "b"), table=((0, 1, 2), (1, 0, 1), (2, 2, 0)))
     with pytest.raises(ValueError, match="square"):
         CayleyTableGroup(names=("e",), table=((0, 0),))
+    with pytest.raises(ValueError, match="nonempty"):
+        CayleyTableGroup(names=(), table=())
+    with pytest.raises(ValueError, match="element indices"):
+        CayleyTableGroup(names=("e", "a"), table=((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="element indices"):
+        CayleyTableGroup(names=("e", "a"), table=((0, 1), (1, -1)))
 
 
 @pytest.mark.parametrize("names, table", [
@@ -583,6 +601,12 @@ def test_closure_of_proper_subgroup():
     assert sorted(gr.closure(G, [2])) == [0, 2, 4, 6]
     D = DihedralFinite(4)
     assert len(gr.closure(D, [(0, 1)])) == 2
+
+
+@pytest.mark.parametrize("G", [IntVector(1), Free(2), Heisenberg(), DihedralInfinite()], ids=str)
+def test_closure_refuses_an_infinite_group(G):
+    with pytest.raises(UnsupportedFamilyError, match="finite group"):
+        gr.closure(G, G.standard_generators())
 
 
 @pytest.mark.parametrize("G", FINITE_GROUPS, ids=str)

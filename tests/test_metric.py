@@ -2,6 +2,7 @@
 resource limits."""
 
 import hashlib
+import itertools
 import random
 import textwrap
 from collections import deque
@@ -539,23 +540,33 @@ def test_layer_charge_matches_the_per_node_charge(G, gens, radius, target, cap, 
 @pytest.mark.parametrize("G", FINITE_GROUPS + [gr.IntVector(2), gr.Free(2)], ids=str)
 def test_expand_writes_its_charge_back_to_the_budget(G, monkeypatch):
     """Layer by layer, ``_expand`` leaves the budget's bytes and nodes, the
-    table and the layer as the per-node charge does, the layer that fills a
-    finite group and returns early included."""
-    S = _symm(G, G.standard_generators())
+    table and the layer as the per-node charge does.  In a finite group
+    both end after the layer that fills it, which is not empty; in a proper
+    subgroup, here the one a single standard generator makes in these
+    non-cyclic groups, they end after an empty layer."""
     monkeypatch.delenv("WORDBOUND_MEM_LIMIT", raising=False)
-    runs = []
-    for expand in (_expand, expand_per_node):
-        budget = _Budget(G.identity())
-        assert (budget.limit, budget.used, budget.nodes) == (1 << 30, _Budget.cost(G.identity()), 1)
-        table = {G.identity(): (0, None)}
-        frontier = [G.identity()]
-        layers = []
-        for depth in range(1, 5):
-            frontier = expand(G._mul, S.letters, table, frontier, depth, budget, G.size)
-            layers.append((frontier, budget.used, budget.nodes))
-        runs.append((list(table.items()), layers))
-        assert budget.nodes == len(table)
-    assert runs[0] == runs[1]
+    e = G.identity()
+    cases = [(G.standard_generators(), True)]
+    if G.is_finite:
+        cases.append((G.standard_generators()[:1], False))
+    for gens, fills in cases:
+        S = _symm(G, gens)
+        runs = []
+        for expand in (_expand, expand_per_node):
+            budget = _Budget(e)
+            assert (budget.limit, budget.used, budget.nodes) == (1 << 30, _Budget.cost(e), 1)
+            table = {e: (0, None)}
+            layers = expand(G._mul, S.letters, table, budget, G.size)
+            if not G.is_finite:
+                layers = itertools.islice(layers, 5)
+            drawn = [(layer, budget.used, budget.nodes) for layer in layers]
+            runs.append((list(table.items()), drawn))
+            assert budget.nodes == len(table)
+        assert runs[0] == runs[1]
+        if G.is_finite:
+            *before, (last, _, _) = drawn
+            assert all(layer for layer, _, _ in before)
+            assert (len(table) == G.size, last != []) == (fills, fills)
 
 
 def test_word_length_memory_budget_exhaustion(monkeypatch):
@@ -697,19 +708,19 @@ def test_integer_checks_survive_optimize_flag():
 
 def _tables_grown(monkeypatch, run):
     """Each (letters, table) that ``_expand`` grows during ``run()``, read
-    after it returns.  Every caller of ``_expand`` lives in ``metric``, so
-    patching it there sees them all."""
-    grown = []
+    after it returns; a search that stores nothing beyond its roots grows
+    no table.  Every caller of ``_expand`` lives in ``metric``, so patching
+    it there sees them all."""
+    searched = []
 
     def recording(mul, letters, table, *rest):
-        if not any(t is table for _, t in grown):
-            grown.append((letters, table))
+        searched.append((letters, table, len(table)))
         return _expand(mul, letters, table, *rest)
 
     with monkeypatch.context() as m:
         m.setattr(metric, "_expand", recording)
         run()
-    return grown
+    return [(letters, table) for letters, table, roots in searched if len(table) > roots]
 
 
 def _breaks_contract(G, letters, table):

@@ -323,7 +323,7 @@ def _kernel_uses(source, name):
 
 def test_guard_flags_a_kernel_reference():
     source = ("from .metric import _expand, ball\n"
-              "layer = _expand(mul, letters, table, frontier, 1, budget, None)\n"
+              "layers = _expand(mul, letters, table, budget, None)\n"
               "budget = metric._Budget(e)\n"
               "B = ball(G, S, 3)\n"
               "grow = metric._expand\n"
