@@ -2,11 +2,11 @@
 
 Unboundedness ladders, boundedness certificates, automorphism orbits, FC
 witnesses, prescribed-length constructions and quotient-orbit growth.  Every
-length in a report row comes from an exact search (``word_length``, which
-meets in the middle, or a BFS ball), or from ``certify_length``: a checked
-word for the upper bound and an exhaustive search one radius short of it for
-the lower.  Formula columns are compared against the search, never
-substituted for it.  The D8 golden table is only read: ``uniform-length``
+length in a report row comes from an exact search: a BFS ball, or
+``certify_length``, with a checked word for the upper bound and an
+exhaustive search one radius short of it for the lower.  Each ladder spells
+the word its formula names and certifies it.  Formula columns are compared
+against the search, never substituted for it.  The D8 golden table is only read: ``uniform-length``
 compares it with the bytes :func:`d8_uniform_table_bytes` rebuilds, and no
 function writes it.
 """
@@ -24,8 +24,9 @@ from types import MappingProxyType
 
 from . import groups as gr
 from .errors import NotGeneratingError, UnsupportedFamilyError
-from .gensets import GenSet, _generates_split, dihedral_mod, generates, inverse_pair_classes, make_symmetric
-from .metric import _grow, ball, certify_length, word_length
+from .gensets import (
+    GenSet, _ext_gcd, _generates_split, dihedral_mod, generates, inverse_pair_classes, make_symmetric)
+from .metric import _grow, ball, certify_length
 from .reports import ExperimentReport, Verdict
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -50,19 +51,6 @@ def _is_prime(n):
             return False
         f += 1
     return True
-
-
-def _ext_gcd(a, b):
-    """(g, x, y) with a*x + b*y == g == gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
 
 
 def min_coefficients(p, q, u):
@@ -107,6 +95,15 @@ def _min_bezout(p, q):
 
 def _strictly_increasing(xs):
     return all(a < b for a, b in zip(xs, xs[1:]))
+
+
+def _nonempty(name, items):
+    """``items`` as a tuple; ValueError when there are none, since a report
+    over no rows would pass every verdict."""
+    items = tuple(items)
+    if not items:
+        raise ValueError(f"{name} must not be empty")
+    return items
 
 
 # -- automorphisms of small finite groups --------------------------------
@@ -260,6 +257,31 @@ def conjugacy_orbit_growth(G, g, radius):
     return counts
 
 
+# -- words over an alphabet ----------------------------------------------
+
+
+def _inverse(S, word):
+    """The inverse of a word over S: its letters' inverses, in reverse."""
+    return tuple(S.inv_symbol(s) for s in reversed(word))
+
+
+def _power(S, word, n):
+    """The n-th power of a word over S; the empty word when n is 0."""
+    return word * n if n >= 0 else _inverse(S, word) * -n
+
+
+def _letter_power(S, x, n):
+    """x^n for a letter x of S: |n| copies of x or of its inverse.  The
+    empty word when n is 0, even if x is the identity, which no alphabet
+    carries."""
+    return _power(S, (S.symbol_of(x),), n) if n else ()
+
+
+def _commutator(S, x, y):
+    """The word x y x^-1 y^-1 for words x and y over S."""
+    return x + y + _inverse(S, x) + _inverse(S, y)
+
+
 # -- unboundedness ladders -----------------------------------------------
 
 
@@ -274,10 +296,14 @@ def _generating(G, letters, what):
 
 
 def unbounded_witness_zxzq(q=2, primes=(5, 7, 11)):
-    """Word length of (0,1) in Z x Z/q under S = {+-(p,1), +-(q+1,0)}."""
+    """Word length of (0,1) in Z x Z/q under S = {+-(p,1), +-(q+1,0)}.
+
+    (0,1) = (p,1)^(q+1) (q+1,0)^(-p), a word of p + q + 1 letters, which
+    :func:`certify_length` checks and searches one radius short of.
+    """
     if q < 2:
         raise ValueError("q must be >= 2")
-    primes = tuple(primes)
+    primes = _nonempty("primes", primes)
     G = gr.Product(gr.IntVector(1), gr.FiniteCyclic(q))
     rows = []
     lengths = []
@@ -285,7 +311,8 @@ def unbounded_witness_zxzq(q=2, primes=(5, 7, 11)):
         if not _is_prime(p) or p <= q + 1:
             raise ValueError(f"need a prime p > q+1, got {p}")
         S = _generating(G, [((p,), 1), ((q + 1,), 0)], f"S for p={p}")
-        cert = word_length(G, S, ((0,), 1), cap=p + q + 1)
+        word = _letter_power(S, ((p,), 1), q + 1) + _letter_power(S, ((q + 1,), 0), -p)
+        cert = certify_length(G, S, ((0,), 1), word)
         expected = p + q + 1
         rows.append({
             "p": p,
@@ -308,14 +335,19 @@ def unbounded_witness_zxzq(q=2, primes=(5, 7, 11)):
 
 
 def unbounded_witness_zd(d=2, x=(1, 0), pairs=((2, 3), (3, 5), (5, 7))):
-    """Word length of x in Z^d under the basis {(p,a,0..), (q,b,0..), e3..}."""
+    """Word length of x in Z^d under the basis {(p,a,0..), (q,b,0..), e3..}.
+
+    x spelled by its basis coordinates, |alpha| + |beta| + |x_3| + ...
+    letters, is the word :func:`certify_length` checks and searches one
+    radius short of.
+    """
     if d < 2:
         raise ValueError("dimension must be >= 2")
     G = gr.IntVector(d)
     G.check(x)
     if x == G.identity():
         raise ValueError("element must be nonzero")
-    pairs = tuple(pairs)
+    pairs = _nonempty("pairs", pairs)
     rows = []
     lengths = []
     for p, q in pairs:
@@ -332,7 +364,8 @@ def unbounded_witness_zd(d=2, x=(1, 0), pairs=((2, 3), (3, 5), (5, 7))):
         alpha = b * x[0] - q * x[1]
         beta = p * x[1] - a * x[0]
         expected = abs(alpha) + abs(beta) + sum(abs(c) for c in x[2:])
-        cert = word_length(G, S, x, cap=expected)
+        word = sum((_letter_power(S, v, c) for v, c in zip(basis, (alpha, beta, *x[2:]))), ())
+        cert = certify_length(G, S, x, word)
         rows.append({
             "p": p, "q": q, "a": a, "b": b,
             "length": cert.length,
@@ -358,10 +391,17 @@ def unbounded_witness_zd(d=2, x=(1, 0), pairs=((2, 3), (3, 5), (5, 7))):
 
 
 def unbounded_witness_heisenberg(n=1, pairs=((2, 3), (3, 5), (5, 7))):
-    """Word length of the n-th central power under S = {a^+-p, a^+-q, b^+-1}."""
+    """Word length of the n-th central power under S = {a^+-p, a^+-q, b^+-1}.
+
+    c^n = [a^u, b^v] for each factorization n = uv, and a^u is spelled in
+    the fewest letters a^p and a^q by :func:`min_coefficients`.  The
+    cheapest such commutator, the first on a tie in increasing u, is the
+    ``upper_bound`` column and the word :func:`certify_length` checks and
+    searches one radius short of.
+    """
     if n < 1:
         raise ValueError("central exponent must be >= 1")
-    pairs = tuple(pairs)
+    pairs = _nonempty("pairs", pairs)
     G = gr.Heisenberg()
     rows = []
     lengths = []
@@ -370,16 +410,18 @@ def unbounded_witness_heisenberg(n=1, pairs=((2, 3), (3, 5), (5, 7))):
             raise ValueError(f"({p},{q}) must be coprime")
         S = _generating(G, [(p, 0, 0), (q, 0, 0), (0, 1, 0)],
                         f"generation not certified for (p,q)=({p},{q})")
-        # commutator decompositions of the target give a safe search cap
-        bound = None
+        best = None  # (letters, u, (alpha, beta)) of the cheapest commutator
         for u in range(1, n + 1):
             if n % u:
                 continue
-            v = n // u
-            cost = 2 * min_coefficients(p, q, u)[0] + 2 * v
-            if bound is None or cost < bound:
-                bound = cost
-        cert = word_length(G, S, (0, 0, n), cap=bound)
+            cost, coefficients = min_coefficients(p, q, u)
+            letters = 2 * cost + 2 * (n // u)
+            if best is None or letters < best[0]:
+                best = (letters, u, coefficients)
+        bound, u, (alpha, beta) = best
+        a_u = _letter_power(S, (p, 0, 0), alpha) + _letter_power(S, (q, 0, 0), beta)
+        word = _commutator(S, a_u, _letter_power(S, (0, 1, 0), n // u))
+        cert = certify_length(G, S, (0, 0, n), word)
         rows.append({"p": p, "q": q, "length": cert.length, "upper_bound": bound})
         lengths.append(cert.length)
     return ExperimentReport(
@@ -394,8 +436,14 @@ def unbounded_witness_heisenberg(n=1, pairs=((2, 3), (3, 5), (5, 7))):
 
 
 def unbounded_witness_dinfty(pairs=((2, 3), (3, 5), (5, 7))):
-    """Word length of the translation t under S = {s, t^alpha s, t^beta s}."""
-    pairs = tuple(pairs)
+    """Word length of the translation t under S = {s, t^alpha s, t^beta s}.
+
+    t^alpha = (t^alpha s) s, so a Bezout pair x alpha + y beta = 1 of least
+    |x| + |y| (:func:`min_coefficients`) spells t in 2(|x| + |y|) letters,
+    at most 2(|alpha| + |beta|): the word :func:`certify_length` checks and
+    searches one radius short of.
+    """
+    pairs = _nonempty("pairs", pairs)
     G = gr.DihedralInfinite()
     rows = []
     lengths = []
@@ -403,7 +451,11 @@ def unbounded_witness_dinfty(pairs=((2, 3), (3, 5), (5, 7))):
         if gcd(alpha, beta) != 1:
             raise NotGeneratingError(f"({alpha},{beta}) must be coprime")
         S = _generating(G, [(0, 1), (alpha, 1), (beta, 1)], f"S for ({alpha},{beta})")
-        cert = word_length(G, S, (1, 0), cap=2 * (abs(alpha) + abs(beta)))
+        s = (S.symbol_of((0, 1)),)
+        _, (x, y) = min_coefficients(alpha, beta, 1)
+        word = (_power(S, (S.symbol_of((alpha, 1)),) + s, x)
+                + _power(S, (S.symbol_of((beta, 1)),) + s, y))
+        cert = certify_length(G, S, (1, 0), word)
         rows.append({"alpha": alpha, "beta": beta, "length": cert.length})
         lengths.append(cert.length)
     return ExperimentReport(
@@ -440,8 +492,7 @@ def heisenberg_center_certificate(x, y):
             f"pair does not generate: abelianized determinant {exponent}")
     S = make_symmetric(G, [x, y])
     a, b = (x, y) if exponent == 1 else (y, x)
-    sa, sb = S.symbol_of(a), S.symbol_of(b)
-    word = (sa, sb, S.inv_symbol(sa), S.inv_symbol(sb))
+    word = _commutator(S, (S.symbol_of(a),), (S.symbol_of(b),))
     return exponent, certify_length(G, S, (0, 0, 1), word)
 
 
@@ -477,6 +528,7 @@ def heisenberg_center_experiment(samples=100, seed=0):
     the ``exponent`` column is always 1 and the verdict never meets -1;
     ``test_heisenberg_center_word_follows_the_exponent`` covers that branch.
     """
+    gr._check_int("samples", samples, 1)
     rng = random.Random(seed)
     rows = []
     for i in range(samples):
@@ -538,6 +590,7 @@ def sample_zxd8_genset(rng, radius=10):
     group and holds no identity.  Each decision's walk is charged to its
     own memory budget, like a search.
     """
+    gr._check_int("radius", radius, 1)
     pool, inverses, part = _zxd8_draws(radius)
     inverse = inverses.__getitem__
     k, F, _, act = _ZXD8_SPLIT
@@ -557,7 +610,7 @@ def _commutator_word(S):
     for i, j in itertools.combinations(S.symbols(), 2):
         a, b = S.element(i), S.element(j)
         if mul(a, b) != mul(b, a):
-            return (i, j, S.inv_symbol(i), S.inv_symbol(j))
+            return _commutator(S, (i,), (j,))
     raise NotGeneratingError("the letters commute, so they generate an abelian group")
 
 
@@ -571,6 +624,7 @@ def bound_witness_zxd8(samples=200, seed=42, radius=10):
     letters, and :func:`certify_length` checks that word and searches out
     to radius 3 for a shorter one.
     """
+    gr._check_int("samples", samples, 1)
     G = _ZXD8
     target = ((0,), (2, 0))
     rng = random.Random(seed)
@@ -684,7 +738,7 @@ def prescribe_length_experiment(kind, triples=DEFAULT_PRESCRIPTION_GRID):
     ``kind`` is "free" or "zd"; the target is the first basis element of
     F_k or Z^d, of rank ``PRESCRIBE_RANK``.
     """
-    triples = list(triples)
+    triples = _nonempty("triples", triples)
     rows = []
     for l, u, v in triples:
         if kind == "free":
@@ -728,7 +782,7 @@ def quotient_orbit_experiment(p=5, ks=None):
         raise UnsupportedFamilyError(f"p = {p} exceeds the bound {QUOTIENT_ORBIT_MAX_P}")
     if not _is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
-    ks = tuple(range(1, p) if ks is None else ks)
+    ks = tuple(range(1, p)) if ks is None else _nonempty("ks", ks)
     pi = dihedral_mod(p)
     D = pi.target
     elems = list(D.elements())
@@ -806,6 +860,7 @@ def aut_orbit_experiment():
 def fc_witness_experiment(radius=4):
     """Conjugate counts in the Heisenberg group: unbounded off-center,
     constant on the center."""
+    gr._check_int("radius", radius, 1)
     G = gr.Heisenberg()
     growth_a = conjugacy_orbit_growth(G, (1, 0, 0), radius)
     growth_c = conjugacy_orbit_growth(G, (0, 0, 1), radius)

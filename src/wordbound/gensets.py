@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, prod
-from operator import add, sub
 from typing import Callable
 
 from . import groups as gr
@@ -191,11 +190,31 @@ def invariant_factors(M):
     return [D[i][i] for i in range(n) if D[i][i]]
 
 
+def _ext_gcd(a, b):
+    """(g, x, y) with a*x + b*y == g, a gcd of a and b up to sign."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    return old_r, old_x, old_y
+
+
 def _smith(M, transforms):
     """Smith normal form D of M, and U, V as lists of rows if ``transforms``.
 
     Without transforms U has empty rows and V no rows, so every update of
     them below is a no-op and D comes out the same.
+
+    An entry the pivot does not divide is cleared in one step by a
+    unimodular 2 x 2 combination of its line with the pivot's, from the
+    extended gcd, after which the pivot is that gcd.  Dividing instead and
+    swapping the remainder in as the pivot lets the other entries grow
+    doubly exponentially: on a 2 x 4 matrix of entries near 10^30 that did
+    not finish.
     """
     A = [[int(v) for v in row] for row in M]
     if not A or not A[0]:
@@ -228,6 +247,23 @@ def _smith(M, transforms):
         for row in V:
             row[dst] -= q * row[src]
 
+    def mix_rows(t, i):
+        # (row t, row i) <- (x row t + y row i, v row i - u row t), determinant 1
+        a, b = A[t][t], A[i][t]
+        g, x, y = _ext_gcd(a, b)
+        u, v = b // g, a // g
+        for W in (A, U):
+            W[t], W[i] = ([x * p + y * q for p, q in zip(W[t], W[i])],
+                          [v * q - u * p for p, q in zip(W[t], W[i])])
+
+    def mix_cols(t, j):
+        # the same combination of columns t and j
+        a, b = A[t][t], A[t][j]
+        g, x, y = _ext_gcd(a, b)
+        u, v = b // g, a // g
+        for row in A + V:
+            row[t], row[j] = x * row[t] + y * row[j], v * row[j] - u * row[t]
+
     t = 0
     while t < min(r, c):
         # locate the smallest-magnitude nonzero pivot in the trailing block
@@ -244,21 +280,21 @@ def _smith(M, transforms):
         if pivot[1] != t:
             swap_cols(t, pivot[1])
         while True:
-            dirty = False
+            # Clear column t below the pivot, then row t to its right; a
+            # column combination can refill column t, and then it goes again
+            # with a smaller pivot.
             for i in range(t + 1, r):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    add_row(i, t, q)
-                    if A[i][t]:
-                        swap_rows(t, i)  # remainder is a smaller pivot
-                        dirty = True
+                if A[i][t] % A[t][t]:
+                    mix_rows(t, i)
+                elif A[i][t]:
+                    add_row(i, t, A[i][t] // A[t][t])
+            dirty = False
             for j in range(t + 1, c):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    add_col(j, t, q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
+                if A[t][j] % A[t][t]:
+                    mix_cols(t, j)
+                    dirty = True
+                elif A[t][j]:
+                    add_col(j, t, A[t][j] // A[t][t])
             if dirty:
                 continue
             # pivot must divide the whole trailing block
@@ -347,9 +383,16 @@ def _generates_split(parts, k, F, act):
     by a letter (a, u) into an f' reached before closes the Schreier
     generator with translation rep[f] + act(f, a) - rep[f'].  F is finite,
     so the monoid the F-parts generate is already a subgroup and one letter
-    of each inverse pair suffices.  The walk stores O(|F|) entries, each
-    charged to its own memory budget like a search node, the identity of F
-    like a search root.
+    of each inverse pair suffices.  The walk stores one entry per element of
+    F it reaches and up to one kernel vector per (element, class) edge.
+    Each is charged to its own memory budget like a search node, the
+    identity of F like a search root: an element of F by ``_Budget.cost``,
+    a kernel vector by the cost of a k-tuple, whose shallow size is the same
+    for every k-tuple.  The charges run in a local counter that is written
+    back to the budget before a refusal, as in ``metric._expand``.
+
+    Translations are Python ints, by :func:`_translation_code`; they are
+    decoded only for ``invariant_factors``.
 
     Taking parts, not a ``GenSet``, lets the zxd8 sampler decide a draw
     before it builds the alphabet.
@@ -357,8 +400,10 @@ def _generates_split(parts, k, F, act):
     mul = F._mul  # the parts come from checked elements, so they are in F
     e = F.identity()
     mem = _Budget(e)
-    origin = (0,) * k
-    rep = {e: origin}
+    cost, limit, used = mem.cost, mem.limit, mem.used
+    vector_cost = cost((0,) * k)
+    steps, base = _translation_code(parts, k, F, act)
+    rep = {e: 0}
     frontier = [e]
     kernel = set()
     radius = 0
@@ -366,23 +411,31 @@ def _generates_split(parts, k, F, act):
         nxt = []
         for f in frontier:
             t = rep[f]
-            for a, u in parts:
+            for a, u in (steps if act is None else steps[f]):
                 f2 = mul(f, u)
-                t2 = tuple(map(add, t, a if act is None else act(f, a)))
                 if f2 in rep:
-                    v = tuple(map(sub, t2, rep[f2]))
-                    if v not in kernel:
-                        mem.charge(v, radius)
-                        kernel.add(v)
+                    v = t + a - rep[f2]
+                    if v in kernel:
+                        continue
+                    used += vector_cost
+                    if used > limit:
+                        mem.used, mem.nodes = used, len(rep) + len(kernel)
+                        raise mem.exhausted(radius, mem.nodes)
+                    kernel.add(v)
                 else:
-                    mem.charge(f2, radius)
-                    rep[f2] = t2
+                    used += cost(f2)
+                    if used > limit:
+                        mem.used, mem.nodes = used, len(rep) + len(kernel)
+                        raise mem.exhausted(radius, mem.nodes)
+                    rep[f2] = t + a
                     nxt.append(f2)
         frontier = nxt
         radius += 1
-    kernel.discard(origin)
-    # The kernel vectors as the columns of a k-row matrix.
-    factors = invariant_factors(list(zip(*kernel))) if kernel else []
+    kernel.discard(0)
+    # The kernel vectors as the columns of a k-row matrix, unpacked from a
+    # list: unpacking a generator grew the resident set with every zxd8 run
+    # on CPython 3.11, though no object stayed alive.
+    factors = invariant_factors(list(zip(*[_decode(v, k, base) for v in kernel]))) if kernel else []
     index = prod(factors) if len(factors) == k else 0
     evidence = {"closure_size": len(rep), "finite_group_size": F.size,
                 "lattice_rank": k, "invariant_factors": factors,
@@ -400,6 +453,71 @@ def _generates_split(parts, k, F, act):
     return GenerationResult(
         "yes", f"the finite parts generate {F} and the translation kernel is Z^{k}",
         evidence)
+
+
+def _translation_code(parts, k, F, act):
+    """The Schreier walk's steps on integer translations, and the base of
+    their code.
+
+    A translation v in Z^k is the int enc(v) = v_0 + v_1*B + ... +
+    v_(k-1)*B^(k-1) (:func:`_encode`).  That is linear for any B, so the
+    walk adds and subtracts the ints exactly as it would the vectors.
+    :func:`_decode` reads the k - 1 low coordinates as balanced base-B
+    digits and the top one as the quotient left over, which is exact for
+    every v whose low coordinates are at most B/2 - 1 in magnitude; on those
+    vectors enc is one to one.  With k = 0 every translation is 0 and with
+    k = 1 it is v_0 itself, so neither needs a base, and B is 0.
+
+    For k >= 2 the base covers every vector the walk compares.  Let M be
+    the largest coordinate magnitude of the acted translations act(f, a),
+    over every f in F and letter (a, u), or of the letters' own
+    translations when ``act`` is None.  A walk translation is a sum of at
+    most |F| of them, one per edge of a path from the identity, and a
+    stored one of at most |F| - 1, so every kernel vector's coordinates are
+    at most (2|F| - 1)M in magnitude.  B = 2(2|F| - 1)M + 2 therefore
+    decodes, and tells apart, every kernel vector exactly.
+
+    The steps are the list of (enc(a), u) when ``act`` is None, else the
+    dict mapping each f in F to its list of (enc(act(f, a)), u).
+    """
+    if act is None:
+        if k < 2:
+            return [(a[0] if k else 0, u) for a, u in parts], 0
+        acted = [a for a, _ in parts]
+    else:
+        elements = list(F.elements())
+        acted = [act(f, a) for f in elements for a, _ in parts]
+    base = 0
+    if k >= 2:
+        base = 2 * (2 * F.size - 1) * max((abs(c) for a in acted for c in a), default=0) + 2
+    codes = [_encode(a, base) for a in acted]
+    units = [u for _, u in parts]
+    if act is None:
+        return list(zip(codes, units)), base
+    n = len(units)
+    return {f: list(zip(codes[i * n:(i + 1) * n], units))
+            for i, f in enumerate(elements)}, base
+
+
+def _encode(v, base):
+    x = 0
+    for c in reversed(v):
+        x = x * base + c
+    return x
+
+
+def _decode(x, k, base):
+    if not k:
+        return ()
+    v = []
+    for _ in range(k - 1):
+        d = x % base
+        if d > base // 2:
+            d -= base
+        v.append(d)
+        x = (x - d) // base
+    v.append(x)
+    return tuple(v)
 
 
 def _generates_heisenberg(G, S):

@@ -163,9 +163,10 @@ class _Budget:
     limit by :func:`memory_limit` and charges the roots, which are never
     refused.  Any later node that overdraws the budget raises
     ResourceLimitExceeded with the last completed radius and the nodes
-    stored so far.  ``charge`` serves the Schreier walk and the folding of
-    ``gensets``; ``_expand`` charges its layers by the same :meth:`cost`
-    and writes ``used`` and ``nodes`` back here.
+    stored so far.  Only the Stallings fold of ``gensets`` still calls
+    ``charge``.  ``_expand`` and the Schreier walk of ``gensets`` charge by
+    the same :meth:`cost` in a local counter and write ``used`` and
+    ``nodes`` back here before they yield or refuse.
     """
 
     def __init__(self, *roots):

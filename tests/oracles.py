@@ -14,9 +14,11 @@ import wordbound
 from wordbound import groups as gr
 from wordbound.errors import DomainError, EmptyGenSetError, NotGeneratingError, UnsupportedFamilyError
 from wordbound.experiments import Automorphism
-from wordbound.gensets import GenSet, generates, inverse_pair_classes, make_symmetric, smith_normal_form
+from wordbound.gensets import (
+    GenerationResult, GenSet, generates, invariant_factors, inverse_pair_classes, make_symmetric,
+    smith_normal_form)
 from wordbound.girth import GirthResult, _validate_witness
-from wordbound.metric import certify_length, word_length
+from wordbound.metric import _Budget, certify_length, word_length
 from wordbound.reports import ExperimentReport, Verdict
 
 
@@ -564,6 +566,59 @@ def generates_split_reference(G, S):
     return {"status": "yes" if len(rep) == F.size and index == 1 else "no",
             "closure_size": len(rep), "kernel_index": index,
             "invariant_factors": factors}
+
+
+def generates_split_tuples(parts, k, F, act):
+    """``gensets._generates_split`` as it walked on tuple translations,
+    charging each stored element of F and kernel vector to the budget by
+    its own ``_Budget.charge`` call: the reference the integer walk and its
+    local charge counter are held to, with the same signature, status,
+    reason, evidence and refusals."""
+    mul = F._mul
+    e = F.identity()
+    mem = _Budget(e)
+    origin = (0,) * k
+    rep = {e: origin}
+    frontier = [e]
+    kernel = set()
+    radius = 0
+    while frontier:
+        nxt = []
+        for f in frontier:
+            t = rep[f]
+            for a, u in parts:
+                f2 = mul(f, u)
+                t2 = tuple(map(add, t, a if act is None else act(f, a)))
+                if f2 in rep:
+                    v = tuple(map(sub, t2, rep[f2]))
+                    if v not in kernel:
+                        mem.charge(v, radius)
+                        kernel.add(v)
+                else:
+                    mem.charge(f2, radius)
+                    rep[f2] = t2
+                    nxt.append(f2)
+        frontier = nxt
+        radius += 1
+    kernel.discard(origin)
+    factors = invariant_factors(list(zip(*kernel))) if kernel else []
+    index = prod(factors) if len(factors) == k else 0
+    evidence = {"closure_size": len(rep), "finite_group_size": F.size,
+                "lattice_rank": k, "invariant_factors": factors,
+                "kernel_index": index}
+    if k == 1:
+        evidence["translation_gcd"] = index
+    if len(rep) != F.size:
+        evidence["missing"] = next(x for x in F.elements() if x not in rep)
+        return GenerationResult(
+            "no", f"the finite parts generate a proper subgroup of {F}", evidence)
+    if index != 1:
+        return GenerationResult(
+            "no", f"the translation kernel has index {index or 'infinity'} in Z^{k}",
+            evidence)
+    return GenerationResult(
+        "yes", f"the finite parts generate {F} and the translation kernel is Z^{k}",
+        evidence)
 
 
 def _permutation_closure(perms):

@@ -17,6 +17,8 @@ from oracles import (
     symmetric_generating_subsets_reference,
 )
 
+import wordbound
+from wordbound import cli
 from wordbound import experiments as ex
 from wordbound import groups as gr
 from wordbound import metric
@@ -411,6 +413,94 @@ def test_dinfty_ladder_rows():
         ex.unbounded_witness_dinfty([(2, 4)])
 
 
+def _ladder_search(name, params, row):
+    """The search a ladder row's length came from before the ladders
+    certified a word: (group, letters, element, cap) of a ``word_length``
+    call at the cap the run then passed."""
+    if name == "zxzq":
+        q, p = params["q"], row["p"]
+        return (gr.Product(gr.IntVector(1), gr.FiniteCyclic(q)),
+                [((p,), 1), ((q + 1,), 0)], ((0,), 1), p + q + 1)
+    if name == "zd":
+        d = params["d"]
+        units = [tuple(int(i == j) for j in range(d)) for i in range(2, d)]
+        pad = (0,) * (d - 2)
+        return (gr.IntVector(d), [(row["p"], row["a"], *pad), (row["q"], row["b"], *pad), *units],
+                tuple(params["x"]), row["expected"])
+    if name == "heisenberg":
+        p, q = row["p"], row["q"]
+        return (gr.Heisenberg(), [(p, 0, 0), (q, 0, 0), (0, 1, 0)],
+                (0, 0, params["n"]), row["upper_bound"])
+    alpha, beta = row["alpha"], row["beta"]
+    return (gr.DihedralInfinite(), [(0, 1), (alpha, 1), (beta, 1)], (1, 0),
+            2 * (abs(alpha) + abs(beta)))
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    *[("heisenberg", {"n": n}) for n in range(1, 7)],
+    ("heisenberg", {"n": 2, "pairs": ((0, 1), (-2, 3), (3, -5))}),
+    ("zxzq", {"q": 2, "primes": (5, 7, 11)}),
+    ("zxzq", {"q": 3, "primes": (5, 7, 13)}),
+    ("zxzq", {"q": 4, "primes": (7, 11, 13)}),
+    ("zd", {"d": 3, "x": (-2, 3, -1)}),
+    ("zd", {"d": 2, "x": (-3, 2), "pairs": ((1, 0), (2, 3), (3, 5))}),
+    ("dinfty", {"pairs": ((-2, 3), (3, -5), (-5, -7), (7, -11))}),
+    ("dinfty", {"pairs": ((0, 1), (1, 0), (-1, 1))}),
+], ids=str)
+def test_ladder_certificates_equal_the_search_at_the_old_cap(name, kwargs, certified):
+    """Each ladder row's length is the checked ``word_length`` at the cap
+    the ladder searched to before it certified a word, on non-default
+    parameters too.  The certified word spells the element in as many
+    letters as the formula names: the cap itself, and for D-infinity at
+    most the cap."""
+    rep = ex.DEFAULT_RUNS[name](**kwargs)
+    assert len(certified) == len(rep.rows)
+    for row, r in zip(rep.rows, certified):
+        G, letters, g, cap = _ladder_search(name, rep.params, row)
+        S = make_symmetric(G, letters)
+        assert (r["S"], r["g"]) == (S, g)
+        assert row["length"] == word_length(G, S, g, cap).length
+        assert S.eval_word(r["word"]) == g
+        assert len(r["word"]) <= cap if name == "dinfty" else len(r["word"]) == cap
+
+
+def test_heisenberg_ladder_certifies_a_shorter_word():
+    """For n = 1 and (p, q) = (5, 7) the cheapest commutator has 12 letters
+    and the search one radius short of it finds the length 10."""
+    (row,) = ex.unbounded_witness_heisenberg(1, [(5, 7)]).rows
+    assert (row["length"], row["upper_bound"]) == (10, 12)
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("zxd8", {"samples": 0}),
+    ("heisenberg-center", {"samples": -2}),
+    ("zxzq", {"primes": ()}),
+    ("zd", {"pairs": ()}),
+    ("heisenberg", {"pairs": ()}),
+    ("dinfty", {"pairs": ()}),
+    ("prescribe-free", {"triples": ()}),
+    ("quotient-orbit", {"ks": ()}),
+    ("fc-witness", {"radius": 0}),
+], ids=str)
+def test_no_run_passes_over_zero_rows(name, kwargs):
+    """A run that would report no rows, and so pass every verdict, is
+    refused before it starts."""
+    with pytest.raises(ValueError):
+        ex.DEFAULT_RUNS[name](**kwargs)
+
+
+@pytest.mark.parametrize("radius", [-1, 0, 1.5, True])
+def test_zxd8_sampler_refuses_a_radius_that_is_not_a_positive_int(radius):
+    """Each is refused before the rng draws.  Unchecked, -1 fails inside
+    ``rng.sample``, 1.5 raises TypeError, True reads as 1 and 0 spends all
+    the draws on an empty pool."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="radius"):
+        ex.sample_zxd8_genset(rng, radius)
+    assert rng.getstate() == state
+
+
 # -- boundedness certificates --------------------------------------------
 
 
@@ -538,8 +628,7 @@ def certified(monkeypatch):
     ``DEFAULT_RUNS`` that made it, the alphabet, the element, the word, and
     the caps, laws and certificates of the searches that a stub on
     ``metric._length_bidirectional`` saw during the call.  Searches outside
-    a ``certify_length`` call, such as the ladders' ``word_length``, are not
-    recorded."""
+    a ``certify_length`` call are not recorded."""
     records, run, current = [], [None], [None]
     certify, search = ex.certify_length, metric._length_bidirectional
 
@@ -622,26 +711,30 @@ def test_heisenberg_center_word_follows_the_exponent(certified):
     assert signs == {1, -1}
 
 
+LADDERS = ("zxzq", "zd", "heisenberg", "dinfty")
+
+
 def test_experiment_all_searches_one_radius_short_of_each_word(certified):
     """Every certificate of ``experiment all`` searches out to one radius
-    less than its word, and a one-letter word not at all: 310 searches
-    for the 312 certificates of four runs."""
+    less than its word, and a one-letter word not at all: 322 searches
+    for the 324 certificates of eight runs, three for each ladder."""
     result = CliRunner().invoke(main, ["experiment", "all", "--format", "json"])
     assert result.exit_code == 0
     assert Counter(r["run"] for r in certified) == {
-        "heisenberg-center": 100, "zxd8": 200, "prescribe-free": 6, "prescribe-zd": 6}
+        "heisenberg-center": 100, "zxd8": 200, "prescribe-free": 6, "prescribe-zd": 6,
+        **dict.fromkeys(LADDERS, 3)}
     for r in certified:
         n = len(r["word"])
         assert r["caps"] == ([n - 1] if n > 1 else []), r
-    assert sum(len(r["caps"]) for r in certified) == 310
+    assert sum(len(r["caps"]) for r in certified) == 322
 
 
 def test_certify_searches_equal_the_checked_word_length(certified):
     """Each search that ``certify_length`` runs for the 200 zxd8 alphabets,
-    the 12 prescription rows and the 100 Heisenberg pairs runs on the
-    trusted ``G._mul`` and gives the certificate, field for field, of the
-    checked ``word_length`` out to the same cap."""
-    for name in ("heisenberg-center", "zxd8", "prescribe-free", "prescribe-zd"):
+    the 12 prescription rows, the 100 Heisenberg pairs and the 12 ladder
+    rows runs on the trusted ``G._mul`` and gives the certificate, field
+    for field, of the checked ``word_length`` out to the same cap."""
+    for name in ("heisenberg-center", "zxd8", "prescribe-free", "prescribe-zd", *LADDERS):
         assert ex.DEFAULT_RUNS[name]().passed
     searches = 0
     for r in certified:
@@ -651,7 +744,32 @@ def test_certify_searches_equal_the_checked_word_length(certified):
             assert mul == G._mul
             assert word_length(G, S, g, len(r["word"]) - 1) == trusted
             searches += 1
-    assert searches == 310
+    assert searches == 322
+
+
+def test_experiment_all_calls_no_word_length(monkeypatch):
+    """Every run of ``experiment all`` certifies its lengths: no run calls
+    ``word_length``, under any name it is bound to, and every
+    meet-in-the-middle search multiplies with a trusted ``_mul``."""
+    calls, laws = [], set()
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return word_length(*args, **kwargs)
+
+    search = metric._length_bidirectional
+
+    def searched(G, S, g, cap, mul):
+        laws.add(mul.__name__)
+        return search(G, S, g, cap, mul)
+
+    for module in (metric, wordbound, cli, ex):
+        monkeypatch.setattr(module, "word_length", spy, raising=False)
+    monkeypatch.setattr(metric, "_length_bidirectional", searched)
+    result = CliRunner().invoke(main, ["experiment", "all", "--format", "json"])
+    assert result.exit_code == 0
+    assert calls == []
+    assert laws == {"_mul"}
 
 
 def test_bound_witness_zxd8_small():

@@ -14,6 +14,7 @@ from oracles import (
     alphabet_mutations,
     free_generation_certificate,
     generates_split_reference,
+    generates_split_tuples,
     genset_is_valid_reference,
     make_symmetric_reference,
     quaternion_table,
@@ -24,6 +25,7 @@ from wordbound import groups as gr
 from wordbound.errors import DomainError, EmptyGenSetError, ResourceLimitExceeded
 from wordbound.gensets import (
     GenSet,
+    _generates_split,
     _smith,
     dihedral_mod,
     generates,
@@ -38,6 +40,7 @@ from wordbound.gensets import (
     smith_normal_form,
 )
 from wordbound.experiments import sample_zxd8_genset, uniform_length_table
+from wordbound.metric import _Budget
 from wordbound.metric import word_length
 
 
@@ -190,6 +193,25 @@ def test_snf_against_sympy_and_transform_identity():
         ref = snf_reference(sympy.Matrix(M))
         expected = [abs(int(ref[i, i])) for i in range(min(r, c))]
         assert sorted(v for v in expected if v) == [v for v in diag if v]
+
+
+def test_snf_of_huge_entries_finishes():
+    """Entries near 10^30 and 2^64: the diagonal is sympy's and U M V = D.
+    Clearing the first matrix by division, with each remainder swapped in
+    as the pivot, grows its entries to thousands of digits within a few
+    steps."""
+    big = [10**30, -10**30, 10**30 + 1, -3 * 10**29 + 5, 2**64, 7, -12, 0, 1]
+    rng = random.Random(31)
+    cases = [[[2**64, 0, 0, 2**64], [10**30, -10**30, -3 * 10**29 + 5, 0]]]
+    cases += [[[rng.choice(big) for _ in range(c)] for _ in range(r)]
+              for r, c in [(rng.randint(1, 3), rng.randint(1, 6)) for _ in range(60)]]
+    for M in cases:
+        D, U, V = smith_normal_form(M)
+        assert tuple(tuple(row) for row in _matmul(_matmul(list(map(list, U)), M),
+                                                   list(map(list, V)))) == D
+        ref = snf_reference(sympy.Matrix(M))
+        assert invariant_factors(M) == sorted(
+            abs(int(ref[i, i])) for i in range(min(ref.shape)) if ref[i, i]), M
 
 
 def test_invariant_factors():
@@ -529,6 +551,107 @@ def test_generates_matches_the_split_that_keeps_trivial_factors(G):
         assert got == generates_split_reference(G, S), S.letters
         statuses.add(res.status)
     assert statuses == {"yes", "no"}
+
+
+_DINF = gr.DihedralInfinite()
+# Splits of lattice rank k = 0 to 3, with F acting on the translations and
+# without.
+RANK_GROUPS = [
+    gr.DihedralFinite(4),
+    gr.Product(gr.FiniteCyclic(2), gr.FiniteCyclic(6)),
+    gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
+    _DINF,
+    gr.IntVector(2),
+    gr.Product(gr.IntVector(1), _DINF),
+    gr.Product(gr.IntVector(2), gr.FiniteCyclic(3)),
+    gr.Product(gr.IntVector(2), _DINF),
+    gr.Product(_DINF, gr.Product(gr.IntVector(1), _DINF)),
+]
+_COORDINATES = (0, 1, -1, 7, -12, 10**30, -10**30, 10**30 + 1, -3 * 10**29 + 5, 2**64)
+
+
+def _element_of_mixed_magnitude(G, rng):
+    """An element of G whose translation coordinates are drawn from
+    ``_COORDINATES``: small, around 10^30 and mixed within one vector."""
+    if isinstance(G, gr.Product):
+        return (_element_of_mixed_magnitude(G.left, rng), _element_of_mixed_magnitude(G.right, rng))
+    if isinstance(G, gr.IntVector):
+        return tuple(rng.choice(_COORDINATES) for _ in range(G.d))
+    if G == _DINF:
+        return (rng.choice(_COORDINATES), rng.randrange(2))
+    return rng.choice(list(G.elements()))
+
+
+def _split_parts(G, S):
+    """The split parts of one letter per inverse pair, as ``generates``
+    hands them to the Schreier walk, and the split's k, F and action."""
+    k, F, part, act = G.lattice_split()
+    return [part(x) for sym, x in enumerate(S.letters) if S.involution[sym] >= sym], k, F, act
+
+
+@pytest.mark.parametrize("G", RANK_GROUPS, ids=str)
+def test_integer_walk_is_exact_on_huge_translations(G):
+    """The walk on integer translations gives the tuple walk's status,
+    reason and evidence, and the full Smith normal form's closure, index
+    and invariant factors, for translations of +-10^30 and mixed
+    magnitudes; half the alphabets add G's standard generators, so both
+    verdicts occur wherever Z^k is not trivial."""
+    rng = random.Random(str(G))
+    statuses = set()
+    for i in range(40):
+        letters = [_element_of_mixed_magnitude(G, rng) for _ in range(rng.randint(1, 4))]
+        if i % 2:
+            letters += G.standard_generators()
+        if all(x == G.identity() for x in letters):
+            continue
+        S = make_symmetric(G, letters)
+        parts, k, F, act = _split_parts(G, S)
+        got = _generates_split(parts, k, F, act)
+        want = generates_split_tuples(parts, k, F, act)
+        assert (got.status, got.reason, got.evidence) == (want.status, want.reason, want.evidence)
+        assert generates(G, S) == got
+        assert {"status": got.status, **{key: got.evidence[key] for key in (
+            "closure_size", "kernel_index", "invariant_factors")}} == generates_split_reference(G, S)
+        statuses.add(got.status)
+    assert statuses == {"yes", "no"}
+
+
+@pytest.mark.parametrize("G, letters", [
+    (gr.Product(gr.IntVector(1), gr.DihedralFinite(4)), [((1,), (0, 0)), ((0,), (1, 0)), ((0,), (0, 1))]),
+    (gr.Product(gr.IntVector(1), gr.DihedralFinite(4)), [((2,), (1, 0)), ((3,), (0, 1))]),
+    (_DINF, [(0, 1), (2, 1), (3, 1)]),
+    (_DINF, [(0, 1), (4, 1), (-6, 0)]),
+    (gr.Product(gr.IntVector(2), _DINF), [((1, 0), (0, 0)), ((0, 1), (0, 1)), ((0, 0), (1, 1))]),
+    (gr.Product(gr.IntVector(2), _DINF), [((2, 1), (3, 1)), ((1, -1), (0, 1)), ((0, 5), (2, 0))]),
+    (gr.Product(gr.FiniteCyclic(2), gr.FiniteCyclic(6)), [(1, 0), (0, 1)]),
+    (gr.Product(gr.FiniteCyclic(2), gr.FiniteCyclic(6)), [(1, 3), (0, 2)]),
+], ids=str)
+def test_walk_refuses_at_every_limit_like_the_charged_reference(G, letters, monkeypatch):
+    """At every limit from the root's charge up to the first that
+    completes, ``generates`` refuses with the ``partial_radius`` and
+    ``explored`` of the tuple walk that charges each node by its own
+    ``_Budget.charge`` call, or returns the same result."""
+    S = make_symmetric(G, letters)
+    parts, k, F, act = _split_parts(G, S)
+
+    def outcome(walk):
+        try:
+            res = walk()
+        except ResourceLimitExceeded as exc:
+            return exc.partial_radius, exc.explored
+        return res.status, res.reason, res.evidence
+
+    limit = _Budget.cost(F.identity())
+    refusals = set()
+    while True:
+        monkeypatch.setenv("WORDBOUND_MEM_LIMIT", str(limit))
+        got = outcome(lambda: generates(G, S))
+        assert got == outcome(lambda: generates_split_tuples(parts, k, F, act)), limit
+        if len(got) == 3:
+            break
+        refusals.add(got)
+        limit += 1
+    assert len(refusals) > 1
 
 
 def test_zxd8_reasons_name_d8():
