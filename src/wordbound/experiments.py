@@ -26,7 +26,7 @@ from . import groups as gr
 from .errors import NotGeneratingError, UnsupportedFamilyError
 from .gensets import (
     GenSet, _ext_gcd, _generates_split, dihedral_mod, generates, inverse_pair_classes, make_symmetric)
-from .metric import _grow, ball, certify_length
+from .metric import _grow, _reserve, ball, certify_length
 from .reports import ExperimentReport, Verdict
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -208,9 +208,12 @@ def uniform_length_table(G):
     Every symmetric subset of G minus the identity is a union of
     inverse-pair classes, so the sets are the masks 1 .. 2^c - 1 of G's c
     classes, taken in increasing order; a mask's alphabet is
-    ``GenSet.from_classes`` of its classes in order.  Its ``ball`` out to
-    ``G.size`` gives every length and also decides generation: the mask
-    generates G exactly when the ball holds all of it.
+    ``GenSet.from_classes`` of its classes in order.  Its ball out to
+    ``G.size``, grown on the mask's letters with the trusted ``G._mul`` as
+    ``ball`` grows it, gives every length and also decides generation: the
+    mask generates G exactly when the ball holds all of it.  The letters
+    are enumerated elements, so a mask's ``GenSet`` is built, and checked,
+    only when it becomes some element's argmax.
     """
     if not G.is_finite or G.size > UNIFORM_LENGTH_CAP:
         raise UnsupportedFamilyError(
@@ -218,15 +221,19 @@ def uniform_length_table(G):
     classes = inverse_pair_classes(G, G.elements())
     if not classes:
         raise UnsupportedFamilyError("group has no generating subsets (trivial group)")
+    size = G.size
     table = {g: (0, None) for g in G.elements()}
     for mask in range(1, 1 << len(classes)):
-        S = GenSet.from_classes(G, [c for i, c in enumerate(classes) if mask >> i & 1])
-        lengths = ball(G, S, G.size).table
-        if len(lengths) < G.size:
+        chosen = [c for i, c in enumerate(classes) if mask >> i & 1]
+        lengths = _grow(G, G._mul, [x for c in chosen for x in c], size)
+        if len(lengths) < size:
             continue
-        for g in table:
+        S = None
+        for g, (best, argmax) in table.items():
             d = lengths[g][0]
-            if table[g][1] is None or d > table[g][0]:
+            if argmax is None or d > best:
+                if S is None:
+                    S = GenSet.from_classes(G, chosen)
                 table[g] = (d, S)
     return table
 
@@ -559,14 +566,15 @@ _ZXD8 = gr.Product(gr.IntVector(1), gr.DihedralFinite(4))
 _ZXD8_SPLIT = _ZXD8.lattice_split()  # Z x| D8: one translation, D8 acting trivially
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def _zxd8_draws(radius):
     """What the sampler draws from at ``radius``: the non-identity elements
     of Z x D8 with translation part bounded by ``radius``, in draw order, and
     two maps over them, read-only since every caller shares them.  The
     first maps each element to its inverse, by the checked ``inv`` (the pool
     is closed under inverses); the second to its part in the split of
-    Z x D8, (translation, element of D8)."""
+    Z x D8, (translation, element of D8).  The cache keeps the last four
+    radii."""
     e = _ZXD8.identity()
     pool = tuple(g for g in (((n,), f) for n in range(-radius, radius + 1)
                              for f in _ZXD8.right.elements()) if g != e)
@@ -589,8 +597,14 @@ def sample_zxd8_genset(rng, radius=10):
     checks it like any other alphabet.  The pool was enumerated from the
     group and holds no identity.  Each decision's walk is charged to its
     own memory budget, like a search.
+
+    The pool and its two maps hold 16(2r + 1) elements, counted generously,
+    for r = ``radius``.  Before they are built (or read from the cache), a
+    radius whose elements would overdraw the memory limit at
+    ``_Budget.cost`` each is refused with ResourceLimitExceeded.
     """
     gr._check_int("radius", radius, 1)
+    _reserve(16 * (2 * radius + 1), _ZXD8.identity())
     pool, inverses, part = _zxd8_draws(radius)
     inverse = inverses.__getitem__
     k, F, _, act = _ZXD8_SPLIT

@@ -21,7 +21,7 @@ from typing import Callable
 
 from . import groups as gr
 from .errors import DomainError, EmptyGenSetError, UnsupportedFamilyError
-from .metric import _Budget, _check_alphabet
+from .metric import _Budget, _check_alphabet, _decode, _encode, _regular
 
 
 @dataclass(frozen=True)
@@ -391,18 +391,28 @@ def _generates_split(parts, k, F, act):
     for every k-tuple.  The charges run in a local counter that is written
     back to the budget before a refusal, as in ``metric._expand``.
 
-    Translations are Python ints, by :func:`_translation_code`; they are
-    decoded only for ``invariant_factors``.
+    The walk runs on ints.  An F of at most ``metric.TABULATED_MAX_ORDER``
+    elements is walked by index, reading each product from its right-regular
+    table (``metric._regular``) and charging each index its element's cost.
+    A larger F is walked on its elements, one ``_mul`` per edge; when F
+    acts trivially it is never enumerated beyond the elements the walk
+    reaches, while an action is applied to every element of F up front,
+    in the steps of :func:`_translation_code`.  Translations are ints,
+    by :func:`_translation_code`; they are decoded only for
+    ``invariant_factors``.
 
     Taking parts, not a ``GenSet``, lets the zxd8 sampler decide a draw
     before it builds the alphabet.
     """
-    mul = F._mul  # the parts come from checked elements, so they are in F
-    e = F.identity()
-    mem = _Budget(e)
-    cost, limit, used = mem.cost, mem.limit, mem.used
-    vector_cost = cost((0,) * k)
-    steps, base = _translation_code(parts, k, F, act)
+    T = _regular(F)
+    if T is None:
+        e, cost = F.identity(), _Budget.cost
+    else:
+        e, cost = T.index[F.identity()], T.costs.__getitem__
+    mem = _Budget(e, cost=cost)
+    limit, used = mem.limit, mem.used
+    vector_cost = _Budget.cost((0,) * k)
+    steps, base = _translation_code(parts, k, F, act, T)
     rep = {e: 0}
     frontier = [e]
     kernel = set()
@@ -411,8 +421,8 @@ def _generates_split(parts, k, F, act):
         nxt = []
         for f in frontier:
             t = rep[f]
-            for a, u in (steps if act is None else steps[f]):
-                f2 = mul(f, u)
+            for a, column in (steps if act is None else steps[f]):
+                f2 = column[f]
                 if f2 in rep:
                     v = t + a - rep[f2]
                     if v in kernel:
@@ -443,7 +453,8 @@ def _generates_split(parts, k, F, act):
     if k == 1:
         evidence["translation_gcd"] = index
     if len(rep) != F.size:
-        evidence["missing"] = next(x for x in F.elements() if x not in rep)
+        missing = next(f for f in (F.elements() if T is None else range(F.size)) if f not in rep)
+        evidence["missing"] = missing if T is None else T.elements[missing]
         return GenerationResult(
             "no", f"the finite parts generate a proper subgroup of {F}", evidence)
     if index != 1:
@@ -455,14 +466,27 @@ def _generates_split(parts, k, F, act):
         evidence)
 
 
-def _translation_code(parts, k, F, act):
+class _Products:
+    """Right multiplication by ``u`` in an F too large to tabulate, read
+    like a column of its table: ``column[f]`` is f·u, one ``_mul``."""
+
+    __slots__ = ("mul", "u")
+
+    def __init__(self, mul, u):
+        self.mul, self.u = mul, u
+
+    def __getitem__(self, f):
+        return self.mul(f, self.u)
+
+
+def _translation_code(parts, k, F, act, T):
     """The Schreier walk's steps on integer translations, and the base of
     their code.
 
     A translation v in Z^k is the int enc(v) = v_0 + v_1*B + ... +
-    v_(k-1)*B^(k-1) (:func:`_encode`).  That is linear for any B, so the
+    v_(k-1)*B^(k-1) (``metric._encode``).  That is linear for any B, so the
     walk adds and subtracts the ints exactly as it would the vectors.
-    :func:`_decode` reads the k - 1 low coordinates as balanced base-B
+    ``metric._decode`` reads the k - 1 low coordinates as balanced base-B
     digits and the top one as the quotient left over, which is exact for
     every v whose low coordinates are at most B/2 - 1 in magnitude; on those
     vectors enc is one to one.  With k = 0 every translation is 0 and with
@@ -477,47 +501,31 @@ def _translation_code(parts, k, F, act):
     at most (2|F| - 1)M in magnitude.  B = 2(2|F| - 1)M + 2 therefore
     decodes, and tells apart, every kernel vector exactly.
 
-    The steps are the list of (enc(a), u) when ``act`` is None, else the
-    dict mapping each f in F to its list of (enc(act(f, a)), u).
+    A step is (enc(act(f, a)), column), the column of right multiplication
+    by u: ``T.right``'s, by index, for F's table T, and :class:`_Products`
+    when T is None.  The steps are one list when ``act`` is None, else one
+    list per f in F, by index or, when T is None, in a dict by element.
     """
+    if T is None:
+        columns = [_Products(F._mul, u) for _, u in parts]
+    else:
+        columns = [T.right[T.index[u]] for _, u in parts]
     if act is None:
         if k < 2:
-            return [(a[0] if k else 0, u) for a, u in parts], 0
+            return [(a[0] if k else 0, c) for (a, _), c in zip(parts, columns)], 0
         acted = [a for a, _ in parts]
     else:
-        elements = list(F.elements())
+        elements = list(F.elements()) if T is None else T.elements
         acted = [act(f, a) for f in elements for a, _ in parts]
     base = 0
     if k >= 2:
         base = 2 * (2 * F.size - 1) * max((abs(c) for a in acted for c in a), default=0) + 2
     codes = [_encode(a, base) for a in acted]
-    units = [u for _, u in parts]
     if act is None:
-        return list(zip(codes, units)), base
-    n = len(units)
-    return {f: list(zip(codes[i * n:(i + 1) * n], units))
-            for i, f in enumerate(elements)}, base
-
-
-def _encode(v, base):
-    x = 0
-    for c in reversed(v):
-        x = x * base + c
-    return x
-
-
-def _decode(x, k, base):
-    if not k:
-        return ()
-    v = []
-    for _ in range(k - 1):
-        d = x % base
-        if d > base // 2:
-            d -= base
-        v.append(d)
-        x = (x - d) // base
-    v.append(x)
-    return tuple(v)
+        return list(zip(codes, columns)), base
+    n = len(columns)
+    per_f = [list(zip(codes[i * n:(i + 1) * n], columns)) for i in range(len(elements))]
+    return (per_f if T is not None else dict(zip(elements, per_f))), base
 
 
 def _generates_heisenberg(G, S):

@@ -23,24 +23,38 @@ A ``GenSet`` checks its letters where it is built, so every search only
 tests, at entry in :func:`_check_alphabet`, that its alphabet is over ``G``.
 The root is the identity or a checked target, so every node a search
 reaches is a product of elements.  ``ball``, and ``girth`` through
-it, therefore multiply with the trusted law ``G._mul``, and so do
-``certify_length``'s two searches and ``Ball.word_to``, the one walk back
-through a search table, whose entries and letters are elements.
+it, therefore multiply with the trusted law ``G._mul``, and so does
+``Ball.word_to``, whose table entries and letters are elements.
 ``word_length``'s two searches keep the checked ``G.mul``, although their
 operands are elements too: perfbench's tracer counts only the checked
 ``mul``, and a faster ``queries`` workload raises its ``peak_rss_mb``, since
 the harness keeps one latency per operation.  ``certify_length`` checks its
 word with the checked law as well, through ``S.eval_word``.
 
+``certify_length``'s search runs on packed integers wherever it can
+(:func:`_packed_space`): on every group that is Z^k x| F with F finite (a
+finite group, a lattice, the infinite dihedral group and their products)
+and F of at most ``TABULATED_MAX_ORDER`` elements.  F is tabulated once,
+by its right-regular representation (:func:`_regular`), and an element with
+split (v, f) is the int enc(v)·|F| + idx(f), so a product is one addition
+and one table read, with no tuple built or hashed.  Its tables, witness,
+``explored`` and budget charges are those of the search on elements.  Any
+other group, such as the Heisenberg and free groups, and an F past the cap,
+which is never enumerated, keep the search on ``G._mul``.  ``word_length``
+and ``ball`` stay on elements: a faster ``queries`` workload raises its
+``peak_rss_mb``, as above, and ``ball``'s public table is keyed by elements,
+which experiments read.
+
 Every stored node is charged to a memory budget by one size rule,
-:meth:`_Budget.cost`.  Each search makes its own budget, which reads its
-limit from ``WORDBOUND_MEM_LIMIT`` (:func:`memory_limit`) and charges the
-search's roots.  ``_expand`` charges a layer's nodes in a local counter and
-writes it back to the budget before it yields the layer or refuses, so a
-search pays no call per node to the budget object.
+:meth:`_Budget.cost`, the bytes of the element it stands for.  Each search
+makes its own budget, which reads its limit from ``WORDBOUND_MEM_LIMIT``
+(:func:`memory_limit`) and charges the search's roots.  ``_expand`` charges
+a layer's nodes in a local counter and writes it back to the budget before
+it yields the layer or refuses, so a search pays no call per node to the
+budget object.
 
 Every table ``_expand`` grows maps a node to its depth and the index of
-the letter that first reached it, which is all ``Ball.word_to`` needs.  In a
+the letter that first reached it, which is all :func:`_word_to` needs.  In a
 finite group a search stops once its table holds all ``G.size`` elements:
 its layer ends after the node whose products fill the table, and no layer
 follows.  The stop is exact.  From then on every product is already in the
@@ -51,15 +65,19 @@ every budget charge are those of that walk.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitExceeded
 from .groups import _check_int
 
 DEFAULT_MEM_LIMIT = 1 << 30  # 1 GiB
 _ENTRY_OVERHEAD = 160  # rough dict-entry + value-tuple bytes per visited node
+TABULATED_MAX_ORDER = 64  # elements of the largest finite group F tabulated by _regular
 
 
 def _check_alphabet(G, S):
@@ -144,16 +162,24 @@ class Ball:
         """Reconstruct the stored geodesic word from the root to an element
         of the table."""
         S = self.genset
-        G = self.group
-        syms = []
-        mul = G._mul  # table entries and S's letters are elements
-        while True:
-            _, sym = self.table[g]
-            if sym is None:
-                break
-            syms.append(sym)
-            g = mul(g, S.element(S.inv_symbol(sym)))
-        return tuple(reversed(syms))
+        # table entries and S's letters are elements
+        return _word_to(self.table, self.group._mul, S.letters, S.involution, g)
+
+
+def _word_to(table, mul, letters, involution, v):
+    """The word that ``table``, grown by :func:`_expand` with the law
+    ``mul`` and ``letters``, stores from its root to the node v: the one
+    reader of a search table, on elements or on packed ints alike.  A node
+    v = u·letters[i] stored at depth d leads back to u = v·letters[i]⁻¹,
+    which is ``letters[involution[i]]``."""
+    syms = []
+    while True:
+        _, sym = table[v]
+        if sym is None:
+            break
+        syms.append(sym)
+        v = mul(v, letters[involution[sym]])
+    return tuple(reversed(syms))
 
 
 class _Budget:
@@ -167,9 +193,15 @@ class _Budget:
     ``charge``.  ``_expand`` and the Schreier walk of ``gensets`` charge by
     the same :meth:`cost` in a local counter and write ``used`` and
     ``nodes`` back here before they yield or refuse.
+
+    A search whose nodes are ints standing for elements passes ``cost``,
+    which replaces :meth:`cost` and charges each node the bytes of its
+    element.
     """
 
-    def __init__(self, *roots):
+    def __init__(self, *roots, cost=None):
+        if cost is not None:
+            self.cost = cost
         self.limit = memory_limit()
         self.used = sum(map(self.cost, roots))
         self.nodes = len(roots)
@@ -193,6 +225,163 @@ class _Budget:
             partial_radius=radius,
             explored=explored,
         )
+
+
+def _reserve(count, sample):
+    """Refuse, as a search would, to store ``count`` values charged what
+    ``sample`` is by :meth:`_Budget.cost`, when they overdraw the memory
+    limit: ResourceLimitExceeded at radius 0 with nothing explored."""
+    budget = _Budget()
+    if count * budget.cost(sample) > budget.limit:
+        raise budget.exhausted(0, 0)
+
+
+def _encode(v, base):
+    """The int enc(v) = v_0 + v_1·B + ... + v_(k-1)·B^(k-1) of a translation
+    v in Z^k, in base B = ``base``.  It is linear for any B, so sums and
+    differences of codes are the codes of sums and differences.
+    :func:`_decode` reads it back, exactly for every v whose low k - 1
+    coordinates are at most B/2 - 1 in magnitude; on those vectors enc is
+    one to one.  With k = 0 the code is 0 and with k = 1 it is v_0, for any
+    B, so neither needs a base."""
+    x = 0
+    for c in reversed(v):
+        x = x * base + c
+    return x
+
+
+def _decode(x, k, base):
+    """The k-vector v with ``_encode(v, base) == x``: the k - 1 low
+    coordinates as balanced base-B digits, the top one the quotient left
+    over."""
+    if not k:
+        return ()
+    v = []
+    for _ in range(k - 1):
+        d = x % base
+        if d > base // 2:
+            d -= base
+        v.append(d)
+        x = (x - d) // base
+    v.append(x)
+    return tuple(v)
+
+
+@dataclass(frozen=True)
+class _Regular:
+    """The right-regular representation of a finite group F (Holt, Eick
+    and O'Brien, *Handbook of Computational Group Theory*, 2005): its
+    ``elements`` in the order of ``F.elements()``, the ``index`` of each,
+    ``right[j][i]``, the index of ``elements[i]·elements[j]``, the same
+    less i as ``offsets[j][i]``, and ``costs``, the :meth:`_Budget.cost`
+    of each element.  Shared through the cache of :func:`_regular`, so
+    every part is read-only."""
+
+    elements: tuple
+    index: MappingProxyType
+    right: tuple
+    offsets: tuple
+    costs: tuple
+
+
+@functools.lru_cache(maxsize=16)
+def _regular(F):
+    """F's table (:class:`_Regular`), made once per group, or None when F
+    has more than ``TABULATED_MAX_ORDER`` elements: such an F is never
+    enumerated, and its callers multiply only the elements they reach.
+    The cache is keyed by the frozen group and holds at most 16 tables of
+    at most 64 x 64 indices."""
+    if F.size > TABULATED_MAX_ORDER:
+        return None
+    elements = tuple(F.elements())
+    index = {f: i for i, f in enumerate(elements)}
+    mul = F._mul  # F enumerates its own elements
+    right = tuple(tuple(index[mul(f, u)] for f in elements) for u in elements)
+    offsets = tuple(tuple(j - i for i, j in enumerate(col)) for col in right)
+    return _Regular(elements, MappingProxyType(index), right, offsets,
+                    tuple(map(_Budget.cost, elements)))
+
+
+class _Space(NamedTuple):
+    """What a meet-in-the-middle search runs on: the law ``mul`` of a node
+    and a letter, the ``letters`` by symbol id, the bytes ``cost`` charged
+    for a stored node, and the ``roots``, the nodes of the identity and of
+    the target.  On elements (:func:`_elements`) a node is the element
+    itself; on packed ints (:func:`_packed_space`) it is its code.  A named
+    tuple, as ``word_length`` makes one per query."""
+
+    mul: object
+    letters: object
+    cost: object
+    roots: tuple
+
+
+def _elements(G, S, g, mul):
+    """The search space of elements, multiplied by ``mul``."""
+    return _Space(mul, S.letters, _Budget.cost, (G.identity(), g))
+
+
+def _packed_space(G, S, g, cap):
+    """The search space of packed ints for a search from e and from g out
+    to ``cap`` in all, or None when G is not Z^k x| F with F tabulated.
+
+    A finite G is its own F, with k = 0; any other G is split by
+    ``G.lattice_split()``.  With F's m elements numbered by
+    :func:`_regular`, a node is the int enc(v)·m + idx(f) of the element
+    with split (v, f), enc being :func:`_encode` in base B.  A letter with
+    split (a, u) is the list D with D[i] = enc(f_i·a)·m + idx(f_i·u) - i,
+    f_i·a being F's action, so a node x times a letter D is x + D[x % m]:
+    Python's floor ``%`` reads idx(f) off a negative x too.  enc is linear,
+    so that product is exact.
+
+    For k >= 2 the base tells every node apart.  Let M be the largest
+    coordinate magnitude of any f_i·a, and |g| that of g's translation.  A
+    node d letters from e has coordinates at most d·M in magnitude, and one
+    d letters from g at most |g| + d·M; neither search goes past ``cap``
+    letters, so B = 2(|g| + cap·M) + 2 decodes, and tells apart, every
+    node.  For k <= 1 B is 0.
+
+    Each node is charged the bytes of the element it stands for: for
+    k = 0 its index's cost in the table; for k >= 1 every element of G is a
+    tuple of one length (a vector, a dihedral pair or a product pair), so
+    one constant, the identity's cost.
+    """
+    split = (0, G, lambda h: ((), h), None) if G.is_finite else G.lattice_split()
+    if split is None:
+        return None
+    k, F, part, act = split
+    T = _regular(F)
+    if T is None:
+        return None
+    elements, index, m = T.elements, T.index, len(T.elements)
+    parts = [part(x) for x in S.letters]
+    t, f = part(g)
+    base = 0
+    if k >= 2:
+        acted = [a for a, _ in parts] if act is None else [
+            act(h, a) for h in elements for a, _ in parts]
+        reach = max(abs(c) for a in acted for c in a)
+        base = 2 * (max(map(abs, t)) + cap * reach) + 2
+    letters = []
+    for a, u in parts:
+        offsets = T.offsets[index[u]]
+        if act is None:
+            letters.append(list(map((_encode(a, base) * m).__add__, offsets)))
+        else:
+            letters.append([_encode(act(h, a), base) * m + d for h, d in zip(elements, offsets)])
+
+    def step(x, D, m=m):
+        return x + D[x % m]
+
+    if k:
+        size = _Budget.cost(G.identity())
+
+        def cost(x):
+            return size
+    else:
+        cost = T.costs.__getitem__
+    roots = (index[F.identity()], _encode(t, base) * m + index[f])
+    return _Space(step, letters, cost, roots)
 
 
 def _expand(mul, letters, table, budget, full):
@@ -294,7 +483,7 @@ def word_length(G, S, g, cap):
     _check_alphabet(G, S)
     G.check(g)
     if g != G.identity():
-        return _length_bidirectional(G, S, g, cap, G.mul)
+        return _length_bidirectional(G, S, g, cap, _elements(G, S, g, G.mul))
     memory_limit()  # refuses a malformed limit, though nothing is searched
     return LengthCert(element=g, length=0, witness=(), cap=cap, explored=1)
 
@@ -305,10 +494,12 @@ def certify_length(G, S, g, word):
     The word, any iterable of symbol ids, is read once and checked to
     evaluate to g (DomainError otherwise, also for an unknown symbol id),
     which bounds the length by ``n = len(word)`` from above.  Then
-    ``word_length``'s meet-in-the-middle search runs out to ``n - 1`` on the
-    trusted ``G._mul``, as S, g and so every node are checked already; its
-    tables, witness and ``explored`` are those of ``word_length(G, S, g,
-    n - 1)``.  If it finds g, its certificate, with a
+    ``word_length``'s meet-in-the-middle search runs out to ``n - 1``, as S,
+    g and so every node are checked already, on packed ints
+    (:func:`_packed_space`) or, where G has no tabulated split, on the
+    trusted ``G._mul``.  Its tables, witness, ``explored`` and budget
+    charges are those of ``word_length(G, S, g, n - 1)``.  If it finds g,
+    its certificate, with a
     geodesic witness and ``cap = n - 1``, is returned; otherwise the length
     is n and the certificate carries ``witness = tuple(word)``, ``cap = n``
     and the search's ``explored``.  Neither the identity (length 0, the
@@ -323,7 +514,8 @@ def certify_length(G, S, g, word):
         raise DomainError(f"word {word!r} does not evaluate to {g!r}")
     n = len(word)
     if n > 1 and g != G.identity():
-        cert = _length_bidirectional(G, S, g, n - 1, G._mul)
+        space = _packed_space(G, S, g, n - 1) or _elements(G, S, g, G._mul)
+        cert = _length_bidirectional(G, S, g, n - 1, space)
         if cert.length is not None:
             return cert
         explored = cert.explored
@@ -354,7 +546,7 @@ def _length_bfs(G, S, g, cap):
     return LengthCert(element=g, length=table[g][0], witness=witness, cap=cap, explored=len(table))
 
 
-def _length_bidirectional(G, S, g, cap, mul):
+def _length_bidirectional(G, S, g, cap, space):
     """Meet-in-the-middle BFS from the identity and from the target.
 
     It draws layers from two :func:`_expand` searches, one from e and one
@@ -364,22 +556,24 @@ def _length_bidirectional(G, S, g, cap, mul):
     or ``db``.  It stops once the two depths reach ``cap`` or the best
     meeting found so far, or both last layers are empty.
 
-    Both searches use the full symmetric alphabet and the caller's law
-    ``mul``: ``word_length`` passes the checked ``G.mul`` and
-    ``certify_length`` the trusted ``G._mul``.  The forward table spells
-    each node from e and the backward table from g, so the witness through
-    a meeting node v is ``word_to(v)`` over the forward table followed by
-    the inverse of ``word_to(v)`` over the backward one.
+    Both searches use the full symmetric alphabet and run on ``space``
+    (:class:`_Space`): ``word_length`` passes the elements with the checked
+    ``G.mul`` and ``certify_length`` packed ints, or the elements with the
+    trusted ``G._mul``.  The forward table spells each node from e and the
+    backward table from g, so the witness through a meeting node v is
+    :func:`_word_to` v over the forward table followed by the inverse of
+    that over the backward one.
     """
-    e = G.identity()
-    budget = _Budget(e, g)  # g == e is handled by the caller
+    e, r = space.roots  # g == e is handled by the caller
+    mul, letters = space.mul, space.letters
+    budget = _Budget(e, r, cost=space.cost)
     fwd = {e: (0, None)}
-    bwd = {g: (0, None)}
-    f_layers = _expand(mul, S.letters, fwd, budget, G.size)
-    b_layers = _expand(mul, S.letters, bwd, budget, G.size)
-    f_layer, b_layer = [e], [g]
+    bwd = {r: (0, None)}
+    f_layers = _expand(mul, letters, fwd, budget, G.size)
+    b_layers = _expand(mul, letters, bwd, budget, G.size)
+    f_layer, b_layer = [e], [r]
     df = db = 0
-    best = None  # (total, meet element)
+    best = None  # (total, meeting node)
     while df + db < cap and (best is None or df + db < best[0]) and (f_layer or b_layer):
         if not b_layer or (f_layer and len(f_layer) <= len(b_layer)):
             df += 1
@@ -399,8 +593,8 @@ def _length_bidirectional(G, S, g, cap, mul):
         return LengthCert(element=g, length=None, witness=None, cap=cap,
                           explored=explored)
     total, meet = best
-    head = Ball(group=G, genset=S, radius=df, table=fwd).word_to(meet)
-    back = Ball(group=G, genset=S, radius=db, table=bwd).word_to(meet)
+    head = _word_to(fwd, mul, letters, S.involution, meet)
+    back = _word_to(bwd, mul, letters, S.involution, meet)
     witness = head + tuple(S.inv_symbol(s) for s in reversed(back))
     return LengthCert(element=g, length=total, witness=witness, cap=cap,
                       explored=explored)

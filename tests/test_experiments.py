@@ -12,6 +12,7 @@ from oracles import (
     FINITE_GROUPS,
     aut_by_bijections,
     is_automorphism_reference,
+    quaternion_table,
     report_from_json_bytes,
     sample_zxd8_genset_reference,
     symmetric_generating_subsets_reference,
@@ -216,17 +217,19 @@ C2, C4 = gr.FiniteCyclic(2), gr.FiniteCyclic(4)
 
 
 def _table_balls(G, monkeypatch):
-    """(alphabet, whether its ball is all of G) for each ``ball`` that
-    ``uniform_length_table(G)`` runs, in call order."""
+    """(letters, whether their ball is all of G) for each ball that
+    ``uniform_length_table(G)`` grows, in call order, with the law and
+    radius that ``ball`` grows it with."""
     balls = []
 
-    def recording(H, S, radius):
-        B = metric.ball(H, S, radius)
-        balls.append((S, len(B) == G.size))
-        return B
+    def recording(H, mul, letters, radius):
+        assert (H, mul, radius) == (G, G._mul, G.size)
+        table = metric._grow(H, mul, letters, radius)
+        balls.append((tuple(letters), len(table) == G.size))
+        return table
 
     with monkeypatch.context() as m:
-        m.setattr(ex, "ball", recording)
+        m.setattr(ex, "_grow", recording)
         ex.uniform_length_table(G)
     return balls
 
@@ -246,11 +249,34 @@ def _uniform_length_table_reference(G):
 @pytest.mark.parametrize("G", FINITE_GROUPS, ids=str)
 def test_generating_subsets_match_reference(G, monkeypatch):
     """The masks whose balls fill G are the reference's generating sets:
-    the same GenSets (letters, involution, order) as one closure per mask,
-    among one ball per mask."""
+    the same letters, in the same order, as one closure per mask, among
+    one ball per mask."""
     balls = _table_balls(G, monkeypatch)
     assert len(balls) == (1 << len(inverse_pair_classes(G, G.elements()))) - 1
-    assert [S for S, full in balls if full] == list(symmetric_generating_subsets_reference(G))
+    assert [letters for letters, full in balls if full] == [
+        S.letters for S in symmetric_generating_subsets_reference(G)]
+
+
+@pytest.mark.parametrize("G, built, kept", [
+    (gr.DihedralFinite(8), 12, 8),
+    (gr.DihedralFinite(4), 5, 5),
+    (quaternion_table(), 3, 3),
+], ids=str)
+def test_uniform_length_table_builds_only_argmax_alphabets(G, built, kept, monkeypatch):
+    """A mask's GenSet is built only when it becomes some element's argmax:
+    D16 builds 12 of its 3,960 generating masks' alphabets and keeps 8."""
+    made = []
+    check = GenSet.__post_init__
+
+    def counted(self):
+        made.append(self)
+        check(self)
+
+    monkeypatch.setattr(GenSet, "__post_init__", counted)
+    table = ex.uniform_length_table(G)
+    assert len(made) == built
+    assert len({id(S) for _, S in table.values()}) == kept
+    assert {id(S) for _, S in table.values()} <= {id(S) for S in made}
 
 
 @pytest.mark.parametrize("G", FINITE_GROUPS + [gr.DihedralFinite(3), gr.DihedralFinite(7)], ids=str)
@@ -501,6 +527,26 @@ def test_zxd8_sampler_refuses_a_radius_that_is_not_a_positive_int(radius):
     assert rng.getstate() == state
 
 
+def test_zxd8_sampler_refuses_a_pool_past_the_memory_limit(monkeypatch):
+    """Radius r's pool and maps are charged 16(2r + 1) elements of 216
+    bytes before they are built: under a 1000-byte limit radius 4000 is
+    refused, with nothing cached and no draw made, and radius 10 fits in
+    exactly 16 * 21 * 216 bytes.  The cache keeps at most four radii."""
+    ex._zxd8_draws.cache_clear()
+    rng = random.Random(0)
+    state = rng.getstate()
+    for limit, radius in ((1000, 4000), (16 * 21 * 216 - 1, 10)):
+        monkeypatch.setenv("WORDBOUND_MEM_LIMIT", str(limit))
+        with pytest.raises(ResourceLimitExceeded) as refused:
+            ex.sample_zxd8_genset(rng, radius)
+        assert (refused.value.partial_radius, refused.value.explored) == (0, 0)
+        assert ex._zxd8_draws.cache_info().currsize == 0
+        assert rng.getstate() == state
+    monkeypatch.setenv("WORDBOUND_MEM_LIMIT", str(16 * 21 * 216))
+    assert ex.sample_zxd8_genset(rng, 10) == sample_zxd8_genset_reference(random.Random(0), 10)
+    assert ex._zxd8_draws.cache_info().maxsize == 4
+
+
 # -- boundedness certificates --------------------------------------------
 
 
@@ -626,17 +672,17 @@ def test_heisenberg_center_certificates_match_bfs():
 def certified(monkeypatch):
     """Records of the experiments' ``certify_length`` calls: the run of
     ``DEFAULT_RUNS`` that made it, the alphabet, the element, the word, and
-    the caps, laws and certificates of the searches that a stub on
+    the caps, search spaces and certificates of the searches that a stub on
     ``metric._length_bidirectional`` saw during the call.  Searches outside
     a ``certify_length`` call are not recorded."""
     records, run, current = [], [None], [None]
     certify, search = ex.certify_length, metric._length_bidirectional
 
-    def searched(G, S, g, cap, mul):
-        cert = search(G, S, g, cap, mul)
+    def searched(G, S, g, cap, space):
+        cert = search(G, S, g, cap, space)
         if current[0] is not None:
             current[0]["caps"].append(cap)
-            current[0]["searches"].append((mul, cert))
+            current[0]["searches"].append((space, cert))
         return cert
 
     def recorded(G, S, g, word):
@@ -732,25 +778,30 @@ def test_experiment_all_searches_one_radius_short_of_each_word(certified):
 def test_certify_searches_equal_the_checked_word_length(certified):
     """Each search that ``certify_length`` runs for the 200 zxd8 alphabets,
     the 12 prescription rows, the 100 Heisenberg pairs and the 12 ladder
-    rows runs on the trusted ``G._mul`` and gives the certificate, field
-    for field, of the checked ``word_length`` out to the same cap."""
+    rows gives the certificate, field for field, of the checked
+    ``word_length`` out to the same cap.  The 214 searches in groups with a
+    lattice split (Z x D8, Z^d, Z x Z/2, D-infinity) run on packed ints, and
+    the 108 in the Heisenberg and free groups on the trusted ``G._mul``."""
     for name in ("heisenberg-center", "zxd8", "prescribe-free", "prescribe-zd", *LADDERS):
         assert ex.DEFAULT_RUNS[name]().passed
-    searches = 0
+    searches = Counter()
     for r in certified:
         S, g = r["S"], r["g"]
         G = S.group
-        for mul, trusted in r["searches"]:
-            assert mul == G._mul
-            assert word_length(G, S, g, len(r["word"]) - 1) == trusted
-            searches += 1
-    assert searches == 322
+        cap = len(r["word"]) - 1
+        for space, trusted in r["searches"]:
+            want = metric._packed_space(G, S, g, cap) or metric._elements(G, S, g, G._mul)
+            assert (space.letters, space.roots) == (want.letters, want.roots)
+            assert word_length(G, S, g, cap) == trusted
+            searches[space.mul.__name__] += 1
+    assert searches == {"step": 214, "_mul": 108}
 
 
 def test_experiment_all_calls_no_word_length(monkeypatch):
     """Every run of ``experiment all`` certifies its lengths: no run calls
     ``word_length``, under any name it is bound to, and every
-    meet-in-the-middle search multiplies with a trusted ``_mul``."""
+    meet-in-the-middle search steps on packed ints or multiplies with a
+    trusted ``_mul``."""
     calls, laws = [], set()
 
     def spy(*args, **kwargs):
@@ -759,9 +810,9 @@ def test_experiment_all_calls_no_word_length(monkeypatch):
 
     search = metric._length_bidirectional
 
-    def searched(G, S, g, cap, mul):
-        laws.add(mul.__name__)
-        return search(G, S, g, cap, mul)
+    def searched(G, S, g, cap, space):
+        laws.add(space.mul.__name__)
+        return search(G, S, g, cap, space)
 
     for module in (metric, wordbound, cli, ex):
         monkeypatch.setattr(module, "word_length", spy, raising=False)
@@ -769,7 +820,7 @@ def test_experiment_all_calls_no_word_length(monkeypatch):
     result = CliRunner().invoke(main, ["experiment", "all", "--format", "json"])
     assert result.exit_code == 0
     assert calls == []
-    assert laws == {"_mul"}
+    assert laws == {"_mul", "step"}
 
 
 def test_bound_witness_zxd8_small():

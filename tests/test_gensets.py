@@ -17,6 +17,7 @@ from oracles import (
     generates_split_tuples,
     genset_is_valid_reference,
     make_symmetric_reference,
+    mixed_magnitude_element,
     quaternion_table,
     random_element,
 )
@@ -566,20 +567,10 @@ RANK_GROUPS = [
     gr.Product(gr.IntVector(2), gr.FiniteCyclic(3)),
     gr.Product(gr.IntVector(2), _DINF),
     gr.Product(_DINF, gr.Product(gr.IntVector(1), _DINF)),
+    # F past metric.TABULATED_MAX_ORDER, walked on its elements
+    gr.Product(gr.IntVector(1), gr.FiniteCyclic(70)),
+    gr.Product(_DINF, gr.FiniteCyclic(40)),
 ]
-_COORDINATES = (0, 1, -1, 7, -12, 10**30, -10**30, 10**30 + 1, -3 * 10**29 + 5, 2**64)
-
-
-def _element_of_mixed_magnitude(G, rng):
-    """An element of G whose translation coordinates are drawn from
-    ``_COORDINATES``: small, around 10^30 and mixed within one vector."""
-    if isinstance(G, gr.Product):
-        return (_element_of_mixed_magnitude(G.left, rng), _element_of_mixed_magnitude(G.right, rng))
-    if isinstance(G, gr.IntVector):
-        return tuple(rng.choice(_COORDINATES) for _ in range(G.d))
-    if G == _DINF:
-        return (rng.choice(_COORDINATES), rng.randrange(2))
-    return rng.choice(list(G.elements()))
 
 
 def _split_parts(G, S):
@@ -599,7 +590,7 @@ def test_integer_walk_is_exact_on_huge_translations(G):
     rng = random.Random(str(G))
     statuses = set()
     for i in range(40):
-        letters = [_element_of_mixed_magnitude(G, rng) for _ in range(rng.randint(1, 4))]
+        letters = [mixed_magnitude_element(G, rng) for _ in range(rng.randint(1, 4))]
         if i % 2:
             letters += G.standard_generators()
         if all(x == G.identity() for x in letters):
@@ -625,6 +616,7 @@ def test_integer_walk_is_exact_on_huge_translations(G):
     (gr.Product(gr.IntVector(2), _DINF), [((2, 1), (3, 1)), ((1, -1), (0, 1)), ((0, 5), (2, 0))]),
     (gr.Product(gr.FiniteCyclic(2), gr.FiniteCyclic(6)), [(1, 0), (0, 1)]),
     (gr.Product(gr.FiniteCyclic(2), gr.FiniteCyclic(6)), [(1, 3), (0, 2)]),
+    (gr.Product(_DINF, gr.FiniteCyclic(40)), [((0, 1), 10), ((3, 0), 20)]),
 ], ids=str)
 def test_walk_refuses_at_every_limit_like_the_charged_reference(G, letters, monkeypatch):
     """At every limit from the root's charge up to the first that
@@ -730,9 +722,9 @@ def test_construction_check_matches_reference_on_mutated_alphabets(G):
 
 def test_library_alphabets_are_valid(monkeypatch):
     """Every alphabet the library builds passes the reference predicate:
-    ``make_symmetric``'s, every mask's alphabet that ``uniform_length_table``
-    lays out by ``GenSet.from_classes`` on the finite groups, and 50 draws
-    of the zxd8 sampler."""
+    ``make_symmetric``'s, the 59 argmax alphabets that
+    ``uniform_length_table`` lays out by ``GenSet.from_classes`` on the
+    finite groups, and 50 draws of the zxd8 sampler."""
     rng = random.Random(5)
     built = [make_symmetric(G, [random_element(G, rng, 4) for _ in range(4)]
                             + list(G.standard_generators()))
@@ -749,7 +741,7 @@ def test_library_alphabets_are_valid(monkeypatch):
         for G in FINITE_GROUPS:
             uniform_length_table(G)
     built += [sample_zxd8_genset(rng) for _ in range(50)]
-    assert len(built) > 4000
+    assert len(built) == 5 * len(MUTATION_GROUPS) + 59 + 50
     bad = [S for S in built if not genset_is_valid_reference(S.group, S.letters, S.involution)]
     assert bad == []
 

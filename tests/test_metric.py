@@ -19,6 +19,7 @@ from oracles import (
     foreign_alphabets,
     girth_reference,
     length_profile,
+    mixed_magnitude_element,
     random_element,
     run_optimized,
 )
@@ -32,8 +33,12 @@ from wordbound.girth import girth
 from wordbound.metric import (
     Ball,
     _Budget,
+    _elements,
     _expand,
     _length_bfs,
+    _length_bidirectional,
+    _packed_space,
+    _regular,
     ball,
     certify_length,
     memory_limit,
@@ -425,6 +430,172 @@ def test_certify_length_refusals_survive_optimize_flag():
     tests = str(Path(__file__).resolve().parent)
     n = str(len(_REFUSALS))
     assert run_optimized(["-c", script, tests]).stdout.split() == [n, n]
+
+
+# -- the packed search --------------------------------------------------
+
+
+# Every family of FAMILIES that is Z^k x| F with k >= 1, and Z^2 x D-infinity,
+# where F acts on a rank-2 lattice.
+PACKED_GROUPS = [G for G in FAMILIES if not G.is_finite and G.lattice_split()] + [
+    gr.Product(gr.IntVector(2), gr.DihedralInfinite())]
+PACKED_FINITE = FINITE_GROUPS + [G for G in FAMILIES if G.is_finite and G.size > 1]
+
+
+def _packed_cases(G, seed, count):
+    """Seeded (alphabet, target, cap) triples: small letters and, in every
+    other alphabet, one of mixed magnitude, with targets spelled by a word
+    of the letters or drawn at mixed magnitude, of either sign."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        i = len(cases)
+        letters = [random_element(G, rng, 3) for _ in range(rng.randint(1, 3))]
+        if i % 2:
+            letters.append(mixed_magnitude_element(G, rng))
+        if all(x == G.identity() for x in letters):
+            continue
+        S = _symm(G, letters)
+        if i % 3:
+            g = S.eval_word(rng.choice(S.symbols()) for _ in range(rng.randint(2, 6)))
+        else:
+            g = mixed_magnitude_element(G, rng)
+        if g != G.identity():
+            cases.append((S, g, rng.randint(1, 5)))
+    return cases
+
+
+@pytest.mark.parametrize("G", PACKED_GROUPS + PACKED_FINITE, ids=str)
+def test_packed_search_equals_the_element_search(G):
+    """On packed ints the meet-in-the-middle search gives the checked
+    ``word_length``'s certificate field for field (length, witness, cap
+    and ``explored``), for targets that a word spells and for targets of
+    mixed magnitude, up to 10^30 and of either sign; both outcomes occur
+    outside the trivial-looking finite cases."""
+    found = set()
+    for S, g, cap in _packed_cases(G, str(G), 40):
+        space = _packed_space(G, S, g, cap)
+        assert space is not None
+        cert = _length_bidirectional(G, S, g, cap, space)
+        assert cert == word_length(G, S, g, cap), (S.letters, g, cap)
+        assert cert == _length_bidirectional(G, S, g, cap, _elements(G, S, g, G._mul))
+        found.add(cert.length is not None)
+    assert found == {True, False} or G.is_finite
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_packed_base_covers_the_target(d):
+    """In Z^d over the unit vectors a search out to ``cap`` meets
+    coordinates up to cap from e and |g| + cap from g.  A base that covered
+    only cap, 2 cap + 2, would give g = (2 cap + 2 + s, -1, 0, ...) the code
+    of the node (s, 0, ...) near e, and a false meeting; the base that
+    covers |g| tells them apart."""
+    G = gr.IntVector(d)
+    S = _symm(G, G.standard_generators())
+    for cap in range(1, 5):
+        for s in range(-cap, cap + 1):
+            g = (2 * cap + 2 + s, -1) + (0,) * (d - 2)
+            cert = _length_bidirectional(G, S, g, cap, _packed_space(G, S, g, cap))
+            assert cert == word_length(G, S, g, cap)
+            assert cert.length is None
+
+
+@pytest.mark.parametrize("G", PACKED_GROUPS, ids=str)
+def test_packed_nodes_are_charged_their_elements_bytes(G):
+    """In a group with k >= 1 every element is a tuple of one length, so
+    each packed node's one charge is the bytes of its element."""
+    rng = random.Random(11)
+    S, g, cap = _packed_cases(G, 11, 1)[0]
+    space = _packed_space(G, S, g, cap)
+    samples = [mixed_magnitude_element(G, rng) for _ in range(20)] + [G.identity(), g]
+    assert {_Budget.cost(x) for x in samples} == {space.cost(r) for r in space.roots}
+
+
+PARITY_CASES = [
+    (gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
+     [((3,), (1, 0)), ((-2,), (0, 1)), ((1,), (3, 1))], ((0,), (2, 0))),
+    (gr.Product(gr.IntVector(1), gr.FiniteCyclic(2)), [((5,), 1), ((3,), 0)], ((1,), 1)),
+    (gr.DihedralInfinite(), [(0, 1), (-5, 1), (7, 1)], (2, 0)),
+    (gr.IntVector(3), [(2, 1, 0), (1, 1, 0), (0, 0, 1)], (1, 0, -1)),
+    (gr.Product(gr.IntVector(2), gr.DihedralInfinite()),
+     [((10**30, 1), (2, 1)), ((0, 1), (-3, 0)), ((1, 0), (0, 1))], ((10**30, 2), (-1, 1))),
+    (gr.DihedralFinite(8), [(1, 1), (3, 0)], (4, 0)),
+]
+
+
+@pytest.mark.parametrize("G, letters, g", PARITY_CASES, ids=[str(c[0]) for c in PARITY_CASES])
+def test_packed_certify_refuses_at_every_limit_like_the_element_search(G, letters, g, monkeypatch):
+    """At every memory limit from the roots' charge up to the first that
+    completes, ``certify_length`` on packed ints refuses with the
+    ``partial_radius`` and ``explored`` of the same call on elements, with
+    ``_packed_space`` stubbed out, or returns the same certificate."""
+    S = _symm(G, letters)
+    word = tuple(word_length(G, S, g, 8).witness) + (0, S.inv_symbol(0))
+    roots = _Budget.cost(G.identity()) + _Budget.cost(g)
+    run = lambda: certify_length(G, S, g, word)  # noqa: E731
+    packed = _budget_outcomes(monkeypatch, run, roots)
+    with monkeypatch.context() as m:
+        m.setattr(metric, "_packed_space", lambda *args: None)
+        assert _budget_outcomes(m, run, roots, roots + len(packed) - 1) == packed
+    assert packed[-1][0] == "done"
+    assert len({o for o in packed if o[0] == "refused"}) > 1
+
+
+def test_a_large_finite_part_is_never_enumerated(monkeypatch):
+    """In Z x Z/10^9 the finite part is past the table's cap, so neither
+    ``certify_length`` nor ``generates`` tabulates it: the search makes one
+    ``Z/10^9._mul`` per product, on top of one per letter of the checked
+    word, and the Schreier walk one per edge, 2 elements times 2 classes,
+    and enumerates F once, up to the first element it missed."""
+    G = gr.Product(gr.IntVector(1), gr.FiniteCyclic(10**9))
+    half = 5 * 10**8
+    S = _symm(G, [((5,), half), ((3,), 0)])
+    a, b = S.symbol_of(((5,), half)), S.symbol_of(((3,), 0))
+    word = (a, a, S.inv_symbol(b), S.inv_symbol(b), S.inv_symbol(b))
+    calls = {"F._mul": 0, "G._mul": 0, "elements": 0}
+    cyclic, product = gr.FiniteCyclic, gr.Product
+
+    def counted(cls, name, key):
+        real = getattr(cls, name)
+
+        def call(self, *args):
+            if cls is product or self.q == 10**9:
+                calls[key] += 1
+            return real(self, *args)
+        monkeypatch.setattr(cls, name, call)
+
+    counted(cyclic, "_mul", "F._mul")
+    counted(cyclic, "elements", "elements")
+    counted(product, "_mul", "G._mul")
+    assert calls["F._mul"] == 0
+    assert _regular(gr.FiniteCyclic(10**9)) is None
+    assert _packed_space(G, S, ((1,), 0), 4) is None
+    cert = certify_length(G, S, ((1,), 0), word)
+    assert calls["F._mul"] == calls["G._mul"] + len(word) > len(word)
+    assert (cert.length, cert.explored) == (5, word_length(G, S, ((1,), 0), 4).explored)
+    assert calls["elements"] == 0
+    calls.update(dict.fromkeys(calls, 0))
+    res = generates(G, S)
+    assert res.is_no and res.evidence["missing"] == 1
+    assert calls == {"F._mul": 4, "G._mul": 0, "elements": 1}
+
+
+def test_finite_tables_are_right_regular_and_bounded():
+    """Each table reads F's products by index, in the order of
+    ``F.elements()``, with each element's cost; the cache is bounded, and
+    an F past ``TABULATED_MAX_ORDER`` elements gets no table."""
+    for F in FINITE_GROUPS + [gr.FiniteCyclic(metric.TABULATED_MAX_ORDER)]:
+        T = _regular(F)
+        elements = list(F.elements())
+        assert list(T.elements) == elements
+        assert [T.index[f] for f in elements] == list(range(len(elements)))
+        for j, u in enumerate(elements):
+            assert [T.elements[i] for i in T.right[j]] == [F.mul(f, u) for f in elements]
+            assert [i + d for i, d in enumerate(T.offsets[j])] == list(T.right[j])
+        assert list(T.costs) == [_Budget.cost(f) for f in elements]
+        assert _regular(F) is T
+    assert _regular(gr.FiniteCyclic(metric.TABULATED_MAX_ORDER + 1)) is None
+    assert _regular.cache_info().maxsize == 16
 
 
 # -- resource limits -----------------------------------------------------
