@@ -619,9 +619,12 @@ def sample_zxd8_genset(rng, radius=10):
 
 def _commutator_word(S):
     """The word a b a^-1 b^-1 for the first pair of letters a, b of S, in
-    symbol order, whose products ab and ba differ."""
+    symbol order, whose products ab and ba differ.  A letter and its
+    inverse always commute, so that pair is skipped unmultiplied."""
     mul = S.group._mul  # S's letters are elements
     for i, j in itertools.combinations(S.symbols(), 2):
+        if S.involution[i] == j:
+            continue
         a, b = S.element(i), S.element(j)
         if mul(a, b) != mul(b, a):
             return _commutator(S, (i,), (j,))
@@ -648,7 +651,7 @@ def bound_witness_zxd8(samples=200, seed=42, radius=10):
         cert = certify_length(G, S, target, _commutator_word(S))
         rows.append({
             "sample": i,
-            "letters": str([G.element_to_obj(g) for g in S.letters]),
+            "letters": str([G._obj(g) for g in S.letters]),  # S checked its letters
             "length": cert.length,
             "ok": cert.length <= 4,
         })
@@ -906,7 +909,7 @@ def _d8_entries():
         {
             "element": G.element_to_obj(g),
             "max_length": maxlen,
-            "argmax": [G.element_to_obj(x) for x in S.letters],
+            "argmax": [G._obj(x) for x in S.letters],  # S checked its letters
         }
         for g, (maxlen, S) in uniform_length_table(G).items()
     ]

@@ -394,12 +394,13 @@ def _generates_split(parts, k, F, act):
     The walk runs on ints.  An F of at most ``metric.TABULATED_MAX_ORDER``
     elements is walked by index, reading each product from its right-regular
     table (``metric._regular``) and charging each index its element's cost.
-    A larger F is walked on its elements, one ``_mul`` per edge; when F
-    acts trivially it is never enumerated beyond the elements the walk
-    reaches, while an action is applied to every element of F up front,
-    in the steps of :func:`_translation_code`.  Translations are ints,
-    by :func:`_translation_code`; they are decoded only for
-    ``invariant_factors``.
+    A larger F is walked on its elements, one ``_mul`` per edge; for k <= 1
+    it is never enumerated beyond the elements the walk reaches, each of
+    which meets the action on its first visit, while for k >= 2 the action
+    is applied to every element of F up front, in the steps of
+    :func:`_translation_code`.  Translations are ints, by
+    :func:`_translation_code`; for k >= 2 they are decoded only for
+    ``invariant_factors``, and a k = 1 code is its own coordinate.
 
     Taking parts, not a ``GenSet``, lets the zxd8 sampler decide a draw
     before it builds the alphabet.
@@ -444,8 +445,10 @@ def _generates_split(parts, k, F, act):
     kernel.discard(0)
     # The kernel vectors as the columns of a k-row matrix, unpacked from a
     # list: unpacking a generator grew the resident set with every zxd8 run
-    # on CPython 3.11, though no object stayed alive.
-    factors = invariant_factors(list(zip(*[_decode(v, k, base) for v in kernel]))) if kernel else []
+    # on CPython 3.11, though no object stayed alive.  A k = 1 code is its
+    # own coordinate, so that matrix is the one row of codes.
+    rows = [list(kernel)] if k == 1 else list(zip(*[_decode(v, k, base) for v in kernel]))
+    factors = invariant_factors(rows) if kernel else []
     index = prod(factors) if len(factors) == k else 0
     evidence = {"closure_size": len(rep), "finite_group_size": F.size,
                 "lattice_rank": k, "invariant_factors": factors,
@@ -479,6 +482,23 @@ class _Products:
         return self.mul(f, self.u)
 
 
+class _ActedSteps(dict):
+    """The Schreier walk's steps by element of an F too large to tabulate,
+    for k <= 1, where codes need no base: ``steps[f]`` applies the action
+    of f to each letter's translation when the walk first reads it, so the
+    action runs once per element reached and class."""
+
+    __slots__ = ("parts", "act", "columns")
+
+    def __init__(self, parts, act, columns):
+        super().__init__()
+        self.parts, self.act, self.columns = parts, act, columns
+
+    def __missing__(self, f):
+        steps = self[f] = [(_encode(self.act(f, a), 0), c) for (a, _), c in zip(self.parts, self.columns)]
+        return steps
+
+
 def _translation_code(parts, k, F, act, T):
     """The Schreier walk's steps on integer translations, and the base of
     their code.
@@ -504,7 +524,11 @@ def _translation_code(parts, k, F, act, T):
     A step is (enc(act(f, a)), column), the column of right multiplication
     by u: ``T.right``'s, by index, for F's table T, and :class:`_Products`
     when T is None.  The steps are one list when ``act`` is None, else one
-    list per f in F, by index or, when T is None, in a dict by element.
+    list per f in F, by index or, when T is None, by element.  With no
+    table and k <= 1 the lists are :class:`_ActedSteps`, made for each
+    element the walk reaches, when it first reads them.  For k >= 2 the
+    base needs M over every element of F, so the lists of all of them are
+    made here, even when F is too large to tabulate.
     """
     if T is None:
         columns = [_Products(F._mul, u) for _, u in parts]
@@ -514,6 +538,8 @@ def _translation_code(parts, k, F, act, T):
         if k < 2:
             return [(a[0] if k else 0, c) for (a, _), c in zip(parts, columns)], 0
         acted = [a for a, _ in parts]
+    elif T is None and k < 2:
+        return _ActedSteps(parts, act, columns), 0
     else:
         elements = list(F.elements()) if T is None else T.elements
         acted = [act(f, a) for f in elements for a, _ in parts]

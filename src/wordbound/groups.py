@@ -26,7 +26,10 @@ is meant, and, for a flat CLI encoding, ``flat_arity`` and ``from_flat``.  A
 virtually abelian family of the form Z^k x| F (a semidirect product with F
 finite) implements ``lattice_split``, which is all ``gensets.generates``
 needs to decide generation exactly; finite families inherit it.  An
-element's JSON form in reports (``element_to_obj``) turns tuples into lists.
+element's JSON form in reports (``element_to_obj``) turns tuples into lists;
+it checks the element once and hands it to the unchecked ``_obj``, split
+as ``mul`` is from ``_mul``.  A report row of an alphabet's letters, which
+the alphabet checked, calls ``_obj`` directly.
 
 ``_mul`` is the arithmetic with no membership check.  Each family's ``mul``
 tests both operands with ``contains``, raises the ``DomainError`` that
@@ -192,8 +195,14 @@ class Group:
     # -- encodings -------------------------------------------------------
 
     def element_to_obj(self, g):
-        """JSON-able form of an element: tuples become lists."""
+        """JSON-able form of an element: tuples become lists.  Raises
+        DomainError unless g is an element."""
         self.check(g)
+        return self._obj(g)
+
+    def _obj(self, g):
+        """``element_to_obj`` with no membership check, for an element
+        already checked, such as a letter of a ``GenSet``."""
         return list(g) if isinstance(g, tuple) else g
 
     def from_flat(self, values):
@@ -632,9 +641,8 @@ class Product(Group):
 
         return k1 + k2, Product(F1, F2), split, None if a1 is None and a2 is None else act
 
-    def element_to_obj(self, g):
-        self._check_pair(g)
-        return [self.left.element_to_obj(g[0]), self.right.element_to_obj(g[1])]
+    def _obj(self, g):
+        return [self.left._obj(g[0]), self.right._obj(g[1])]
 
     @property
     def flat_arity(self):

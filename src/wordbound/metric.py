@@ -34,13 +34,18 @@ word with the checked law as well, through ``S.eval_word``.
 ``certify_length``'s search runs on packed integers wherever it can
 (:func:`_packed_space`): on every group that is Z^k x| F with F finite (a
 finite group, a lattice, the infinite dihedral group and their products)
-and F of at most ``TABULATED_MAX_ORDER`` elements.  F is tabulated once,
-by its right-regular representation (:func:`_regular`), and an element with
-split (v, f) is the int enc(v)·|F| + idx(f), so a product is one addition
-and one table read, with no tuple built or hashed.  Its tables, witness,
-``explored`` and budget charges are those of the search on elements.  Any
-other group, such as the Heisenberg and free groups, and an F past the cap,
-which is never enumerated, keep the search on ``G._mul``.  ``word_length``
+and F of at most ``TABULATED_MAX_ORDER`` elements, and on the Heisenberg
+group.  F is tabulated once, by its right-regular representation
+(:func:`_regular`), and an element with split (v, f) is the int
+enc(v)·|F| + idx(f), so a product is one addition and one table read, with
+no tuple built or hashed.  A Heisenberg element is the int of its three
+coordinates as digits in one base, and a product is one ``%``, one
+multiplication and two additions (:func:`_heisenberg_space`).  Its tables,
+witness, ``explored`` and budget charges are those of the search on
+elements.  Free groups and an F past the cap, which is never enumerated,
+keep the search on ``G._mul``: a free product cancels letter by letter, and
+an int encoding of reduced words, which keeps that loop, was only about 20%
+faster on the searches of ``prescribe-free``.  ``word_length``
 and ``ball`` stay on elements: a faster ``queries`` workload raises its
 ``peak_rss_mb``, as above, and ``ball``'s public table is keyed by elements,
 which experiments read.
@@ -73,7 +78,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitExceeded
-from .groups import _check_int
+from .groups import Heisenberg, _check_int
 
 DEFAULT_MEM_LIMIT = 1 << 30  # 1 GiB
 _ENTRY_OVERHEAD = 160  # rough dict-entry + value-tuple bytes per visited node
@@ -323,7 +328,9 @@ def _elements(G, S, g, mul):
 
 def _packed_space(G, S, g, cap):
     """The search space of packed ints for a search from e and from g out
-    to ``cap`` in all, or None when G is not Z^k x| F with F tabulated.
+    to ``cap`` in all, or None when G is neither the Heisenberg group nor
+    Z^k x| F with F tabulated.  This is the one place that picks a packed
+    encoding.
 
     A finite G is its own F, with k = 0; any other G is split by
     ``G.lattice_split()``.  With F's m elements numbered by
@@ -345,7 +352,12 @@ def _packed_space(G, S, g, cap):
     k = 0 its index's cost in the table; for k >= 1 every element of G is a
     tuple of one length (a vector, a dihedral pair or a product pair), so
     one constant, the identity's cost.
+
+    The Heisenberg group has no lattice split and is packed on its own
+    (:func:`_heisenberg_space`).
     """
+    if isinstance(G, Heisenberg):
+        return _heisenberg_space(G, S, g, cap)
     split = (0, G, lambda h: ((), h), None) if G.is_finite else G.lattice_split()
     if split is None:
         return None
@@ -373,15 +385,53 @@ def _packed_space(G, S, g, cap):
     def step(x, D, m=m):
         return x + D[x % m]
 
-    if k:
-        size = _Budget.cost(G.identity())
-
-        def cost(x):
-            return size
-    else:
-        cost = T.costs.__getitem__
+    cost = _constant_cost(G) if k else T.costs.__getitem__
     roots = (index[F.identity()], _encode(t, base) * m + index[f])
     return _Space(step, letters, cost, roots)
+
+
+def _constant_cost(G):
+    """The charge of a packed node in a group whose elements are all tuples
+    of one length, so of one size: the identity's cost, for every node."""
+    size = _Budget.cost(G.identity())
+
+    def cost(x):
+        return size
+    return cost
+
+
+def _heisenberg_space(G, S, g, cap):
+    """The search space of packed ints in the Heisenberg group.
+
+    A node (i, j, l) is the int x = (j + h) + B·i + B²·l, with h = B/2:
+    :func:`_encode` of (j, i, l) plus h, so that j + h is x's plain low
+    digit x % B.  The law (i + i2, j + j2, l + l2 - j·i2) is linear in the
+    code but for the term -j·i2 of the top digit, so with a letter
+    (i2, j2, l2) held as the pair (c, K) = (enc(j2, i2, l2) + K·h, B²·i2), a
+    node x times it is x + c - K·(x % B).
+
+    With M the largest |i| or |j| of any letter, a node d letters from e
+    has |i|, |j| <= d·M, and one d letters from g = (g0, g1, g2) at most
+    max(|g0|, |g1|) + d·M; neither search goes past ``cap`` letters, so
+    B = 2(max(|g0|, |g1|) + cap·M) + 2 keeps every node's |i| and |j| at
+    most h - 1.  Its two low digits then decode, and the code tells every
+    node apart; the top digit l needs no bound.  Every element is a 3-tuple,
+    so every node is charged one constant, the identity's cost.
+    """
+    reach = 0
+    for i, j, _ in S.letters:
+        reach = max(reach, abs(i), abs(j))
+    i, j, l = g
+    base = 2 * (max(abs(i), abs(j)) + cap * reach) + 2
+    half, top = base // 2, base * base
+    letters = [(j2 + base * (i2 + base * l2) + top * i2 * half, top * i2)
+               for i2, j2, l2 in S.letters]
+
+    def step(x, L, base=base):
+        c, K = L
+        return x + c - K * (x % base)
+
+    return _Space(step, letters, _constant_cost(G), (half, j + half + base * (i + base * l)))
 
 
 def _expand(mul, letters, table, budget, full):
@@ -394,9 +444,10 @@ def _expand(mul, letters, table, budget, full):
     ``table[v] = (d, i)``, so v·letters[i]⁻¹ is in the table at depth d - 1
     and :meth:`Ball.word_to` reads any table back.  The roots are at depth
     0.  Its callers all live here and only choose when to stop:
-    :func:`_grow`, for ``ball`` and ``aut_group``, and ``certify_length``'s
-    searches pass the trusted ``G._mul``, whose operands are products of
-    checked elements; ``word_length``'s searches and the reference
+    :func:`_grow`, for ``ball`` and ``aut_group``, passes the trusted
+    ``G._mul``, whose operands are products of checked elements, and
+    ``certify_length``'s searches pass the step of packed ints or
+    ``G._mul``; ``word_length``'s searches and the reference
     ``_length_bfs`` pass the checked ``G.mul``.
 
     A layer is charged in a local counter by ``_Budget.cost``, node by node,
@@ -496,11 +547,11 @@ def certify_length(G, S, g, word):
     which bounds the length by ``n = len(word)`` from above.  Then
     ``word_length``'s meet-in-the-middle search runs out to ``n - 1``, as S,
     g and so every node are checked already, on packed ints
-    (:func:`_packed_space`) or, where G has no tabulated split, on the
-    trusted ``G._mul``.  Its tables, witness, ``explored`` and budget
-    charges are those of ``word_length(G, S, g, n - 1)``.  If it finds g,
-    its certificate, with a
-    geodesic witness and ``cap = n - 1``, is returned; otherwise the length
+    (:func:`_packed_space`) or, in a free group or where F is too large to
+    tabulate, on the trusted ``G._mul``.  Its tables, witness, ``explored``
+    and budget charges are those of ``word_length(G, S, g, n - 1)``.  If it
+    finds g, its certificate, with a geodesic witness and ``cap = n - 1``,
+    is returned; otherwise the length
     is n and the certificate carries ``witness = tuple(word)``, ``cap = n``
     and the search's ``explored``.  Neither the identity (length 0, the
     empty witness, ``cap = 0``) nor a one-letter word, geodesic for any

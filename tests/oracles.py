@@ -249,15 +249,18 @@ _COORDINATES = (0, 1, -1, 7, -12, 10**30, -10**30, 10**30 + 1, -3 * 10**29 + 5, 
 
 
 def mixed_magnitude_element(G, rng):
-    """An element of G whose translation coordinates are drawn from
-    ``_COORDINATES``: small, around 10^30 and mixed within one vector, of
-    either sign; a finite factor's part is any of its elements."""
+    """An element of G whose translation coordinates, or all three
+    coordinates of a Heisenberg element, are drawn from ``_COORDINATES``:
+    small, around 10^30 and mixed within one vector, of either sign; a
+    finite factor's part is any of its elements."""
     if isinstance(G, gr.Product):
         return (mixed_magnitude_element(G.left, rng), mixed_magnitude_element(G.right, rng))
     if isinstance(G, gr.IntVector):
         return tuple(rng.choice(_COORDINATES) for _ in range(G.d))
     if isinstance(G, gr.DihedralInfinite):
         return (rng.choice(_COORDINATES), rng.randrange(2))
+    if isinstance(G, gr.Heisenberg):
+        return tuple(rng.choice(_COORDINATES) for _ in range(3))
     return rng.choice(list(G.elements()))
 
 

@@ -779,9 +779,10 @@ def test_certify_searches_equal_the_checked_word_length(certified):
     """Each search that ``certify_length`` runs for the 200 zxd8 alphabets,
     the 12 prescription rows, the 100 Heisenberg pairs and the 12 ladder
     rows gives the certificate, field for field, of the checked
-    ``word_length`` out to the same cap.  The 214 searches in groups with a
-    lattice split (Z x D8, Z^d, Z x Z/2, D-infinity) run on packed ints, and
-    the 108 in the Heisenberg and free groups on the trusted ``G._mul``."""
+    ``word_length`` out to the same cap.  The 317 searches in groups with a
+    lattice split (Z x D8, Z^d, Z x Z/2, D-infinity) and in the Heisenberg
+    group run on packed ints, and the 5 in free groups on the trusted
+    ``G._mul``."""
     for name in ("heisenberg-center", "zxd8", "prescribe-free", "prescribe-zd", *LADDERS):
         assert ex.DEFAULT_RUNS[name]().passed
     searches = Counter()
@@ -794,7 +795,7 @@ def test_certify_searches_equal_the_checked_word_length(certified):
             assert (space.letters, space.roots) == (want.letters, want.roots)
             assert word_length(G, S, g, cap) == trusted
             searches[space.mul.__name__] += 1
-    assert searches == {"step": 214, "_mul": 108}
+    assert searches == {"step": 317, "_mul": 5}
 
 
 def test_experiment_all_calls_no_word_length(monkeypatch):

@@ -41,7 +41,7 @@ from wordbound.gensets import (
     smith_normal_form,
 )
 from wordbound.experiments import sample_zxd8_genset, uniform_length_table
-from wordbound.metric import _Budget
+from wordbound.metric import TABULATED_MAX_ORDER, _Budget
 from wordbound.metric import word_length
 
 
@@ -605,6 +605,31 @@ def test_integer_walk_is_exact_on_huge_translations(G):
             "closure_size", "kernel_index", "invariant_factors")}} == generates_split_reference(G, S)
         statuses.add(got.status)
     assert statuses == {"yes", "no"}
+
+
+@pytest.mark.parametrize("q", [10, 10**6])
+def test_walk_acts_only_on_the_elements_it_reaches(q):
+    """In D-infinity x Z/q the alphabet {t, s} reaches the 2 elements of
+    F = Z/2 x Z/q that s spans.  With F past the table's cap (q = 10^6, 2·10^6
+    elements) the walk applies F's action at most once per element reached
+    and class, not to every element of F; tabulated (q = 10) or not, its
+    result is the tuple walk's."""
+    G = gr.Product(_DINF, gr.FiniteCyclic(q))
+    S = make_symmetric(G, [((1, 0), 0), ((0, 1), 0)])
+    parts, k, F, act = _split_parts(G, S)
+    calls = []
+
+    def counted(f, v):
+        calls.append(f)
+        return act(f, v)
+
+    got = _generates_split(parts, k, F, counted)
+    want = generates_split_tuples(parts, k, F, act)
+    assert (got.status, got.reason, got.evidence) == (want.status, want.reason, want.evidence)
+    assert got.is_no and got.evidence["closure_size"] == 2
+    assert generates(G, S) == got
+    if F.size > TABULATED_MAX_ORDER:
+        assert 0 < len(calls) <= got.evidence["closure_size"] * len(parts)
 
 
 @pytest.mark.parametrize("G, letters", [

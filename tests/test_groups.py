@@ -12,6 +12,7 @@ from oracles import (
     FAMILIES,
     FINITE_GROUPS,
     Z3_TABLE,
+    _near_miss,
     closure_full_walk,
     concrete_families,
     contains_reference,
@@ -471,6 +472,21 @@ def test_element_serialization_round_trip(G):
     for _ in range(30):
         g = random_element(G, rng, size=5)
         assert _element_from_obj(G, json.loads(json.dumps(G.element_to_obj(g)))) == g
+
+
+@pytest.mark.parametrize("G", FAMILIES, ids=str)
+def test_unchecked_json_form_is_the_checked_one(G):
+    """``_obj``, which report rows call on an alphabet's letters, gives
+    ``element_to_obj``'s form of every sampled element, and
+    ``element_to_obj`` still refuses what is not an element."""
+    rng = random.Random(19)
+    for _ in range(30):
+        g = random_element(G, rng, size=5)
+        assert json.dumps(G._obj(g)) == json.dumps(G.element_to_obj(g))
+    near = _near_miss(next(iter(G.standard_generators()), G.identity()))
+    for bad in (near, "x", None):
+        with pytest.raises(DomainError):
+            G.element_to_obj(bad)
 
 
 @pytest.mark.parametrize("G", [

@@ -435,10 +435,10 @@ def test_certify_length_refusals_survive_optimize_flag():
 # -- the packed search --------------------------------------------------
 
 
-# Every family of FAMILIES that is Z^k x| F with k >= 1, and Z^2 x D-infinity,
-# where F acts on a rank-2 lattice.
+# Every family of FAMILIES that is Z^k x| F with k >= 1, Z^2 x D-infinity,
+# where F acts on a rank-2 lattice, and the Heisenberg group, packed on its own.
 PACKED_GROUPS = [G for G in FAMILIES if not G.is_finite and G.lattice_split()] + [
-    gr.Product(gr.IntVector(2), gr.DihedralInfinite())]
+    gr.Product(gr.IntVector(2), gr.DihedralInfinite()), gr.Heisenberg()]
 PACKED_FINITE = FINITE_GROUPS + [G for G in FAMILIES if G.is_finite and G.size > 1]
 
 
@@ -500,10 +500,30 @@ def test_packed_base_covers_the_target(d):
             assert cert.length is None
 
 
+def test_packed_heisenberg_base_covers_the_target():
+    """Over {a, b} (M = 1) a search out to ``cap`` meets |i| and |j| up to
+    cap from e and |g0| + cap from g.  A base that covered only cap,
+    B = 2 cap + 2, would give g = (2 cap + 2 + s, 0, -1) the code of
+    a^s = (s, 0, 0), whose digits j, i, l read the same number in base B,
+    and the search from e reaches a^s: a false meeting.  The base that
+    covers |g0| tells them apart."""
+    G = gr.Heisenberg()
+    S = _symm(G, G.standard_generators())
+    for cap in range(1, 5):
+        short = 2 * cap + 2
+        for s in range(-cap, cap + 1):
+            g = (short + s, 0, -1)
+            assert metric._encode((0, short + s, -1), short) == metric._encode((0, s, 0), short)
+            cert = _length_bidirectional(G, S, g, cap, _packed_space(G, S, g, cap))
+            assert cert == word_length(G, S, g, cap)
+            assert cert.length is None
+
+
 @pytest.mark.parametrize("G", PACKED_GROUPS, ids=str)
 def test_packed_nodes_are_charged_their_elements_bytes(G):
-    """In a group with k >= 1 every element is a tuple of one length, so
-    each packed node's one charge is the bytes of its element."""
+    """In a group with k >= 1, as in the Heisenberg group, every element is
+    a tuple of one length, so each packed node's one charge is the bytes of
+    its element."""
     rng = random.Random(11)
     S, g, cap = _packed_cases(G, 11, 1)[0]
     space = _packed_space(G, S, g, cap)
@@ -520,6 +540,7 @@ PARITY_CASES = [
     (gr.Product(gr.IntVector(2), gr.DihedralInfinite()),
      [((10**30, 1), (2, 1)), ((0, 1), (-3, 0)), ((1, 0), (0, 1))], ((10**30, 2), (-1, 1))),
     (gr.DihedralFinite(8), [(1, 1), (3, 0)], (4, 0)),
+    (gr.Heisenberg(), [(1, 0, 0), (0, 1, 0), (10**30, 1, -7)], (10**30 + 1, 2, -10**30 - 7)),
 ]
 
 
