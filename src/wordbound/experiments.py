@@ -4,11 +4,14 @@ Unboundedness ladders, boundedness certificates, automorphism orbits, FC
 witnesses, prescribed-length constructions and quotient-orbit growth.  Every
 length in a report row comes from an exact search: a BFS ball, or
 ``certify_length``, with a checked word for the upper bound and an
-exhaustive search one radius short of it for the lower.  Each ladder spells
-the word its formula names and certifies it.  Formula columns are compared
-against the search, never substituted for it.  The D8 golden table is only read: ``uniform-length``
-compares it with the bytes :func:`d8_uniform_table_bytes` rebuilds, and no
-function writes it.
+exhaustive search one radius short of it for the lower.  The four
+unboundedness ladders (``zxzq``, ``zd``, ``heisenberg``, ``dinfty``) check
+all their parameters, then hand one runner, :func:`_ladder`, one step per
+row with the word their formula names, and it certifies each word.
+Formula columns are compared against the search, never substituted for
+it.  The D8 golden table is only read: ``uniform-length`` compares it with
+the bytes :func:`d8_uniform_table_bytes` rebuilds, and no function writes
+it.
 """
 
 from __future__ import annotations
@@ -94,7 +97,9 @@ def _min_bezout(p, q):
 
 
 def _strictly_increasing(xs):
-    return all(a < b for a, b in zip(xs, xs[1:]))
+    """Whether the list xs grows at every step; False on fewer than two
+    values, which show no growth."""
+    return len(xs) >= 2 and all(a < b for a, b in zip(xs, xs[1:]))
 
 
 def _nonempty(name, items):
@@ -272,16 +277,14 @@ def _inverse(S, word):
     return tuple(S.inv_symbol(s) for s in reversed(word))
 
 
-def _power(S, word, n):
-    """The n-th power of a word over S; the empty word when n is 0."""
-    return word * n if n >= 0 else _inverse(S, word) * -n
-
-
 def _letter_power(S, x, n):
     """x^n for a letter x of S: |n| copies of x or of its inverse.  The
     empty word when n is 0, even if x is the identity, which no alphabet
     carries."""
-    return _power(S, (S.symbol_of(x),), n) if n else ()
+    if not n:
+        return ()
+    symbol = S.symbol_of(x)
+    return (symbol if n > 0 else S.inv_symbol(symbol),) * abs(n)
 
 
 def _commutator(S, x, y):
@@ -302,51 +305,79 @@ def _generating(G, letters, what):
     return S
 
 
+def _coprime_pairs(pairs):
+    """``pairs`` as a tuple, each entry checked before any search: a
+    ValueError for no pairs or an entry that is not two ints (a bool is
+    not one), a NotGeneratingError for a pair that is not coprime."""
+    pairs = _nonempty("pairs", pairs)
+    for pair in pairs:
+        if len(pair) != 2 or any(type(c) is not int for c in pair):
+            raise ValueError(f"pair {pair!r} must be two integers")
+        if gcd(*pair) != 1:
+            raise NotGeneratingError("({},{}) must be coprime".format(*pair))
+    return pairs
+
+
+def _ladder(name, params, G, g, steps, verdicts):
+    """The report of a ladder: one certified length of g in G per step.
+
+    A step is plain data, (head, letters, what, pieces, tail): the row's
+    columns before ``length``; the letters whose symmetric alphabet S
+    :func:`_generating` confirms generates G, naming ``what`` if not; g's
+    word over S as (letter, exponent) pieces, each spelled by
+    :func:`_letter_power`; and the columns after ``length``.
+    :func:`certify_length` checks the word and searches one radius short of
+    it.  A row with an ``expected`` column gets a ``match`` column after it.
+    ``verdicts(rows, lengths)`` gives the report's verdicts.  Callers check
+    their parameters before they pass the steps, so a bad last entry is
+    refused before the first search.
+    """
+    rows = []
+    for head, letters, what, pieces, tail in steps:
+        S = _generating(G, letters, what)
+        word = sum((_letter_power(S, x, n) for x, n in pieces), ())
+        row = {**head, "length": certify_length(G, S, g, word).length, **tail}
+        if "expected" in row:
+            row["match"] = row["length"] == row["expected"]
+        rows.append(row)
+    lengths = [r["length"] for r in rows]
+    return ExperimentReport(name=name, params=params, rows=rows, verdicts=verdicts(rows, lengths))
+
+
+def _lengths_increase(rows, lengths):
+    return [Verdict("lengths-strictly-increase", _strictly_increasing(lengths),
+                    f"lengths={lengths}")]
+
+
 def unbounded_witness_zxzq(q=2, primes=(5, 7, 11)):
     """Word length of (0,1) in Z x Z/q under S = {+-(p,1), +-(q+1,0)}.
 
-    (0,1) = (p,1)^(q+1) (q+1,0)^(-p), a word of p + q + 1 letters, which
-    :func:`certify_length` checks and searches one radius short of.
+    (0,1) = (p,1)^(q+1) (q+1,0)^(-p), a word of p + q + 1 letters.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
     primes = _nonempty("primes", primes)
-    G = gr.Product(gr.IntVector(1), gr.FiniteCyclic(q))
-    rows = []
-    lengths = []
     for p in primes:
-        if not _is_prime(p) or p <= q + 1:
+        if type(p) is not int or not _is_prime(p) or p <= q + 1:
             raise ValueError(f"need a prime p > q+1, got {p}")
-        S = _generating(G, [((p,), 1), ((q + 1,), 0)], f"S for p={p}")
-        word = _letter_power(S, ((p,), 1), q + 1) + _letter_power(S, ((q + 1,), 0), -p)
-        cert = certify_length(G, S, ((0,), 1), word)
-        expected = p + q + 1
-        rows.append({
-            "p": p,
-            "length": cert.length,
-            "expected": expected,
-            "match": cert.length == expected,
-        })
-        lengths.append(cert.length)
-    return ExperimentReport(
-        name="zxzq",
-        params={"q": q, "primes": list(primes)},
-        rows=rows,
-        verdicts=[
+    steps = (({"p": p}, [((p,), 1), ((q + 1,), 0)], f"S for p={p}",
+              [(((p,), 1), q + 1), (((q + 1,), 0), -p)], {"expected": p + q + 1})
+             for p in primes)
+    return _ladder(
+        "zxzq", {"q": q, "primes": list(primes)},
+        gr.Product(gr.IntVector(1), gr.FiniteCyclic(q)), ((0,), 1), steps,
+        lambda rows, lengths: [
             Verdict("lengths-match-formula", all(r["match"] for r in rows),
                     f"lengths={lengths}"),
-            Verdict("lengths-strictly-increase", _strictly_increasing(lengths),
-                    f"lengths={lengths}"),
-        ],
-    )
+            *_lengths_increase(rows, lengths),
+        ])
 
 
 def unbounded_witness_zd(d=2, x=(1, 0), pairs=((2, 3), (3, 5), (5, 7))):
     """Word length of x in Z^d under the basis {(p,a,0..), (q,b,0..), e3..}.
 
-    x spelled by its basis coordinates, |alpha| + |beta| + |x_3| + ...
-    letters, is the word :func:`certify_length` checks and searches one
-    radius short of.
+    x spelled by its basis coordinates is a word of |alpha| + |beta| +
+    |x_3| + ... letters.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -354,47 +385,30 @@ def unbounded_witness_zd(d=2, x=(1, 0), pairs=((2, 3), (3, 5), (5, 7))):
     G.check(x)
     if x == G.identity():
         raise ValueError("element must be nonzero")
-    pairs = _nonempty("pairs", pairs)
-    rows = []
-    lengths = []
-    for p, q in pairs:
-        if gcd(p, q) != 1:
-            raise ValueError(f"({p},{q}) must be coprime")
-        a, b = _min_bezout(p, q)
-        v1 = (p, a) + (0,) * (d - 2)
-        v2 = (q, b) + (0,) * (d - 2)
-        basis = [v1, v2] + [
-            tuple(1 if i == j else 0 for j in range(d)) for i in range(2, d)
-        ]
-        S = _generating(G, basis, f"S for (p,q)=({p},{q})")
-        # basis coordinates are unique, so the exact length is known a priori
-        alpha = b * x[0] - q * x[1]
-        beta = p * x[1] - a * x[0]
-        expected = abs(alpha) + abs(beta) + sum(abs(c) for c in x[2:])
-        word = sum((_letter_power(S, v, c) for v, c in zip(basis, (alpha, beta, *x[2:]))), ())
-        cert = certify_length(G, S, x, word)
-        rows.append({
-            "p": p, "q": q, "a": a, "b": b,
-            "length": cert.length,
-            "expected": expected,
-            "match": cert.length == expected,
-        })
-        lengths.append(cert.length)
-    return ExperimentReport(
-        name="zd",
-        params={"d": d, "x": list(x), "pairs": [list(pq) for pq in pairs]},
-        rows=rows,
-        verdicts=[
+    pairs = _coprime_pairs(pairs)
+
+    def steps():
+        units = [tuple(int(i == j) for j in range(d)) for i in range(2, d)]
+        pad = (0,) * (d - 2)
+        for p, q in pairs:
+            a, b = _min_bezout(p, q)
+            basis = [(p, a, *pad), (q, b, *pad), *units]
+            # basis coordinates are unique, so the exact length is known a priori
+            coordinates = (b * x[0] - q * x[1], p * x[1] - a * x[0], *x[2:])
+            yield ({"p": p, "q": q, "a": a, "b": b}, basis, f"S for (p,q)=({p},{q})",
+                   list(zip(basis, coordinates)), {"expected": sum(map(abs, coordinates))})
+
+    return _ladder(
+        "zd", {"d": d, "x": list(x), "pairs": [list(pq) for pq in pairs]}, G, x, steps(),
+        lambda rows, lengths: [
             Verdict("lengths-match-basis-coordinates",
                     all(r["match"] for r in rows), f"lengths={lengths}"),
             Verdict("lengths-nondecreasing",
                     all(u <= w for u, w in zip(lengths, lengths[1:])),
                     f"lengths={lengths}"),
-            Verdict("lengths-eventually-exceed",
-                    bool(lengths) and lengths[-1] >= lengths[0] + 1,
-                    f"first={lengths[0] if lengths else None}, last={lengths[-1] if lengths else None}"),
-        ],
-    )
+            Verdict("lengths-eventually-exceed", lengths[-1] >= lengths[0] + 1,
+                    f"first={lengths[0]}, last={lengths[-1]}"),
+        ])
 
 
 def unbounded_witness_heisenberg(n=1, pairs=((2, 3), (3, 5), (5, 7))):
@@ -403,43 +417,31 @@ def unbounded_witness_heisenberg(n=1, pairs=((2, 3), (3, 5), (5, 7))):
     c^n = [a^u, b^v] for each factorization n = uv, and a^u is spelled in
     the fewest letters a^p and a^q by :func:`min_coefficients`.  The
     cheapest such commutator, the first on a tie in increasing u, is the
-    ``upper_bound`` column and the word :func:`certify_length` checks and
-    searches one radius short of.
+    ``upper_bound`` column and the word that is certified.
     """
-    if n < 1:
-        raise ValueError("central exponent must be >= 1")
-    pairs = _nonempty("pairs", pairs)
-    G = gr.Heisenberg()
-    rows = []
-    lengths = []
-    for p, q in pairs:
-        if gcd(p, q) != 1:
-            raise ValueError(f"({p},{q}) must be coprime")
-        S = _generating(G, [(p, 0, 0), (q, 0, 0), (0, 1, 0)],
-                        f"generation not certified for (p,q)=({p},{q})")
-        best = None  # (letters, u, (alpha, beta)) of the cheapest commutator
-        for u in range(1, n + 1):
-            if n % u:
-                continue
-            cost, coefficients = min_coefficients(p, q, u)
-            letters = 2 * cost + 2 * (n // u)
-            if best is None or letters < best[0]:
-                best = (letters, u, coefficients)
-        bound, u, (alpha, beta) = best
-        a_u = _letter_power(S, (p, 0, 0), alpha) + _letter_power(S, (q, 0, 0), beta)
-        word = _commutator(S, a_u, _letter_power(S, (0, 1, 0), n // u))
-        cert = certify_length(G, S, (0, 0, n), word)
-        rows.append({"p": p, "q": q, "length": cert.length, "upper_bound": bound})
-        lengths.append(cert.length)
-    return ExperimentReport(
-        name="heisenberg",
-        params={"n": n, "pairs": [list(pq) for pq in pairs]},
-        rows=rows,
-        verdicts=[
-            Verdict("lengths-strictly-increase", _strictly_increasing(lengths),
-                    f"lengths={lengths}"),
-        ],
-    )
+    gr._check_int("n", n, 1)
+    pairs = _coprime_pairs(pairs)
+
+    def steps():
+        b = (0, 1, 0)
+        for p, q in pairs:
+            best = None  # (letters, u, (alpha, beta)) of the cheapest commutator
+            for u in range(1, n + 1):
+                if n % u:
+                    continue
+                cost, coefficients = min_coefficients(p, q, u)
+                letters = 2 * cost + 2 * (n // u)
+                if best is None or letters < best[0]:
+                    best = (letters, u, coefficients)
+            bound, u, (alpha, beta) = best
+            a_p, a_q, v = (p, 0, 0), (q, 0, 0), n // u
+            yield ({"p": p, "q": q}, [a_p, a_q, b],
+                   f"generation not certified for (p,q)=({p},{q})",
+                   [(a_p, alpha), (a_q, beta), (b, v), (a_q, -beta), (a_p, -alpha), (b, -v)],
+                   {"upper_bound": bound})
+
+    return _ladder("heisenberg", {"n": n, "pairs": [list(pq) for pq in pairs]},
+                   gr.Heisenberg(), (0, 0, n), steps(), _lengths_increase)
 
 
 def unbounded_witness_dinfty(pairs=((2, 3), (3, 5), (5, 7))):
@@ -447,33 +449,22 @@ def unbounded_witness_dinfty(pairs=((2, 3), (3, 5), (5, 7))):
 
     t^alpha = (t^alpha s) s, so a Bezout pair x alpha + y beta = 1 of least
     |x| + |y| (:func:`min_coefficients`) spells t in 2(|x| + |y|) letters,
-    at most 2(|alpha| + |beta|): the word :func:`certify_length` checks and
-    searches one radius short of.
+    at most 2(|alpha| + |beta|).
     """
-    pairs = _nonempty("pairs", pairs)
-    G = gr.DihedralInfinite()
-    rows = []
-    lengths = []
-    for alpha, beta in pairs:
-        if gcd(alpha, beta) != 1:
-            raise NotGeneratingError(f"({alpha},{beta}) must be coprime")
-        S = _generating(G, [(0, 1), (alpha, 1), (beta, 1)], f"S for ({alpha},{beta})")
-        s = (S.symbol_of((0, 1)),)
-        _, (x, y) = min_coefficients(alpha, beta, 1)
-        word = (_power(S, (S.symbol_of((alpha, 1)),) + s, x)
-                + _power(S, (S.symbol_of((beta, 1)),) + s, y))
-        cert = certify_length(G, S, (1, 0), word)
-        rows.append({"alpha": alpha, "beta": beta, "length": cert.length})
-        lengths.append(cert.length)
-    return ExperimentReport(
-        name="dinfty",
-        params={"pairs": [list(ab) for ab in pairs]},
-        rows=rows,
-        verdicts=[
-            Verdict("lengths-strictly-increase", _strictly_increasing(lengths),
-                    f"lengths={lengths}"),
-        ],
-    )
+    pairs = _coprime_pairs(pairs)
+
+    def steps():
+        s = (0, 1)
+        for alpha, beta in pairs:
+            pieces = []
+            for r, k in zip(((alpha, 1), (beta, 1)), min_coefficients(alpha, beta, 1)[1]):
+                # (r s)^k; the reflections r and s are their own inverses
+                pieces += [(r, 1), (s, 1)] * k if k >= 0 else [(s, 1), (r, 1)] * -k
+            yield ({"alpha": alpha, "beta": beta}, [s, (alpha, 1), (beta, 1)],
+                   f"S for ({alpha},{beta})", pieces, {})
+
+    return _ladder("dinfty", {"pairs": [list(ab) for ab in pairs]},
+                   gr.DihedralInfinite(), (1, 0), steps(), _lengths_increase)
 
 
 # -- boundedness certificates --------------------------------------------

@@ -549,7 +549,7 @@ def test_experiment_pairs_option(runner):
 
 @pytest.mark.parametrize("args, lengths", [
     (["zd", "--pairs", "1:0,2:3,3:5"], [1, 2, 3]),
-    (["heisenberg", "--pairs", "0:1"], [4]),
+    (["heisenberg", "--pairs", "0:1,2:3"], [4, 6]),
 ])
 def test_experiment_pairs_with_a_zero(runner, args, lengths):
     """A pair with a zero p or q is coprime when the other is 1: its row is
@@ -559,6 +559,22 @@ def test_experiment_pairs_with_a_zero(runner, args, lengths):
     assert result.exception is None
     assert "Traceback" not in result.output
     assert [r["length"] for r in json.loads(result.output)["rows"]] == lengths
+
+
+@pytest.mark.parametrize("args, code", [
+    (["zxzq", "--primes", "5"], 1),
+    (["zd", "--pairs", "2:3"], 1),
+    (["heisenberg", "--pairs", "2:3"], 1),
+    (["dinfty", "--pairs", "2:3"], 1),
+    (["dinfty", "--pairs", "2:4"], 2),
+    (["heisenberg", "--pairs", "2:3,2:4"], 2),
+])
+def test_experiment_ladder_exit_codes(runner, args, code):
+    """One row shows no growth, so the report fails (exit 1); a pair that
+    is not coprime is a usage error (exit 2), refused before any row."""
+    result = runner.invoke(main, ["experiment", *args])
+    assert result.exit_code == code
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("name, pairs, chunk", [

@@ -1,5 +1,6 @@
 """Experiment layer: reports, automorphisms, uniform lengths, golden files."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -462,7 +463,8 @@ def _ladder_search(name, params, row):
             2 * (abs(alpha) + abs(beta)))
 
 
-@pytest.mark.parametrize("name, kwargs", [
+# Ladder parameter sets, two of them the defaults, with zeros and negative entries.
+LADDER_PARAMETERS = (
     *[("heisenberg", {"n": n}) for n in range(1, 7)],
     ("heisenberg", {"n": 2, "pairs": ((0, 1), (-2, 3), (3, -5))}),
     ("zxzq", {"q": 2, "primes": (5, 7, 11)}),
@@ -472,7 +474,10 @@ def _ladder_search(name, params, row):
     ("zd", {"d": 2, "x": (-3, 2), "pairs": ((1, 0), (2, 3), (3, 5))}),
     ("dinfty", {"pairs": ((-2, 3), (3, -5), (-5, -7), (7, -11))}),
     ("dinfty", {"pairs": ((0, 1), (1, 0), (-1, 1))}),
-], ids=str)
+)
+
+
+@pytest.mark.parametrize("name, kwargs", LADDER_PARAMETERS, ids=str)
 def test_ladder_certificates_equal_the_search_at_the_old_cap(name, kwargs, certified):
     """Each ladder row's length is the checked ``word_length`` at the cap
     the ladder searched to before it certified a word, on non-default
@@ -513,6 +518,44 @@ def test_no_run_passes_over_zero_rows(name, kwargs):
     refused before it starts."""
     with pytest.raises(ValueError):
         ex.DEFAULT_RUNS[name](**kwargs)
+
+
+@pytest.mark.parametrize("name, kwargs, failed", [
+    ("zxzq", {"primes": (5,)}, {"lengths-strictly-increase"}),
+    ("zd", {"pairs": ((2, 3),)}, {"lengths-eventually-exceed"}),
+    ("heisenberg", {"pairs": ((2, 3),)}, {"lengths-strictly-increase"}),
+    ("dinfty", {"pairs": ((2, 3),)}, {"lengths-strictly-increase"}),
+    ("fc-witness", {"radius": 1}, {"off-center-counts-strictly-increase"}),
+], ids=str)
+def test_one_row_shows_no_growth(name, kwargs, failed):
+    """A growth verdict compares rows, so over a single row it fails, and
+    with it the report; the other verdicts still pass."""
+    rep = ex.DEFAULT_RUNS[name](**kwargs)
+    assert len(rep.rows) == 1
+    assert {v.claim for v in rep.verdicts if not v.passed} == failed
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("name, kwargs, error", [
+    ("zxzq", {"primes": (5, 9)}, ValueError),
+    ("zxzq", {"primes": (5, 7.0)}, ValueError),
+    ("zxzq", {"primes": (5, True)}, ValueError),
+    *[(name, {"pairs": ((2, 3), bad)}, error)
+      for name in ("zd", "heisenberg", "dinfty")
+      for bad, error in [((2, 4), NotGeneratingError), ((2.0, 3), ValueError),
+                         ((True, 3), ValueError), ((2, 3, 5), ValueError)]],
+    ("heisenberg", {"n": 2.0}, ValueError),
+    ("heisenberg", {"n": True}, ValueError),
+    ("heisenberg", {"n": 0}, ValueError),
+], ids=str)
+def test_ladder_refuses_a_bad_entry_before_any_search(name, kwargs, error, certified):
+    """Every parameter is checked before the first ``certify_length`` call,
+    so a bad last entry costs no search; a float or a bool is a
+    ValueError, not a TypeError from inside the run, and a pair that is
+    not coprime is a NotGeneratingError in all three pair ladders."""
+    with pytest.raises(error):
+        ex.DEFAULT_RUNS[name](**kwargs)
+    assert certified == []
 
 
 @pytest.mark.parametrize("radius", [-1, 0, 1.5, True])
@@ -773,6 +816,35 @@ def test_experiment_all_searches_one_radius_short_of_each_word(certified):
         n = len(r["word"])
         assert r["caps"] == ([n - 1] if n > 1 else []), r
     assert sum(len(r["caps"]) for r in certified) == 322
+
+
+# sha256 of the words that ``certify_length`` is handed, by _words_digest:
+# every call of ``experiment all`` (324), and every ladder row over
+# LADDER_PARAMETERS (43).  Rows hold only lengths, so a run that certified
+# another word of the same length would change no report byte.
+CERTIFIED_WORDS_SHA256 = "8a34c99ea505dc7855b51185486ceba37ee30faf0cbd207453b58223ef8f43b9"
+LADDER_WORDS_SHA256 = "08612b63cb0780d9f79ebd8a052a55c5282921da53001b322f12e38149b87a58"
+
+
+def _words_digest(records):
+    """sha256 of each certificate's run, letters, element and word, one
+    repr a line, in call order."""
+    text = "".join(f"{(r['run'], r['S'].letters, r['g'], r['word'])!r}\n" for r in records)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_experiment_all_certifies_the_pinned_words(certified):
+    result = CliRunner().invoke(main, ["experiment", "all", "--format", "json"])
+    assert result.exit_code == 0
+    assert len(certified) == 324
+    assert _words_digest(certified) == CERTIFIED_WORDS_SHA256
+
+
+def test_ladders_certify_the_pinned_words(certified):
+    for name, kwargs in LADDER_PARAMETERS:
+        ex.DEFAULT_RUNS[name](**kwargs)
+    assert len(certified) == 43
+    assert _words_digest(certified) == LADDER_WORDS_SHA256
 
 
 def test_certify_searches_equal_the_checked_word_length(certified):
