@@ -29,7 +29,7 @@ from . import groups as gr
 from .errors import NotGeneratingError, UnsupportedFamilyError
 from .gensets import (
     GenSet, _ext_gcd, _generates_split, dihedral_mod, generates, inverse_pair_classes, make_symmetric)
-from .metric import _grow, _reserve, ball, certify_length
+from .metric import _grow, _reserve, _split, ball, certify_length
 from .reports import ExperimentReport, Verdict
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -554,7 +554,6 @@ def heisenberg_center_experiment(samples=100, seed=0):
 
 
 _ZXD8 = gr.Product(gr.IntVector(1), gr.DihedralFinite(4))
-_ZXD8_SPLIT = _ZXD8.lattice_split()  # Z x| D8: one translation, D8 acting trivially
 
 
 @functools.lru_cache(maxsize=4)
@@ -569,7 +568,7 @@ def _zxd8_draws(radius):
     e = _ZXD8.identity()
     pool = tuple(g for g in (((n,), f) for n in range(-radius, radius + 1)
                              for f in _ZXD8.right.elements()) if g != e)
-    split = _ZXD8_SPLIT[2]
+    split = _split(_ZXD8).part  # Z x| D8: one translation, D8 acting trivially
     return (pool,
             MappingProxyType({g: _ZXD8.inv(g) for g in pool}),
             MappingProxyType({g: split(g) for g in pool}))
@@ -582,8 +581,9 @@ def sample_zxd8_genset(rng, radius=10):
 
     Each draw becomes inverse-pair classes, with inverses read from the
     cached map: a drawn element already present (as an earlier draw's
-    inverse) is skipped.  The Schreier decision runs on the split computed
-    once, on the cached parts of the classes' first elements, so only the
+    inverse) is skipped.  The Schreier decision runs on the group's split
+    record (``metric._split``), which is made once, and on the cached parts
+    of the classes' first elements, so only the
     accepted draw is built, by ``GenSet.from_classes``, whose constructor
     checks it like any other alphabet.  The pool was enumerated from the
     group and holds no identity.  Each decision's walk is charged to its
@@ -598,11 +598,11 @@ def sample_zxd8_genset(rng, radius=10):
     _reserve(16 * (2 * radius + 1), _ZXD8.identity())
     pool, inverses, part = _zxd8_draws(radius)
     inverse = inverses.__getitem__
-    k, F, _, act = _ZXD8_SPLIT
+    split = _split(_ZXD8)
     for _ in range(ZXD8_MAX_ATTEMPTS):
         draws = rng.sample(pool, rng.randint(2, 4))
         classes = inverse_pair_classes(_ZXD8, draws, inverse)
-        if _generates_split([part[c[0]] for c in classes], k, F, act).is_yes:
+        if _generates_split([part[c[0]] for c in classes], split).is_yes:
             return GenSet.from_classes(_ZXD8, classes)
     raise NotGeneratingError(
         f"sampler found no generating set within {ZXD8_MAX_ATTEMPTS} attempts")
@@ -673,6 +673,15 @@ def _free_syllable_bound(g):
     return best
 
 
+def _check_triple(l, u, v):
+    """ValueError unless the target length l and the primes u and v are
+    ints, a bool included, and l >= 0: the check every construction makes
+    before any work starts."""
+    gr._check_int("target length", l, 0)
+    gr._check_int("u", u)
+    gr._check_int("v", v)
+
+
 def _check_prescription_params(p, u, v, n_bound):
     if not (_is_prime(u) and _is_prime(v)):
         raise ValueError("u and v must be prime")
@@ -692,8 +701,6 @@ def _prescribe_length(G, g, l, u, v, n_bound):
     g = g^(2l+1) (g^2)^(-l) is a word of l + 1 letters; :func:`certify_length`
     checks it and searches out to radius l for a shorter word, which would
     surface as a certificate length below l + 1."""
-    if l < 0:
-        raise ValueError("target length must be >= 0")
     p = 2 * l + 1
     _check_prescription_params(p, u, v, n_bound)
     basis = G.standard_generators()
@@ -709,6 +716,7 @@ def _prescribe_length(G, g, l, u, v, n_bound):
 def prescribe_length_free(k, g, l, u, v):
     """Alphabet over F_k giving g word length exactly l + 1, from g^2,
     g^(2l+1) and prime powers of the basis letters."""
+    _check_triple(l, u, v)
     G = gr.Free(k)
     G.check(g)
     if g == ():
@@ -723,6 +731,7 @@ def prescribe_length_zd(d, g, l, u, v):
     scaled unit vectors; the scalar 2l+1 makes g = (2l+1)g - l*(2g) a word
     of length l + 1.
     """
+    _check_triple(l, u, v)
     G = gr.IntVector(d)
     G.check(g)
     if g == G.identity():
@@ -744,9 +753,12 @@ def prescribe_length_experiment(kind, triples=DEFAULT_PRESCRIPTION_GRID):
     """Run the prescribed-length construction over a (l, u, v) grid.
 
     ``kind`` is "free" or "zd"; the target is the first basis element of
-    F_k or Z^d, of rank ``PRESCRIBE_RANK``.
+    F_k or Z^d, of rank ``PRESCRIBE_RANK``.  Every triple is checked
+    before the first row is built.
     """
     triples = _nonempty("triples", triples)
+    for l, u, v in triples:
+        _check_triple(l, u, v)
     rows = []
     for l, u, v in triples:
         if kind == "free":
@@ -784,13 +796,16 @@ def quotient_orbit_experiment(p=5, ks=None):
     one element list and greedy generating sequence of the quotient, and
     measures the orbit of the image of the translation.  Time and memory
     grow as p^2, so p above ``QUOTIENT_ORBIT_MAX_P`` is refused before
-    anything is built.
+    anything is built, and so are a p or a k that is not an int.
     """
+    gr._check_int("p", p)
     if p > QUOTIENT_ORBIT_MAX_P:
         raise UnsupportedFamilyError(f"p = {p} exceeds the bound {QUOTIENT_ORBIT_MAX_P}")
     if not _is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     ks = tuple(range(1, p)) if ks is None else _nonempty("ks", ks)
+    for k in ks:
+        gr._check_int("k", k)
     pi = dihedral_mod(p)
     D = pi.target
     elems = list(D.elements())

@@ -21,7 +21,7 @@ from typing import Callable
 
 from . import groups as gr
 from .errors import DomainError, EmptyGenSetError, UnsupportedFamilyError
-from .metric import _Budget, _check_alphabet, _decode, _encode, _regular
+from .metric import _Budget, _check_alphabet, _decode, _encode, _split
 
 
 @dataclass(frozen=True)
@@ -144,17 +144,23 @@ def make_symmetric(G, elements):
 
     Checks every element, drops identities, merges duplicates, and inserts
     missing inverses right after the letter they invert.  Idempotent on
-    already-symmetric input.
+    already-symmetric input.  EmptyGenSetError when no letter is left,
+    with its own message when no element was proposed at all.
     """
+    proposed = False
+
     # One pass: ``elements`` may be an iterator.
     def checked():
+        nonlocal proposed
         for x in elements:
             G.check(x)
+            proposed = True
             yield x
 
     classes = inverse_pair_classes(G, checked())
     if not classes:
-        raise EmptyGenSetError("all proposed generators were the identity")
+        raise EmptyGenSetError("all proposed generators were the identity" if proposed
+                               else "no generators were proposed")
     return GenSet.from_classes(G, classes)
 
 
@@ -361,20 +367,21 @@ def generates(G, S):
         return _generates_heisenberg(G, S)
     if isinstance(G, gr.Free):
         return _generates_free(G, S)
-    split = G.lattice_split()
+    split = _split(G)
     if split is None:
         return GenerationResult("inconclusive", f"no decision procedure for {G}")
-    k, F, part, act = split
     # One representative of each inverse pair: its first letter.
+    part = split.part
     parts = [part(x) for sym, x in enumerate(S.letters) if S.involution[sym] >= sym]
-    return _generates_split(parts, k, F, act)
+    return _generates_split(parts, split)
 
 
-def _generates_split(parts, k, F, act):
+def _generates_split(parts, split):
     """Exact decision on G = Z^k x| F by Schreier's lemma (Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, 2005), for the alphabet
     whose inverse-pair classes have representatives with the split parts
-    ``parts``, pairs (translation, element of F).
+    ``parts``, pairs (translation, element of F), and G's record ``split``
+    (``metric._split``).
 
     The alphabet generates G iff the F-parts of its letters generate F and
     the Schreier generators, which generate the intersection of the subgroup
@@ -393,7 +400,8 @@ def _generates_split(parts, k, F, act):
 
     The walk runs on ints.  An F of at most ``metric.TABULATED_MAX_ORDER``
     elements is walked by index, reading each product from its right-regular
-    table (``metric._regular``) and charging each index its element's cost.
+    table (``metric._regular``, kept in the record) and charging each index
+    its element's cost.
     A larger F is walked on its elements, one ``_mul`` per edge; for k <= 1
     it is never enumerated beyond the elements the walk reaches, each of
     which meets the action on its first visit, while for k >= 2 the action
@@ -405,7 +413,7 @@ def _generates_split(parts, k, F, act):
     Taking parts, not a ``GenSet``, lets the zxd8 sampler decide a draw
     before it builds the alphabet.
     """
-    T = _regular(F)
+    k, F, _, act, T, _ = split
     if T is None:
         e, cost = F.identity(), _Budget.cost
     else:
@@ -583,8 +591,10 @@ def _generates_free(G, S):
     result reads from the base exactly the subgroup's reduced words, so S
     generates iff one vertex is left with all 2k labels.  The base is
     charged to the memory budget like a search root, every later vertex
-    like a node at radius 0."""
+    like a node at radius 0, in a local counter that is written back to the
+    budget before a refusal, as in ``metric._expand``."""
     mem = _Budget(0)
+    limit, used, cost = mem.limit, mem.used, mem.cost
     parent = [0]  # union-find over the vertices
     out = [{}]  # out[v]: label -> far end, for each root v
     edges = []  # (u, label, v), still to attach
@@ -592,7 +602,10 @@ def _generates_free(G, S):
         if S.involution[sym] >= sym and word:
             path = [0, *range(len(parent), len(parent) + len(word) - 1), 0]
             for v in path[1:-1]:
-                mem.charge(v, 0)
+                used += cost(v)
+                if used > limit:
+                    mem.used, mem.nodes = used, len(parent)
+                    raise mem.exhausted(0, mem.nodes)
                 parent.append(v)
                 out.append({})
             edges += zip(path, word, path[1:])

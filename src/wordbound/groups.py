@@ -70,11 +70,13 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-def _check_int(name, value, least):
-    """Raise ValueError unless value is an int >= ``least``; a bool is not
-    one.  An explicit raise, not an assert, so it holds under ``python -O``."""
-    if type(value) is not int or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_int(name, value, least=None):
+    """Raise ValueError unless value is an int, and one >= ``least`` unless
+    that is None; a bool is not one.  An explicit raise, not an assert, so
+    it holds under ``python -O``."""
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 class Group:
@@ -123,7 +125,9 @@ class Group:
         return DomainError(f"{bad!r} is not an element of {self}")
 
     def power(self, g, n):
-        """n-th power by repeated squaring, ``n`` any integer."""
+        """n-th power by repeated squaring, ``n`` any integer (ValueError
+        otherwise, a bool included)."""
+        _check_int("exponent", n)
         self.check(g)
         if n < 0:
             g = self.inv(g)

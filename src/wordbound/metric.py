@@ -31,24 +31,26 @@ operands are elements too: perfbench's tracer counts only the checked
 the harness keeps one latency per operation.  ``certify_length`` checks its
 word with the checked law as well, through ``S.eval_word``.
 
-``certify_length``'s search runs on packed integers wherever it can
+``certify_length``'s search runs on packed values wherever it can
 (:func:`_packed_space`): on every group that is Z^k x| F with F finite (a
 finite group, a lattice, the infinite dihedral group and their products)
-and F of at most ``TABULATED_MAX_ORDER`` elements, and on the Heisenberg
-group.  F is tabulated once, by its right-regular representation
-(:func:`_regular`), and an element with split (v, f) is the int
-enc(v)·|F| + idx(f), so a product is one addition and one table read, with
-no tuple built or hashed.  A Heisenberg element is the int of its three
-coordinates as digits in one base, and a product is one ``%``, one
-multiplication and two additions (:func:`_heisenberg_space`).  Its tables,
-witness, ``explored`` and budget charges are those of the search on
-elements.  Free groups and an F past the cap, which is never enumerated,
-keep the search on ``G._mul``: a free product cancels letter by letter, and
-an int encoding of reduced words, which keeps that loop, was only about 20%
-faster on the searches of ``prescribe-free``.  ``word_length``
-and ``ball`` stay on elements: a faster ``queries`` workload raises its
-``peak_rss_mb``, as above, and ``ball``'s public table is keyed by elements,
-which experiments read.
+and F of at most ``TABULATED_MAX_ORDER`` elements, on the Heisenberg group
+and on free groups.  Each group is split once (:func:`_split`), and F is
+tabulated once, by its right-regular representation (:func:`_regular`), so
+an element with split (v, f) is the int enc(v)·|F| + idx(f), and a product
+is one addition and one table read, with no tuple built or hashed.  A
+Heisenberg element is the int of its three coordinates as digits in one
+base, and a product is one ``%``, one multiplication and two additions
+(:func:`_heisenberg_space`).  A free-group element is the tuple of its
+syllables x_g^e, each one int, and a product merges or cancels whole
+syllables where the two words meet (:func:`_free_space`), so a letter such
+as x1^41 costs one syllable, not 41 letters.  Tables, witness, ``explored``
+and budget charges are those of the search on elements.  Only a product
+with a Heisenberg or free factor, which has no lattice split, and an F past
+the cap, which is never enumerated, keep the search on ``G._mul``.
+``word_length`` and ``ball`` stay on elements: a faster ``queries``
+workload raises its ``peak_rss_mb``, as above, and ``ball``'s public table
+is keyed by elements, which experiments read.
 
 Every stored node is charged to a memory budget by one size rule,
 :meth:`_Budget.cost`, the bytes of the element it stands for.  Each search
@@ -78,7 +80,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitExceeded
-from .groups import Heisenberg, _check_int
+from .groups import Free, Heisenberg, _check_int
 
 DEFAULT_MEM_LIMIT = 1 << 30  # 1 GiB
 _ENTRY_OVERHEAD = 160  # rough dict-entry + value-tuple bytes per visited node
@@ -174,7 +176,7 @@ class Ball:
 def _word_to(table, mul, letters, involution, v):
     """The word that ``table``, grown by :func:`_expand` with the law
     ``mul`` and ``letters``, stores from its root to the node v: the one
-    reader of a search table, on elements or on packed ints alike.  A node
+    reader of a search table, on elements or on packed values alike.  A node
     v = u·letters[i] stored at depth d leads back to u = v·letters[i]⁻¹,
     which is ``letters[involution[i]]``."""
     syms = []
@@ -194,14 +196,13 @@ class _Budget:
     limit by :func:`memory_limit` and charges the roots, which are never
     refused.  Any later node that overdraws the budget raises
     ResourceLimitExceeded with the last completed radius and the nodes
-    stored so far.  Only the Stallings fold of ``gensets`` still calls
-    ``charge``.  ``_expand`` and the Schreier walk of ``gensets`` charge by
-    the same :meth:`cost` in a local counter and write ``used`` and
-    ``nodes`` back here before they yield or refuse.
+    stored so far.  ``_expand``, the Schreier walk and the Stallings fold
+    of ``gensets`` charge by :meth:`cost` in a local counter and write
+    ``used`` and ``nodes`` back here before they yield or refuse.
 
-    A search whose nodes are ints standing for elements passes ``cost``,
-    which replaces :meth:`cost` and charges each node the bytes of its
-    element.
+    A packed search, whose nodes are ints or syllable tuples standing for
+    elements, passes ``cost``, which replaces :meth:`cost` and charges each
+    node the bytes of its element.
     """
 
     def __init__(self, *roots, cost=None):
@@ -216,12 +217,6 @@ class _Budget:
         """Bytes charged for storing ``key``: its own size and a flat
         allowance for the table entry."""
         return sys.getsizeof(key) + _ENTRY_OVERHEAD
-
-    def charge(self, key, radius):
-        self.used += self.cost(key)
-        if self.used > self.limit:
-            raise self.exhausted(radius, self.nodes)
-        self.nodes += 1
 
     @staticmethod
     def exhausted(radius, explored):
@@ -312,7 +307,7 @@ class _Space(NamedTuple):
     and a letter, the ``letters`` by symbol id, the bytes ``cost`` charged
     for a stored node, and the ``roots``, the nodes of the identity and of
     the target.  On elements (:func:`_elements`) a node is the element
-    itself; on packed ints (:func:`_packed_space`) it is its code.  A named
+    itself; packed (:func:`_packed_space`) it is its code.  A named
     tuple, as ``word_length`` makes one per query."""
 
     mul: object
@@ -326,14 +321,51 @@ def _elements(G, S, g, mul):
     return _Space(mul, S.letters, _Budget.cost, (G.identity(), g))
 
 
-def _packed_space(G, S, g, cap):
-    """The search space of packed ints for a search from e and from g out
-    to ``cap`` in all, or None when G is neither the Heisenberg group nor
-    Z^k x| F with F tabulated.  This is the one place that picks a packed
-    encoding.
+class _Split(NamedTuple):
+    """A group G as Z^k x| F, made once per group by :func:`_split`: the
+    ``k``, ``F``, ``part`` and ``act`` of ``G.lattice_split()``, F's
+    ``table`` (:func:`_regular`, None past ``TABULATED_MAX_ORDER``) and
+    ``cost``, the bytes charged for a packed node of G (None without a
+    table)."""
 
-    A finite G is its own F, with k = 0; any other G is split by
-    ``G.lattice_split()``.  With F's m elements numbered by
+    k: int
+    F: object
+    part: object
+    act: object
+    table: object
+    cost: object
+
+
+@functools.lru_cache(maxsize=16)
+def _split(G):
+    """G's :class:`_Split`, or None when G has no lattice split.
+    ``_packed_space``, ``gensets.generates`` and the zxd8 sampler read it,
+    so no search or walk splits a group twice.  The cache is keyed by the
+    frozen group and holds at most 16 records.
+
+    A packed node is charged the bytes of the element of G it stands for.
+    Where F is G itself (k = 0), that is its index's cost in the table.
+    Otherwise every element of G is a tuple of one length (a vector, a
+    dihedral pair or a product pair, such as one of Z/1 x D8, which splits
+    over D8), so it is one constant, the identity's cost."""
+    split = G.lattice_split()
+    if split is None:
+        return None
+    k, F, part, act = split
+    T = _regular(F)
+    cost = None
+    if T is not None:
+        cost = T.costs.__getitem__ if F == G else _constant_cost(G)
+    return _Split(k, F, part, act, T, cost)
+
+
+def _packed_space(G, S, g, cap):
+    """The search space of packed values for a search from e and from g out
+    to ``cap`` in all, or None when G is none of the Heisenberg group, a
+    free group and Z^k x| F with F tabulated.  This is the one place that
+    picks a packed encoding.
+
+    G is split once, by :func:`_split`.  With F's m elements numbered by
     :func:`_regular`, a node is the int enc(v)·m + idx(f) of the element
     with split (v, f), enc being :func:`_encode` in base B.  A letter with
     split (a, u) is the list D with D[i] = enc(f_i·a)·m + idx(f_i·u) - i,
@@ -346,25 +378,20 @@ def _packed_space(G, S, g, cap):
     node d letters from e has coordinates at most d·M in magnitude, and one
     d letters from g at most |g| + d·M; neither search goes past ``cap``
     letters, so B = 2(|g| + cap·M) + 2 decodes, and tells apart, every
-    node.  For k <= 1 B is 0.
+    node.  For k <= 1 B is 0.  Each node is charged the bytes of the element
+    it stands for, by the split's ``cost``.
 
-    Each node is charged the bytes of the element it stands for: for
-    k = 0 its index's cost in the table; for k >= 1 every element of G is a
-    tuple of one length (a vector, a dihedral pair or a product pair), so
-    one constant, the identity's cost.
-
-    The Heisenberg group has no lattice split and is packed on its own
-    (:func:`_heisenberg_space`).
+    The Heisenberg group and free groups have no lattice split and are
+    packed on their own (:func:`_heisenberg_space`, :func:`_free_space`).
     """
     if isinstance(G, Heisenberg):
         return _heisenberg_space(G, S, g, cap)
-    split = (0, G, lambda h: ((), h), None) if G.is_finite else G.lattice_split()
-    if split is None:
+    if isinstance(G, Free):
+        return _free_space(G, S, g)
+    split = _split(G)
+    if split is None or split.table is None:
         return None
-    k, F, part, act = split
-    T = _regular(F)
-    if T is None:
-        return None
+    k, F, part, act, T, cost = split
     elements, index, m = T.elements, T.index, len(T.elements)
     parts = [part(x) for x in S.letters]
     t, f = part(g)
@@ -385,7 +412,6 @@ def _packed_space(G, S, g, cap):
     def step(x, D, m=m):
         return x + D[x % m]
 
-    cost = _constant_cost(G) if k else T.costs.__getitem__
     roots = (index[F.identity()], _encode(t, base) * m + index[f])
     return _Space(step, letters, cost, roots)
 
@@ -398,6 +424,68 @@ def _constant_cost(G):
     def cost(x):
         return size
     return cost
+
+
+_WORD_COST = _Budget.cost(())  # the empty word of a free group
+_LETTER_COST = _Budget.cost((0,)) - _WORD_COST  # each letter more
+
+
+def _syllables(w, K):
+    """The syllable code of a reduced free word w, K being the rank plus 1
+    (:func:`_free_space`)."""
+    code = []
+    for x in w:
+        s = x + K if x > 0 else -x - K  # x_g or its inverse, g = |x|
+        if code and code[-1] % K == s % K:
+            code[-1] += s - s % K
+        else:
+            code.append(s)
+    return tuple(code)
+
+
+def _free_space(G, S, g):
+    """The search space of syllables in the free group F_k.
+
+    A reduced word is the tuple of its syllables, its maximal runs x_g^e of
+    one letter, and the syllable x_g^e (e != 0) is the int s = e·K + g with
+    K = k + 1, so g = s % K and e = s // K (:func:`_syllables`).  Two
+    adjacent syllables have different generators, so each word has one
+    code.  A node times a letter meets the node's last syllable with the
+    letter's first: with different generators the two codes are joined;
+    with one generator the exponents add, to a syllable that ends the
+    product, or to 0, and then the next two meet in turn.  So a product
+    steps through syllables, not letters: x1^41 is one syllable.
+
+    Each node is charged the bytes of the element it stands for, a tuple of
+    sum |e| letters.  ``sys.getsizeof`` of a tuple grows by one slot a
+    letter (40 + 8n bytes on CPython 3.10 to 3.12), so that is
+    ``_WORD_COST`` and ``_LETTER_COST`` per letter, both read from
+    :meth:`_Budget.cost`.
+    """
+    K = G.k + 1
+
+    def step(x, L, K=K):
+        i, j, n = len(x), 0, len(L)
+        while i and j < n:
+            s, t = x[i - 1], L[j]
+            gen = t % K
+            if s % K != gen:
+                break
+            s += t - gen  # the exponents add
+            if s != gen:  # to one that is not 0
+                return x[:i - 1] + (s,) + L[j + 1:]
+            i -= 1
+            j += 1
+        return x[:i] + L[j:]
+
+    def cost(x, K=K):
+        n = 0
+        for s in x:
+            n += abs(s // K)
+        return _WORD_COST + _LETTER_COST * n
+
+    letters = [_syllables(x, K) for x in S.letters]
+    return _Space(step, letters, cost, ((), _syllables(g, K)))
 
 
 def _heisenberg_space(G, S, g, cap):
@@ -446,7 +534,7 @@ def _expand(mul, letters, table, budget, full):
     0.  Its callers all live here and only choose when to stop:
     :func:`_grow`, for ``ball`` and ``aut_group``, passes the trusted
     ``G._mul``, whose operands are products of checked elements, and
-    ``certify_length``'s searches pass the step of packed ints or
+    ``certify_length``'s searches pass the step of a packed space or
     ``G._mul``; ``word_length``'s searches and the reference
     ``_length_bfs`` pass the checked ``G.mul``.
 
@@ -546,9 +634,9 @@ def certify_length(G, S, g, word):
     evaluate to g (DomainError otherwise, also for an unknown symbol id),
     which bounds the length by ``n = len(word)`` from above.  Then
     ``word_length``'s meet-in-the-middle search runs out to ``n - 1``, as S,
-    g and so every node are checked already, on packed ints
-    (:func:`_packed_space`) or, in a free group or where F is too large to
-    tabulate, on the trusted ``G._mul``.  Its tables, witness, ``explored``
+    g and so every node are checked already, on packed values
+    (:func:`_packed_space`) or, in a product with a Heisenberg or free
+    factor or where F is too large to tabulate, on the trusted ``G._mul``.  Its tables, witness, ``explored``
     and budget charges are those of ``word_length(G, S, g, n - 1)``.  If it
     finds g, its certificate, with a geodesic witness and ``cap = n - 1``,
     is returned; otherwise the length
@@ -609,8 +697,8 @@ def _length_bidirectional(G, S, g, cap, space):
 
     Both searches use the full symmetric alphabet and run on ``space``
     (:class:`_Space`): ``word_length`` passes the elements with the checked
-    ``G.mul`` and ``certify_length`` packed ints, or the elements with the
-    trusted ``G._mul``.  The forward table spells each node from e and the
+    ``G.mul`` and ``certify_length`` packed values, or the elements with
+    the trusted ``G._mul``.  The forward table spells each node from e and the
     backward table from g, so the witness through a meeting node v is
     :func:`_word_to` v over the forward table followed by the inverse of
     that over the backward one.

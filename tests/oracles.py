@@ -248,11 +248,22 @@ def random_element(G, rng, size=10):
 _COORDINATES = (0, 1, -1, 7, -12, 10**30, -10**30, 10**30 + 1, -3 * 10**29 + 5, 2**64)
 
 
+_EXPONENTS = (1, 2, 3, 41, 1009)
+
+
 def mixed_magnitude_element(G, rng):
     """An element of G whose translation coordinates, or all three
     coordinates of a Heisenberg element, are drawn from ``_COORDINATES``:
     small, around 10^30 and mixed within one vector, of either sign; a
-    finite factor's part is any of its elements."""
+    finite factor's part is any of its elements.  A free element is a
+    reduced word of 1 to 4 syllables x_g^e, each on a generator other than
+    the last one's, with e drawn from ``_EXPONENTS`` and either sign."""
+    if isinstance(G, gr.Free):
+        word, last = (), None
+        for _ in range(rng.randint(1, 4) if G.k > 1 else 1):
+            last = rng.choice([i for i in range(1, G.k + 1) if i != last])
+            word += (rng.choice((last, -last)),) * rng.choice(_EXPONENTS)
+        return word
     if isinstance(G, gr.Product):
         return (mixed_magnitude_element(G.left, rng), mixed_magnitude_element(G.right, rng))
     if isinstance(G, gr.IntVector):
@@ -349,10 +360,21 @@ def ball_full_walk(G, S, radius):
     return table
 
 
+def charge(budget, key, radius):
+    """Charge ``key`` to a ``metric._Budget`` by its own call, node by node:
+    its ``cost``, refused once the budget's limit is overdrawn, with
+    ``radius`` and the nodes stored before it.  The per-node reference that
+    the library's local charge counters are held to."""
+    budget.used += budget.cost(key)
+    if budget.used > budget.limit:
+        raise budget.exhausted(radius, budget.nodes)
+    budget.nodes += 1
+
+
 def expand_per_node(mul, letters, table, budget, full):
     """``metric._expand`` charging each stored node to ``budget`` by its
-    own ``_Budget.charge`` call: the reference the layer-local charge is
-    held to, with the same signature, layers, table, labels, ends and
+    own :func:`charge` call: the reference the layer-local charge is held
+    to, with the same signature, layers, table, labels, ends and
     refusals."""
     layer = list(table)
     depth = 0
@@ -364,7 +386,7 @@ def expand_per_node(mul, letters, table, budget, full):
                 v = mul(u, x)
                 if v in table:
                     continue
-                budget.charge(v, depth - 1)
+                charge(budget, v, depth - 1)
                 table[v] = (depth, i)
                 layer.append(v)
             if len(table) == full:
@@ -587,10 +609,27 @@ def generates_split_reference(G, S):
             "invariant_factors": factors}
 
 
+def fold_charges_per_node(S):
+    """Charge the vertices that the Stallings fold of ``gensets.generates``
+    stores for the free alphabet S, each by its own :func:`charge` call:
+    the base vertex 0 as the budget's root, then for the first letter of
+    each inverse pair, a word of n letters, the n - 1 inner vertices of its
+    loop, numbered on from the last vertex.  The reference the fold's
+    local counter is held to; it returns None once every vertex is
+    charged."""
+    mem = _Budget(0)
+    vertices = 1
+    for sym, word in enumerate(S.letters):
+        if S.involution[sym] >= sym:
+            for _ in range(len(word) - 1):
+                charge(mem, vertices, 0)
+                vertices += 1
+
+
 def generates_split_tuples(parts, k, F, act):
     """``gensets._generates_split`` as it walked on tuple translations,
     charging each stored element of F and kernel vector to the budget by
-    its own ``_Budget.charge`` call: the reference the integer walk and its
+    its own :func:`charge` call: the reference the integer walk and its
     local charge counter are held to, with the same signature, status,
     reason, evidence and refusals."""
     mul = F._mul
@@ -611,10 +650,10 @@ def generates_split_tuples(parts, k, F, act):
                 if f2 in rep:
                     v = tuple(map(sub, t2, rep[f2]))
                     if v not in kernel:
-                        mem.charge(v, radius)
+                        charge(mem, v, radius)
                         kernel.add(v)
                 else:
-                    mem.charge(f2, radius)
+                    charge(mem, f2, radius)
                     rep[f2] = t2
                     nxt.append(f2)
         frontier = nxt

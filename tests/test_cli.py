@@ -152,6 +152,19 @@ def test_length_usage_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("genset, message", [
+    ("[]", "error: no generators were proposed"),
+    ("[0, 0]", "error: all proposed generators were the identity"),
+])
+def test_empty_genset_is_usage_error(runner, genset, message):
+    """No proposed generator and only identities are both an empty alphabet,
+    exit 2, each with its own one-line message."""
+    result = runner.invoke(main, [
+        "length", "--group", "Z", "--genset", genset, "--element", "(1,)", "--cap", "3"])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [message]
+
+
 @pytest.mark.parametrize("genset, element", [("[1]", "{[]}"), ("{[]}", "(1,)")])
 def test_unhashable_literal_is_usage_error(runner, genset, element):
     """A set holding a list, once a TypeError traceback of literal_eval, is

@@ -672,7 +672,7 @@ def test_zxd8_decision_on_parts_matches_generates():
     classes' representative parts is ``generates`` on the alphabet built
     from the classes, in status, reason and evidence."""
     G = ex._ZXD8
-    k, F, _, act = ex._ZXD8_SPLIT
+    split = metric._split(G)
     pool, inverses, part = ex._zxd8_draws(10)
     inverse = inverses.__getitem__
     statuses = set()
@@ -680,13 +680,13 @@ def test_zxd8_decision_on_parts_matches_generates():
         rng = random.Random(seed)
         for _ in range(100):
             classes = inverse_pair_classes(G, rng.sample(pool, rng.randint(2, 4)), inverse)
-            fast = _generates_split([part[c[0]] for c in classes], k, F, act)
+            fast = _generates_split([part[c[0]] for c in classes], split)
             slow = generates(G, GenSet.from_classes(G, classes))
             assert (fast.status, fast.reason, fast.evidence) == (
                 slow.status, slow.reason, slow.evidence)
             statuses.add(fast.status)
     assert statuses == {"yes", "no"}
-    assert all(part[g] == ex._ZXD8_SPLIT[2](g) for g in pool)
+    assert all(part[g] == G.lattice_split()[2](g) for g in pool)
 
 
 def test_zxd8_certificates_match_bfs():
@@ -851,10 +851,10 @@ def test_certify_searches_equal_the_checked_word_length(certified):
     """Each search that ``certify_length`` runs for the 200 zxd8 alphabets,
     the 12 prescription rows, the 100 Heisenberg pairs and the 12 ladder
     rows gives the certificate, field for field, of the checked
-    ``word_length`` out to the same cap.  The 317 searches in groups with a
-    lattice split (Z x D8, Z^d, Z x Z/2, D-infinity) and in the Heisenberg
-    group run on packed ints, and the 5 in free groups on the trusted
-    ``G._mul``."""
+    ``word_length`` out to the same cap.  All 322 run on packed spaces: the
+    searches in groups with a lattice split (Z x D8, Z^d, Z x Z/2,
+    D-infinity) and in the Heisenberg group on ints, the 5 in free groups
+    on syllables."""
     for name in ("heisenberg-center", "zxd8", "prescribe-free", "prescribe-zd", *LADDERS):
         assert ex.DEFAULT_RUNS[name]().passed
     searches = Counter()
@@ -867,14 +867,13 @@ def test_certify_searches_equal_the_checked_word_length(certified):
             assert (space.letters, space.roots) == (want.letters, want.roots)
             assert word_length(G, S, g, cap) == trusted
             searches[space.mul.__name__] += 1
-    assert searches == {"step": 317, "_mul": 5}
+    assert searches == {"step": 322}
 
 
 def test_experiment_all_calls_no_word_length(monkeypatch):
     """Every run of ``experiment all`` certifies its lengths: no run calls
     ``word_length``, under any name it is bound to, and every
-    meet-in-the-middle search steps on packed ints or multiplies with a
-    trusted ``_mul``."""
+    meet-in-the-middle search steps on a packed space."""
     calls, laws = [], set()
 
     def spy(*args, **kwargs):
@@ -893,7 +892,7 @@ def test_experiment_all_calls_no_word_length(monkeypatch):
     result = CliRunner().invoke(main, ["experiment", "all", "--format", "json"])
     assert result.exit_code == 0
     assert calls == []
-    assert laws == {"_mul", "step"}
+    assert laws == {"step"}
 
 
 def test_bound_witness_zxd8_small():
@@ -927,6 +926,36 @@ def test_prescribe_length_zd_spot_values():
     assert cert.length == 3
     _, cert = ex.prescribe_length_zd(3, (1, -2, 0), 1, 7, 43)
     assert cert.length == 2
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("work started before the parameters were checked")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ex.prescribe_length_free(2, (1,), True, 5, 17),
+    lambda: ex.prescribe_length_free(2, (1,), 1.0, 5, 17),
+    lambda: ex.prescribe_length_free(2, (1,), 1, 5.0, 17),
+    lambda: ex.prescribe_length_free(2, (1,), 1, 5, 17.0),
+    lambda: ex.prescribe_length_zd(2, (1, 0), 1.0, 5, 17),
+    lambda: ex.prescribe_length_zd(2, (1, 0), 1, 5.0, 17),
+    lambda: ex.prescribe_length_zd(2, (1, 0), 1, 5, 17.0),
+    lambda: ex.prescribe_length_experiment("free", [(0, 2, 7), (1.0, 5, 17)]),
+    lambda: ex.prescribe_length_experiment("zd", [(0, 2, 7), (1, 5.0, 17)]),
+    lambda: ex.prescribe_length_experiment("free", [(0, 2, 7), (1, 5, 17.0)]),
+    lambda: ex.quotient_orbit_experiment(5.0),
+    lambda: ex.quotient_orbit_experiment(5, ks=(1.0, 2)),
+    lambda: ex.quotient_orbit_experiment(5, ks=(1, True)),
+], ids=lambda f: None)
+def test_non_int_parameters_are_refused_before_any_work(call, monkeypatch):
+    """A float or a bool in place of an int is a ValueError, the error the
+    CLI maps to a usage error, raised before any alphabet is built, length
+    certified or quotient made: a bad later triple of a grid refuses the
+    whole grid."""
+    for name in ("_generating", "certify_length", "dihedral_mod"):
+        monkeypatch.setattr(ex, name, _refuse_work)
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
 
 
 def test_prescribe_length_preconditions():

@@ -12,6 +12,7 @@ from oracles import (
     FINITE_GROUPS,
     MUTATION_GROUPS,
     alphabet_mutations,
+    fold_charges_per_node,
     free_generation_certificate,
     generates_split_reference,
     generates_split_tuples,
@@ -41,7 +42,7 @@ from wordbound.gensets import (
     smith_normal_form,
 )
 from wordbound.experiments import sample_zxd8_genset, uniform_length_table
-from wordbound.metric import TABULATED_MAX_ORDER, _Budget
+from wordbound.metric import TABULATED_MAX_ORDER, _Budget, _split
 from wordbound.metric import word_length
 
 
@@ -66,8 +67,17 @@ def test_make_symmetric_drops_identity_and_duplicates():
     Z = gr.IntVector(1)
     S = make_symmetric(Z, [(0,), (2,), (2,), (-2,)])
     assert S.letters == ((2,), (-2,))
-    with pytest.raises(EmptyGenSetError):
+    with pytest.raises(EmptyGenSetError, match="all proposed generators were the identity"):
         make_symmetric(Z, [(0,)])
+
+
+def test_make_symmetric_of_no_elements_says_none_were_proposed():
+    """An empty list or iterator gets its own message, not the all-identity
+    one, and the same error class."""
+    Z = gr.IntVector(1)
+    for empty in ([], iter(())):
+        with pytest.raises(EmptyGenSetError, match="^no generators were proposed$"):
+            make_symmetric(Z, empty)
 
 
 ALPHABET_GROUPS = [
@@ -419,6 +429,42 @@ def test_generates_is_inconclusive_without_a_procedure(G):
     assert res.reason == f"no decision procedure for {G}"
 
 
+@pytest.mark.parametrize("G, letters", [
+    (gr.Free(2), [(1, 2), (2,)]),
+    (gr.Free(2), [(1,) * 7, (2, -1, 2), (1, 1, 2)]),
+    (gr.Free(3), [(1, -2, 3, 3), (2,), (3, -1) * 4, (1,)]),
+], ids=str)
+def test_fold_refuses_at_every_limit_like_the_charged_reference(G, letters, monkeypatch):
+    """At every limit from the base vertex's charge up to the first that
+    completes, the Stallings fold refuses with the ``partial_radius`` and
+    ``explored`` of a walk that charges each vertex it stores by its own
+    ``charge`` call (``oracles.fold_charges_per_node``), and the first
+    limit the reference passes gives the unlimited result.  Each vertex
+    past the base is refused once, with the vertices stored before it."""
+    S = make_symmetric(G, letters)
+    want = generates(G, S)
+
+    def outcome(call):
+        try:
+            call()
+        except ResourceLimitExceeded as exc:
+            return exc.partial_radius, exc.explored
+        return None
+
+    limit = _Budget.cost(0)
+    refusals = set()
+    while True:
+        monkeypatch.setenv("WORDBOUND_MEM_LIMIT", str(limit))
+        got = outcome(lambda: fold_charges_per_node(S))
+        assert outcome(lambda: generates(G, S)) == got, limit
+        if got is None:
+            break
+        refusals.add(got)
+        limit += 1
+    assert generates(G, S) == want
+    assert refusals == {(0, n) for n in range(1, want.evidence["vertices"])}
+
+
 def test_generates_free_witness_search_respects_memory_limit(monkeypatch):
     G = gr.Free(2)
     S = make_symmetric(G, [(1, 2), (2,)])  # x1 x2 adds a vertex to the graph
@@ -575,9 +621,9 @@ RANK_GROUPS = [
 
 def _split_parts(G, S):
     """The split parts of one letter per inverse pair, as ``generates``
-    hands them to the Schreier walk, and the split's k, F and action."""
-    k, F, part, act = G.lattice_split()
-    return [part(x) for sym, x in enumerate(S.letters) if S.involution[sym] >= sym], k, F, act
+    hands them to the Schreier walk, and G's split record."""
+    split = _split(G)
+    return [split.part(x) for sym, x in enumerate(S.letters) if S.involution[sym] >= sym], split
 
 
 @pytest.mark.parametrize("G", RANK_GROUPS, ids=str)
@@ -596,9 +642,9 @@ def test_integer_walk_is_exact_on_huge_translations(G):
         if all(x == G.identity() for x in letters):
             continue
         S = make_symmetric(G, letters)
-        parts, k, F, act = _split_parts(G, S)
-        got = _generates_split(parts, k, F, act)
-        want = generates_split_tuples(parts, k, F, act)
+        parts, split = _split_parts(G, S)
+        got = _generates_split(parts, split)
+        want = generates_split_tuples(parts, split.k, split.F, split.act)
         assert (got.status, got.reason, got.evidence) == (want.status, want.reason, want.evidence)
         assert generates(G, S) == got
         assert {"status": got.status, **{key: got.evidence[key] for key in (
@@ -616,14 +662,15 @@ def test_walk_acts_only_on_the_elements_it_reaches(q):
     result is the tuple walk's."""
     G = gr.Product(_DINF, gr.FiniteCyclic(q))
     S = make_symmetric(G, [((1, 0), 0), ((0, 1), 0)])
-    parts, k, F, act = _split_parts(G, S)
+    parts, split = _split_parts(G, S)
+    k, F, act = split.k, split.F, split.act
     calls = []
 
     def counted(f, v):
         calls.append(f)
         return act(f, v)
 
-    got = _generates_split(parts, k, F, counted)
+    got = _generates_split(parts, split._replace(act=counted))
     want = generates_split_tuples(parts, k, F, act)
     assert (got.status, got.reason, got.evidence) == (want.status, want.reason, want.evidence)
     assert got.is_no and got.evidence["closure_size"] == 2
@@ -649,7 +696,8 @@ def test_walk_refuses_at_every_limit_like_the_charged_reference(G, letters, monk
     ``explored`` of the tuple walk that charges each node by its own
     ``_Budget.charge`` call, or returns the same result."""
     S = make_symmetric(G, letters)
-    parts, k, F, act = _split_parts(G, S)
+    parts, split = _split_parts(G, S)
+    k, F, act = split.k, split.F, split.act
 
     def outcome(walk):
         try:

@@ -65,6 +65,15 @@ def test_power_matches_iterated_multiplication(G):
         assert G.power(g, -3) == G.inv(G.power(g, 3))
 
 
+@pytest.mark.parametrize("n", [2.0, True, False, "2", None])
+def test_power_exponent_must_be_an_int(n):
+    """``power(g, 2.0)`` would fail deep in the squaring loop and
+    ``power(g, True)`` pass for ``power(g, 1)``: both are refused first."""
+    for G, g in ((Free(2), (1,)), (IntVector(1), (1,)), (FiniteCyclic(5), 2)):
+        with pytest.raises(ValueError, match="exponent must be an integer, got"):
+            G.power(g, n)
+
+
 def test_free_power_matches_repeated_squaring():
     """The letters that cancel between the squares leave the conjugate of
     the core's power: (x1 x2^2 x1^-1)^3 = x1 x2^6 x1^-1."""

@@ -24,6 +24,7 @@ from oracles import (
     run_optimized,
 )
 
+from wordbound import experiments as ex
 from wordbound import groups as gr
 from wordbound import metric
 from wordbound.errors import DomainError, ResourceLimitExceeded
@@ -39,6 +40,7 @@ from wordbound.metric import (
     _length_bidirectional,
     _packed_space,
     _regular,
+    _syllables,
     ball,
     certify_length,
     memory_limit,
@@ -374,7 +376,8 @@ def test_certify_length_matches_bfs(G, elems):
 ], ids=["ZxD8", "F2"])
 def test_certify_length_searches_on_the_trusted_law(monkeypatch, G, elems):
     """A 4-letter ``certify_length`` makes one checked ``mul`` per letter,
-    all of them in the check of its word, and searches on ``_mul``.
+    all of them in the check of its word, and searches on a packed space:
+    ints in Z x D8, syllables in F2, neither calling ``mul``.
     ``word_length`` on the same element still searches on the checked law,
     which perfbench's tracer counts."""
     S = _symm(G, elems)
@@ -439,13 +442,19 @@ def test_certify_length_refusals_survive_optimize_flag():
 # where F acts on a rank-2 lattice, and the Heisenberg group, packed on its own.
 PACKED_GROUPS = [G for G in FAMILIES if not G.is_finite and G.lattice_split()] + [
     gr.Product(gr.IntVector(2), gr.DihedralInfinite()), gr.Heisenberg()]
-PACKED_FINITE = FINITE_GROUPS + [G for G in FAMILIES if G.is_finite and G.size > 1]
+# Z/1 x D8 splits over D8, not over itself, and is packed on D8's table.
+PACKED_FINITE = FINITE_GROUPS + [G for G in FAMILIES if G.is_finite and G.size > 1] + [
+    gr.Product(gr.FiniteCyclic(1), gr.DihedralFinite(4))]
+PACKED_FREE = [gr.Free(1), gr.Free(2), gr.Free(3)]  # packed on syllables
 
 
 def _packed_cases(G, seed, count):
     """Seeded (alphabet, target, cap) triples: small letters and, in every
     other alphabet, one of mixed magnitude, with targets spelled by a word
-    of the letters or drawn at mixed magnitude, of either sign."""
+    of the letters or drawn at mixed magnitude, of either sign.  In a free
+    group a small letter is a random reduced word of up to 3 letters, and
+    one of mixed magnitude has up to 4 syllables of exponents up to 1009
+    (so proper powers such as x^1009) on generators of either sign."""
     rng = random.Random(seed)
     cases = []
     while len(cases) < count:
@@ -465,13 +474,14 @@ def _packed_cases(G, seed, count):
     return cases
 
 
-@pytest.mark.parametrize("G", PACKED_GROUPS + PACKED_FINITE, ids=str)
+@pytest.mark.parametrize("G", PACKED_GROUPS + PACKED_FINITE + PACKED_FREE, ids=str)
 def test_packed_search_equals_the_element_search(G):
-    """On packed ints the meet-in-the-middle search gives the checked
+    """On a packed space the meet-in-the-middle search gives the checked
     ``word_length``'s certificate field for field (length, witness, cap
     and ``explored``), for targets that a word spells and for targets of
-    mixed magnitude, up to 10^30 and of either sign; both outcomes occur
-    outside the trivial-looking finite cases."""
+    mixed magnitude, up to 10^30 and of either sign, or free words with
+    syllables up to x^1009; both outcomes occur outside the
+    trivial-looking finite cases."""
     found = set()
     for S, g, cap in _packed_cases(G, str(G), 40):
         space = _packed_space(G, S, g, cap)
@@ -531,6 +541,48 @@ def test_packed_nodes_are_charged_their_elements_bytes(G):
     assert {_Budget.cost(x) for x in samples} == {space.cost(r) for r in space.roots}
 
 
+def _free_words(G, seed):
+    """Seeded free words: 40 of mixed magnitude, 40 random reduced words of
+    up to 12 letters, the empty word and x1^1009."""
+    rng = random.Random(seed)
+    return [(), (1,) * 1009] + [mixed_magnitude_element(G, rng) for _ in range(40)] + [
+        random_element(G, rng, 12) for _ in range(40)]
+
+
+@pytest.mark.parametrize("G", PACKED_FREE, ids=str)
+def test_free_nodes_are_charged_their_words_bytes(G):
+    """A free word is the tuple of its letters, so its charge grows with
+    its letters, not its syllables: each syllable code is charged what its
+    word is, and x1^1009, one syllable, is charged 1009 letters."""
+    space = _packed_space(G, _symm(G, G.standard_generators()), (1,), 2)
+    for w in _free_words(G, 13):
+        assert space.cost(_syllables(w, G.k + 1)) == _Budget.cost(w), w
+    assert space.cost(_syllables((1,) * 1009, G.k + 1)) == _Budget.cost(()) + 1009 * 8
+
+
+@pytest.mark.parametrize("G", PACKED_FREE, ids=str)
+def test_syllable_step_is_the_free_product(G):
+    """Each syllable of a code is e·(k + 1) + g with e != 0, adjacent
+    syllables have different generators, and the code spells its word
+    back.  The packed step of two codes is the code of the product of their
+    words, where they join, merge, cancel in part and cancel whole."""
+    K = G.k + 1
+    space = _packed_space(G, _symm(G, G.standard_generators()), (1,), 2)
+    words = _free_words(G, 17)
+    for w in words:
+        code = _syllables(w, K)
+        spelled = ()
+        for s in code:
+            g, e = s % K, s // K
+            assert 1 <= g <= G.k and e != 0
+            spelled += (g if e > 0 else -g,) * abs(e)
+        assert spelled == w
+        assert all(a % K != b % K for a, b in zip(code, code[1:]))
+    for w, x in zip(words, reversed(words)):
+        for y in (x, G.inv(w), G._mul(G.inv(w), x), w[-1:], G.inv(w[-3:])):
+            assert space.mul(_syllables(w, K), _syllables(y, K)) == _syllables(G._mul(w, y), K)
+
+
 PARITY_CASES = [
     (gr.Product(gr.IntVector(1), gr.DihedralFinite(4)),
      [((3,), (1, 0)), ((-2,), (0, 1)), ((1,), (3, 1))], ((0,), (2, 0))),
@@ -541,6 +593,7 @@ PARITY_CASES = [
      [((10**30, 1), (2, 1)), ((0, 1), (-3, 0)), ((1, 0), (0, 1))], ((10**30, 2), (-1, 1))),
     (gr.DihedralFinite(8), [(1, 1), (3, 0)], (4, 0)),
     (gr.Heisenberg(), [(1, 0, 0), (0, 1, 0), (10**30, 1, -7)], (10**30 + 1, 2, -10**30 - 7)),
+    (gr.Free(2), [(1, 1, 1), (2, -1, -1), (1, 2, 2, 2, 2)], (1, 1, 1, 2, -1, 2, 2, 2, 2)),
 ]
 
 
@@ -617,6 +670,39 @@ def test_finite_tables_are_right_regular_and_bounded():
         assert _regular(F) is T
     assert _regular(gr.FiniteCyclic(metric.TABULATED_MAX_ORDER + 1)) is None
     assert _regular.cache_info().maxsize == 16
+
+
+def test_each_group_is_split_once(monkeypatch):
+    """25 sampled zxd8 alphabets, with the sampler's decisions, a
+    ``generates`` call and a certificate each, read one record of Z x D8:
+    its split is made once and holds F's table.  Its cost, like that of
+    Z/1 x D8, which splits over D8, charges each packed node the bytes of
+    its element.  Groups with no lattice split have no record, and the
+    cache is bounded."""
+    G = gr.Product(gr.IntVector(1), gr.DihedralFinite(4))
+    calls = []
+    real = gr.Product.lattice_split
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(gr.Product, "lattice_split", counted)
+    metric._split.cache_clear()
+    rng = random.Random(42)
+    for _ in range(25):
+        S = ex.sample_zxd8_genset(rng, 6)
+        assert generates(G, S).is_yes
+        assert certify_length(G, S, ((0,), (2, 0)), ex._commutator_word(S)).length <= 4
+    assert calls == [G]
+    for H in (G, gr.Product(gr.FiniteCyclic(1), gr.DihedralFinite(4))):
+        split = metric._split(H)
+        assert split is metric._split(H) and split.table is _regular(split.F)
+        rng = random.Random(5)
+        for h in [H.identity()] + [random_element(H, rng, 10**6) for _ in range(20)]:
+            assert split.cost(split.table.index[split.part(h)[1]]) == _Budget.cost(h)
+    assert metric._split(gr.Heisenberg()) is None and metric._split(gr.Free(2)) is None
+    assert metric._split.cache_info().maxsize == 16
 
 
 # -- resource limits -----------------------------------------------------
